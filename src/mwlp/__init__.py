@@ -21,7 +21,9 @@ from .compactness import (
     moduli_report,
     necessity_check,
     tail_modulus,
+    translation_curve,
     translation_modulus,
+    twisted_curve,
     twisted_modulus,
 )
 from .errors import MwlpError
@@ -115,6 +117,8 @@ __all__ = [
     "symdiff_measure",
     "tail_modulus",
     "translate",
+    "translation_curve",
     "translation_modulus",
+    "twisted_curve",
     "twisted_modulus",
 ]

@@ -19,6 +19,7 @@ from .errors import (
     NotTotallyBoundedInput,
     RadiusExceedsBox,
     SchemeMismatch,
+    SelfCertificationFailed,
     ShapeMismatch,
 )
 from .grids import Grid
@@ -28,7 +29,6 @@ from .operators import (
     ball_average,
     dyadic_average,
     shift_values,
-    translate,
 )
 from .spaces import SampledVectorField, Space, lp_w_norm
 from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
@@ -165,16 +165,155 @@ def tail_modulus(family: FunctionFamily, R: float, space: Space) -> float:
     return max(space.size(f.masked(mask)) for f in family)
 
 
+#: safety factor on the stated FFT screening error bound (see _l2_screen)
+SCREEN_SLACK = 64.0
+
+
+def translation_curve(family: FunctionFamily, scales: list[float], space: Space) -> list[float]:
+    """Translation modulus at every scale of a ladder, in the ladder's order.
+
+    Entry i is the sup over members f and lattice shifts 0 < |k h| <= scales[i]
+    of space.size(tau_k f - f).  Every reported value is one direct
+    evaluation of that expression.  In L^2(W, mu) an FFT screen (_l2_screen)
+    gives every shift's squared size with a per-member error bound; a rung
+    then evaluates directly only the (member, shift) pairs whose screened
+    interval reaches the largest lower end of the rung, which contains the
+    maximizer, and caches them for the nested rungs above.  Every other
+    space scans each shift directly once, taking a running max over the
+    ladder sorted by scale.
+    """
+    grid = family.grid
+    scales = [float(r) for r in scales]
+    if not scales:
+        return []
+    shifts = grid.shift_window(max(grid.max_shift(r) for r in scales))
+    rungs = [grid.shifts_within(shifts, r) for r in scales]
+    # a zero member has size exactly 0 at every shift, which the curve's
+    # floor of 0.0 already holds
+    members = [f for f in family if np.any(f.values)]
+    if not members:
+        return [0.0] * len(scales)
+
+    def direct(m: int, s: int) -> float:
+        f = members[m]
+        k = tuple(int(x) for x in shifts[s])
+        return space.size(SampledVectorField(grid, shift_values(f.values, grid, k) - f.values))
+
+    screen = _l2_screen(members, shifts, space)
+    curve = [0.0] * len(scales)
+    if screen is None:
+        seen = np.zeros(len(shifts), dtype=bool)
+        worst = 0.0
+        for i in sorted(range(len(scales)), key=scales.__getitem__):
+            for s in np.flatnonzero(rungs[i] & ~seen):
+                worst = max(worst, max(direct(m, s) for m in range(len(members))))
+            seen |= rungs[i]
+            curve[i] = worst
+        return curve
+
+    screened, margin = screen
+    confirmed: dict[tuple[int, int], float] = {}
+    for i, in_rung in enumerate(rungs):
+        cols = np.flatnonzero(in_rung)
+        if cols.size == 0:
+            continue
+        block = screened[:, cols]
+        floor = np.max(block - margin[:, None])
+        worst = 0.0
+        for m, j in np.argwhere(block + margin[:, None] >= floor):
+            key = (int(m), int(cols[j]))
+            if key not in confirmed:
+                confirmed[key] = direct(*key)
+            worst = max(worst, confirmed[key])
+        curve[i] = worst
+    return curve
+
+
+def _l2_screen(members: list, shifts: np.ndarray, space: Space):
+    """Screened ||tau_k f - f||^2 in L^2(W, mu) for every member and shift.
+
+    Returns (screened (K, S), margin (K,)), or None when the space is not
+    L^2(W, mu) with rho_x(v) = |W^(1/2)(x) v|.  With Q = mu W, zero fill
+    outside the box and h^n the cell volume,
+
+        ||tau_k f - f||^2 / h^n = A(k) - 2 Re B(k) + C,
+        A(k) = sum_y f(y)^H Q(y + k) f(y)        (correlation of conj(f_i) f_j with Q_ij)
+        B(k) = sum_y f(y)^H (Q f)(y + k)         (correlation of f_i with (Q f)_i)
+        C    = sum_x f(x)^H Q(x) f(x),
+
+    so d(d+1)/2 + 2d forward FFTs and one inverse FFT per member on a grid
+    zero-padded to N + K cells per axis (K the largest shift asked for, at
+    most N) give every shift with |k_i| < N; larger shifts leave no overlap
+    and equal C.  The spectra of Q are shared across members, and each
+    member keeps only the window of shifts asked for.
+
+    Error bound: an FFT correlation of arrays a, b of M_pad <= (2N)^n entries
+    is exact to c0 eps log2(M_pad) (|a|_2 |b|_1 + |a|_1 |b|_2).  With
+    omega = max_x ||W(x)||_op mu(x), E_f = sum_x |f(x)|^2 and M = N^n grid
+    points, every A and B term is at most 2 M omega E_f, so the screened
+    value and the direct quadrature (whose rounding is smaller still) both
+    lie within
+
+        margin_f = SCREEN_SLACK * eps * d^2 * log2(M_pad) * M * omega * E_f * h^n
+
+    of the exact squared size; SCREEN_SLACK covers c0 and the number of
+    correlation terms, at most 2 d^2 + 4 d.  The scale uses omega rather
+    than W at f's own points, because tau_k f meets W where f does not.
+    """
+    rho = space.rho
+    w = getattr(rho, "weight", None)
+    if w is None or space.is_variable or space.p != 2.0 or rho.p_used != 2.0:
+        return None
+    grid = w.grid
+    if members[0].grid != grid or members[0].d != w.d:
+        raise ShapeMismatch("field and norm family do not match")
+    n, big_n, d = grid.n, grid.N, w.d
+    # a correlation over [0, N) wraps onto shifts |k_i| <= K only if the
+    # padded length is below N + K
+    pad = (big_n + min(int(np.max(np.abs(shifts))), big_n),) * n
+    axes = tuple(range(n))
+    mu = np.ones(grid.num_points) if space.mu is None else space.mu.values
+    q = w.power(1.0) * mu[:, None, None]
+    # Q and f_i conj(f_j) are Hermitian in (i, j), so the real part of A
+    # needs the pairs i <= j only, off-diagonal ones counted twice
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    q_hat = [np.fft.fftn(q[:, i, j].reshape(grid.shape), s=pad, axes=axes) for i, j in pairs]
+    window = tuple(shifts[:, ax] % pad[ax] for ax in range(n))
+    no_overlap = np.any(np.abs(shifts) >= big_n, axis=1)
+    cell = grid.h ** n
+    omega = float(np.max(w.eig()[0][:, -1] * mu))
+    bound = (SCREEN_SLACK * np.finfo(float).eps * d * d * n * np.log2(2 * big_n)
+             * grid.num_points * omega * cell)
+
+    def conj_spectrum(values: np.ndarray) -> np.ndarray:
+        out = np.fft.fftn(values.reshape(grid.shape), s=pad, axes=axes)
+        return np.conjugate(out, out=out)
+
+    screened = np.empty((len(members), len(shifts)))
+    margin = np.empty(len(members))
+    for m, f in enumerate(members):
+        fv = f.values
+        qf = np.einsum("mij,mj->mi", q, fv)
+        spec = np.zeros(pad, dtype=np.complex128)
+        for (i, j), qh in zip(pairs, q_hat):
+            t = conj_spectrum(fv[:, i] * fv[:, j].conj())
+            t *= qh
+            spec += t if i == j else 2.0 * t
+        for i in range(d):
+            t = conj_spectrum(fv[:, i])
+            t *= np.fft.fftn(qf[:, i].reshape(grid.shape), s=pad, axes=axes)
+            spec -= 2.0 * t
+        corr = np.fft.ifftn(spec).real[window]
+        corr[no_overlap] = 0.0
+        const = float(np.sum((fv.conj() * qf).real))
+        screened[m] = (corr + const) * cell
+        margin[m] = bound * float(np.sum(np.abs(fv) ** 2))
+    return screened, margin
+
+
 def translation_modulus(family: FunctionFamily, r: float, space: Space) -> float:
     """sup over members and lattice shifts 0 < |y| <= r of the size of tau_y f - f."""
-    grid = family.grid
-    worst = 0.0
-    for f in family:
-        for k in grid.lattice_shifts(r):
-            diff = SampledVectorField(
-                grid, shift_values(f.values, grid, k) - f.values)
-            worst = max(worst, space.size(diff))
-    return worst
+    return translation_curve(family, [r], space)[0]
 
 
 def _diagonalized(family: FunctionFamily, w: MatrixWeightField):
@@ -192,13 +331,20 @@ def _diagonalized(family: FunctionFamily, w: MatrixWeightField):
     return d_field, FunctionFamily(tilted, metadata=family.metadata + " (diagonalized)")
 
 
-def twisted_modulus(family: FunctionFamily, w: MatrixWeightField, p: float, r: float) -> float:
-    """Equicontinuity after pointwise diagonalization: the translation modulus
-    of f~ = U^H f in L^p(D), D = diag of the eigenvalue functions of W."""
+def twisted_curve(family: FunctionFamily, w: MatrixWeightField, p: float,
+                  scales: list[float]) -> list[float]:
+    """Equicontinuity after pointwise diagonalization at every ladder scale:
+    the translation curve of f~ = U^H f in L^p(D), D = diag of the eigenvalue
+    functions of W."""
     if w.grid != family.grid or w.d != family.d:
         raise ShapeMismatch("weight does not match the family")
     d_field, tilted = _diagonalized(family, w)
-    return translation_modulus(tilted, r, Space.matrix_weight(d_field, p))
+    return translation_curve(tilted, scales, Space.matrix_weight(d_field, p))
+
+
+def twisted_modulus(family: FunctionFamily, w: MatrixWeightField, p: float, r: float) -> float:
+    """The twisted modulus at one scale (see twisted_curve)."""
+    return twisted_curve(family, w, p, [r])[0]
 
 
 def averaging_modulus(family: FunctionFamily, space: Space, r: float,
@@ -235,13 +381,13 @@ def moduli_report(family: FunctionFamily, space: Space, notion: str = "translati
     bound = boundedness_modulus(family, space)
     tail = [(R, tail_modulus(family, R, space)) for R in radii]
     if notion == "translation":
-        equi = [(r, translation_modulus(family, r, space)) for r in scales]
+        equi = list(zip(scales, translation_curve(family, scales, space)))
     elif notion == "twisted":
         w = weight if weight is not None else getattr(space, "weight", None)
         if w is None:
             raise ValueError("twisted notion requires a matrix weight")
         pp = p if p is not None else space.p
-        equi = [(r, twisted_modulus(family, w, pp, r)) for r in scales]
+        equi = list(zip(scales, twisted_curve(family, w, pp, scales)))
     elif notion == "averaging":
         equi = [(r, averaging_modulus(family, space, r)) for r in scales]
     else:
@@ -381,7 +527,9 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     )
     cert = certify_net(family, net, space)
     if not cert.passed:
-        raise AssertionError("freshly built net failed its own certificate")
+        raise SelfCertificationFailed(
+            f"freshly built {net.route} net failed its own certificate: worst distance "
+            f"{cert.worst_distance!r} above {cert.threshold!r}")
     return net
 
 
@@ -476,7 +624,9 @@ def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightFie
     )
     cert = certify_net(family, net, space)
     if not cert.passed:
-        raise AssertionError("freshly built net failed its own certificate")
+        raise SelfCertificationFailed(
+            f"freshly built {net.route} net failed its own certificate: worst distance "
+            f"{cert.worst_distance!r} above {cert.threshold!r}")
     return net
 
 
@@ -716,7 +866,9 @@ def phi_error_constant(family: FunctionFamily, scheme: DyadicScheme, space: Spac
     for f in family:
         err = space.modular(f - dyadic_average(f, scheme))
         tail_m = space.modular(f.masked(_outside_box_mask(family.grid, half)))
-        trans_m = _translation_modular(f, scale, space)
+        trans_m = translation_modulus(FunctionFamily([f]), scale, space)
+        if not space.is_variable:
+            trans_m = trans_m ** space.p
         denom = tail_m + trans_m
         ratio = err / denom if denom > 0 else (0.0 if err == 0 else np.inf)
         c_worst = max(c_worst, ratio)
@@ -729,11 +881,3 @@ def _outside_box_mask(grid: Grid, half: float) -> np.ndarray:
     pts = grid.points
     return np.any((pts < -half) | (pts >= half), axis=1)
 
-
-def _translation_modular(f: SampledVectorField, scale: float, space: Space) -> float:
-    grid = f.grid
-    worst = 0.0
-    for k in grid.lattice_shifts(scale):
-        y = tuple(ki * grid.h for ki in k)
-        worst = max(worst, space.modular(translate(f, y) - f))
-    return worst

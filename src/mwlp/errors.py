@@ -67,3 +67,11 @@ class NonFinite(MwlpError):
 
 class SchemaError(MwlpError):
     """Scenario file violates the documented schema."""
+
+
+class MalformedField(MwlpError, ValueError):
+    """Field file is truncated, lacks a header line or has a wrong row shape."""
+
+
+class SelfCertificationFailed(MwlpError):
+    """A freshly built net failed its own brute-force certificate."""

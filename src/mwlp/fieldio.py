@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MalformedField, MwlpError
 from .grids import Grid
 from .spaces import ExponentField, SampledVectorField
 from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
@@ -72,12 +73,24 @@ def save_field(path, field) -> None:
 
 
 def load_field(path):
-    """Read a field written by save_field; the kind decides the return type."""
+    """Read a field written by save_field; the kind decides the return type.
+
+    A file that does not parse as the format raises MalformedField.
+    """
     with open(path) as fh:
         text = fh.read()
+    try:
+        return _parse_field(text, path)
+    except MwlpError:
+        raise
+    except ValueError as exc:
+        raise MalformedField(f"{path}: {exc}") from exc
+
+
+def _parse_field(text: str, path):
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a mwfield file")
+        raise MalformedField(f"{path}: not a mwfield file")
     header: dict[str, str] = {}
     i = 1
     while i < len(lines) and " " in lines[i] and lines[i].split(" ", 1)[0] in (
@@ -87,12 +100,20 @@ def load_field(path):
         i += 1
     kind = header.get("kind")
     if kind not in KINDS:
-        raise ValueError(f"{path}: unknown field kind {kind!r}")
+        raise MalformedField(f"{path}: unknown field kind {kind!r}")
+    missing = [key for key in ("n", "L", "N") if key not in header]
+    if missing:
+        raise MalformedField(f"{path}: missing header line {missing[0]!r}")
     grid = Grid(int(header["n"]), float(header["L"]), int(header["N"]))
     d = int(header.get("d", "1"))
-    rows = np.array([[float(tok) for tok in line.split()] for line in lines[i:] if line.strip()])
-    if rows.shape[0] != grid.num_points:
-        raise ValueError(f"{path}: expected {grid.num_points} rows, found {rows.shape[0]}")
+    columns = {"matrix": 2 * d * d, "vector": 2 * d}.get(kind, 1)
+    rows = [[float(tok) for tok in line.split()] for line in lines[i:] if line.strip()]
+    if len(rows) != grid.num_points:
+        raise MalformedField(f"{path}: expected {grid.num_points} rows, found {len(rows)}")
+    if any(len(row) != columns for row in rows):
+        raise MalformedField(f"{path}: every row must hold {columns} numbers")
+    rows = np.array(rows)
+
     def complexify(block):
         # componentwise assembly keeps signed zeros intact
         out = np.empty(block[:, 0::2].shape, dtype=np.complex128)

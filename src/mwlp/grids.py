@@ -98,22 +98,29 @@ class Grid:
             raise OffLattice(f"{y.tolist()} is not an integer multiple of h={self.h}")
         return tuple(int(x) for x in k)
 
+    def max_shift(self, r: float) -> int:
+        """Largest per-axis index shift of a lattice vector of length <= r."""
+        return int(np.floor(r / self.h + 1e-12))
+
+    def shift_window(self, kmax: int) -> np.ndarray:
+        """Integer shifts with every |k_i| <= kmax, shape (S, n), row-major over axes."""
+        k = np.arange(-kmax, kmax + 1)
+        if self.n == 1:
+            return k[:, None]
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        return np.stack([k1.ravel(), k2.ravel()], axis=1)
+
+    def shifts_within(self, shifts: np.ndarray, r: float) -> np.ndarray:
+        """Mask of the rows k of an (S, n) shift array with k != 0 and |k * h| <= r."""
+        inside = np.all(np.abs(shifts) <= self.max_shift(r), axis=1)
+        if self.n == 2:
+            inside &= np.sum(shifts * shifts, axis=1) * self.h ** 2 <= r * r * (1 + 1e-12)
+        return inside & np.any(shifts != 0, axis=1)
+
     def lattice_shifts(self, r: float) -> list[tuple[int, ...]]:
         """All nonzero integer shifts k with |k * h| <= r, in a fixed order."""
-        kmax = int(np.floor(r / self.h + 1e-12))
-        out: list[tuple[int, ...]] = []
-        if self.n == 1:
-            for k in range(-kmax, kmax + 1):
-                if k != 0:
-                    out.append((k,))
-        else:
-            for k1 in range(-kmax, kmax + 1):
-                for k2 in range(-kmax, kmax + 1):
-                    if (k1, k2) == (0, 0):
-                        continue
-                    if (k1 * k1 + k2 * k2) * self.h ** 2 <= r * r * (1 + 1e-12):
-                        out.append((k1, k2))
-        return out
+        window = self.shift_window(self.max_shift(r))
+        return [tuple(int(x) for x in k) for k in window[self.shifts_within(window, r)]]
 
     def refine(self) -> "Grid":
         return Grid(self.n, self.L, 2 * self.N)

@@ -154,6 +154,36 @@ task: {{name: certify, epsilon: 0.05, c_net: 1.0, centers: ['{zero}']}}
         code = main(["run", str(write_scenario(tmp_path, scenario))])
         assert code == 2
 
+    @pytest.mark.parametrize("route", ["dyadic", "average"])
+    def test_self_certification_failure_exits_one(self, tmp_path, capsys, monkeypatch, route):
+        from mwlp import compactness
+
+        def failing(family, net, space, epsilon=None, c_net=None):
+            return compactness.Certificate(passed=False, worst_member=0, worst_distance=1.0,
+                                           threshold=0.5, distances=[1.0])
+
+        monkeypatch.setattr(compactness, "certify_net", failing)
+        scenario = f"""\
+seed: 11
+grid: {{n: 1, L: 2.0, N: 256}}
+weight: {{kind: power, alpha: [0.5], rotation: {{kind: none}}}}
+family: {{kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}}
+task: {{name: net, epsilon: 0.2, route: {route}}}
+"""
+        assert main(["run", str(write_scenario(tmp_path, scenario))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: freshly built {route} net failed its own certificate")
+
+    def test_truncated_center_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "center.txt"
+        fieldio.save_field(path, SampledVectorField.zero(Grid(1, 8.0, 64), 2))
+        path.write_text("\n".join(path.read_text().splitlines()[:-5]) + "\n")
+        assert main(["certify", "--centers", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: expected 64 rows, found 59"]
+
     def test_verify_lemmas_count_zero_empty_pass(self, tmp_path):
         out = tmp_path / "vl.json"
         code = main(["verify-lemmas", "--count", "0", "--out", str(out)])

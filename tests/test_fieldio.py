@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mwlp import fieldio
+from mwlp.errors import MalformedField, MwlpError
 from mwlp.grids import Grid
 from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
@@ -67,3 +68,19 @@ def test_corrupted_file_rejected(tmp_path):
     path.write_text("not a field\n")
     with pytest.raises(ValueError):
         fieldio.load_field(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "expected 8 rows, found 7"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("N ")], "missing header line 'N'"),
+    (lambda lines: lines[:-1] + ["0.5"], "every row must hold 2 numbers"),
+    (lambda lines: lines[:-1] + ["0.5 oops"], "could not convert"),
+    (lambda lines: [ln.replace("N 8", "N 7") for ln in lines], "power of two"),
+])
+def test_malformed_file_raises_toolkit_error(tmp_path, edit, message):
+    path = tmp_path / "f.txt"
+    fieldio.save_field(path, SampledVectorField.zero(Grid(1, 1.0, 8), 1))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(MalformedField, match=message) as info:
+        fieldio.load_field(path)
+    assert isinstance(info.value, MwlpError)
