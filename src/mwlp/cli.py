@@ -257,18 +257,33 @@ def _task_john(sc, sc_mod, rng) -> tuple[dict, int]:
             "passed": passed}, 0 if passed else 2
 
 
-def _task_norm(sc, sc_mod, rng) -> tuple[dict, int]:
-    from .spaces import NormFamily, Space, lp_w_norm, luxemburg_norm
+def _setup(sc, sc_mod, rng, constant_exponent: bool = True):
+    """Weight, measure, family and exponent of a scenario on its grid.
 
+    Returns (w, mu, family, p, pf): p is the constant exponent, or None with
+    pf the exponent field when it varies, which tasks that need a constant
+    exponent reject with a SchemaError.
+    """
+    from .errors import SchemaError
+
+    p = sc_mod.constant_p(sc)
+    if p is None and constant_exponent:
+        raise SchemaError(f"exponent: the {sc.task_name} task needs a constant exponent")
     grid = sc_mod.build_grid(sc)
     w = sc_mod.build_weight(sc, grid)
     mu = sc_mod.build_measure(sc, grid)
     family = sc_mod.build_family(sc, grid, rng)
-    p = sc_mod.constant_p(sc)
+    pf = None if p is not None else sc_mod.build_exponent(sc, grid)
+    return w, mu, family, p, pf
+
+
+def _task_norm(sc, sc_mod, rng) -> tuple[dict, int]:
+    from .spaces import NormFamily, lp_w_norm, luxemburg_norm
+
+    w, mu, family, p, pf = _setup(sc, sc_mod, rng, constant_exponent=False)
     if p is None:
         # variable exponent: derive the norm family from the weight at the
         # exponent ceiling (the integrability assumption is on p_+)
-        pf = sc_mod.build_exponent(sc, grid)
         rho = NormFamily.from_matrix_weight(w, pf.p_plus)
         values = [luxemburg_norm(f, rho, pf) for f in family]
         kind = "luxemburg"
@@ -282,16 +297,9 @@ def _task_moduli(sc, sc_mod, rng) -> tuple[dict, int]:
     from .compactness import moduli_report
     from .spaces import NormFamily, Space
 
-    grid = sc_mod.build_grid(sc)
-    w = sc_mod.build_weight(sc, grid)
-    mu = sc_mod.build_measure(sc, grid)
-    family = sc_mod.build_family(sc, grid, rng)
-    p = sc_mod.constant_p(sc)
+    w, mu, family, p, pf = _setup(sc, sc_mod, rng, constant_exponent=False)
     if p is None:
-        pf = sc_mod.build_exponent(sc, grid)
-        rho = NormFamily.from_matrix_weight(w, pf.p_plus)
-        space = Space.variable(rho, pf)
-        space.weight = w
+        space = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
     else:
         space = Space.matrix_weight(w, p, mu)
     notion = sc.task.get("notion", "translation")
@@ -299,29 +307,25 @@ def _task_moduli(sc, sc_mod, rng) -> tuple[dict, int]:
     return rep.as_dict(), 0
 
 
-def _task_net(sc, sc_mod, rng) -> tuple[dict, int]:
-    from .compactness import build_net_average, build_net_dyadic, certify_net
+def _build_net(sc, w, mu, family, p):
+    """The task's net, built and self-certified by its route's builder."""
+    from .compactness import build_net_average, build_net_dyadic
     from .spaces import Space
 
-    grid = sc_mod.build_grid(sc)
-    w = sc_mod.build_weight(sc, grid)
-    mu = sc_mod.build_measure(sc, grid)
-    family = sc_mod.build_family(sc, grid, rng)
-    p = sc_mod.constant_p(sc)
     eps = float(sc.task.get("epsilon", 0.1))
-    route = sc.task.get("route", "dyadic")
-    if route == "average":
-        net = build_net_average(family, eps, w, mu, p)
-        space = Space.matrix_weight(w, p, mu)
-    else:
-        space = Space.matrix_weight(w, p, mu)
-        net = build_net_dyadic(family, eps, space,
-                               notion=sc.task.get("notion", "translation"), weight=w)
-    cert = certify_net(family, net, space)
+    if sc.task.get("route", "dyadic") == "average":
+        return build_net_average(family, eps, w, mu, p)
+    return build_net_dyadic(family, eps, Space.matrix_weight(w, p, mu),
+                            notion=sc.task.get("notion", "translation"), weight=w)
+
+
+def _task_net(sc, sc_mod, rng) -> tuple[dict, int]:
+    w, mu, family, p, _ = _setup(sc, sc_mod, rng)
+    net = _build_net(sc, w, mu, family, p)
     out = {
-        "route": net.route, "epsilon": eps, "net_size": net.size,
+        "route": net.route, "epsilon": net.epsilon, "net_size": net.size,
         "c_net": net.c_net, "params": net.params,
-        "certificate": cert.as_dict(), "family": family.metadata,
+        "certificate": net.certificate.as_dict(), "family": family.metadata,
         "space": net.space_label,
     }
     save_dir = sc.task.get("save_centers")
@@ -337,35 +341,29 @@ def _task_net(sc, sc_mod, rng) -> tuple[dict, int]:
             fieldio.save_field(path, c)
             paths.append(str(path))
         out["center_files"] = paths
-    return out, 0 if cert.passed else 2
+    return out, 0
 
 
 def _task_certify(sc, sc_mod, rng) -> tuple[dict, int]:
-    from .compactness import EpsilonNet, build_net_average, build_net_dyadic, certify_net
-    from .spaces import Space
-
-    grid = sc_mod.build_grid(sc)
-    w = sc_mod.build_weight(sc, grid)
-    mu = sc_mod.build_measure(sc, grid)
-    family = sc_mod.build_family(sc, grid, rng)
-    p = sc_mod.constant_p(sc)
-    eps = float(sc.task.get("epsilon", 0.1))
-    space = Space.matrix_weight(w, p, mu)
+    """Recheck loaded centers from scratch, or report a rebuilt net's certificate."""
+    w, mu, family, p, _ = _setup(sc, sc_mod, rng)
     center_paths = sc.task.get("centers")
     if center_paths:
         from . import fieldio
+        from .compactness import EpsilonNet, certify_net
+        from .spaces import Space
 
+        space = Space.matrix_weight(w, p, mu)
         centers = [fieldio.load_field(cp) for cp in center_paths]
-        c_net = float(sc.task.get("c_net", 1.0))
-        net = EpsilonNet(epsilon=eps, centers=centers,
+        net = EpsilonNet(epsilon=float(sc.task.get("epsilon", 0.1)), centers=centers,
                          assignment=[0] * len(family), distances=[],
-                         c_net=c_net, route="external", space_label=space.label)
-    elif sc.task.get("route", "dyadic") == "average":
-        net = build_net_average(family, eps, w, mu, p)
+                         c_net=float(sc.task.get("c_net", 1.0)), route="external",
+                         space_label=space.label)
+        cert = certify_net(family, net, space)
     else:
-        net = build_net_dyadic(family, eps, space, weight=w)
-    cert = certify_net(family, net, space)
-    out = {"epsilon": eps, "net_size": net.size, "c_net": net.c_net,
+        net = _build_net(sc, w, mu, family, p)
+        cert = net.certificate
+    out = {"epsilon": net.epsilon, "net_size": net.size, "c_net": net.c_net,
            "route": net.route, "certificate": cert.as_dict()}
     return out, 0 if cert.passed else 2
 
@@ -373,11 +371,7 @@ def _task_certify(sc, sc_mod, rng) -> tuple[dict, int]:
 def _task_necessity(sc, sc_mod, rng) -> tuple[dict, int]:
     from .compactness import necessity_check
 
-    grid = sc_mod.build_grid(sc)
-    w = sc_mod.build_weight(sc, grid)
-    mu = sc_mod.build_measure(sc, grid)
-    family = sc_mod.build_family(sc, grid, rng)
-    p = sc_mod.constant_p(sc)
+    w, mu, family, p, _ = _setup(sc, sc_mod, rng)
     epsilons = [float(e) for e in sc.task.get("epsilons", [0.2, 0.1, 0.05])]
     ap_value = sc.task.get("ap_value")
     rep = necessity_check(family, epsilons, w, p, mu=mu,

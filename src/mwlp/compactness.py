@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConstantExponentRequired,
     ModuliTooLarge,
     NotInvertible,
     NotTotallyBoundedInput,
@@ -95,7 +96,8 @@ class EpsilonNet:
     """Net centers with a per-member certificate.
 
     Every member was matched to its nearest center; the recorded constant
-    c_net is the measured max distance divided by epsilon.
+    c_net is the measured max distance divided by epsilon.  A builder
+    attaches the brute-force certificate it checked the net against.
     """
 
     epsilon: float
@@ -106,6 +108,7 @@ class EpsilonNet:
     route: str
     params: dict = field(default_factory=dict)
     space_label: str = ""
+    certificate: Certificate | None = None
 
     @property
     def size(self) -> int:
@@ -369,25 +372,34 @@ def averaging_modulus(family: FunctionFamily, space: Space, r: float,
     return worst
 
 
+def _twisted_inputs(space: Space, weight: MatrixWeightField | None,
+                    p: float | None) -> tuple[MatrixWeightField, float]:
+    """The matrix weight and constant exponent of the twisted notion, taken
+    from the space where not given."""
+    w = weight if weight is not None else getattr(space, "weight", None)
+    if w is None:
+        raise ValueError("twisted notion requires a matrix weight")
+    p = p if p is not None else space.p
+    if p is None:
+        raise ConstantExponentRequired(
+            "the twisted notion needs a constant exponent; this space's exponent varies")
+    return w, p
+
+
 def moduli_report(family: FunctionFamily, space: Space, notion: str = "translation",
-                  radius_ladder: list[float] | None = None,
-                  scale_ladder: list[float] | None = None,
                   weight: MatrixWeightField | None = None,
                   p: float | None = None) -> ModuliReport:
-    """Measure the boundedness, tail and equicontinuity curves on the ladders."""
+    """Measure the boundedness, tail and equicontinuity curves on the default ladders."""
     grid = family.grid
-    radii = radius_ladder if radius_ladder is not None else default_radius_ladder(grid)
-    scales = scale_ladder if scale_ladder is not None else default_scale_ladder(grid)
+    scales = default_scale_ladder(grid)
+    if notion == "twisted":
+        w, p = _twisted_inputs(space, weight, p)
     bound = boundedness_modulus(family, space)
-    tail = [(R, tail_modulus(family, R, space)) for R in radii]
+    tail = [(R, tail_modulus(family, R, space)) for R in default_radius_ladder(grid)]
     if notion == "translation":
         equi = list(zip(scales, translation_curve(family, scales, space)))
     elif notion == "twisted":
-        w = weight if weight is not None else getattr(space, "weight", None)
-        if w is None:
-            raise ValueError("twisted notion requires a matrix weight")
-        pp = p if p is not None else space.p
-        equi = list(zip(scales, twisted_curve(family, w, pp, scales)))
+        equi = list(zip(scales, twisted_curve(family, w, p, scales)))
     elif notion == "averaging":
         equi = [(r, averaging_modulus(family, space, r)) for r in scales]
     else:
@@ -431,9 +443,19 @@ def greedy_cover(count: int, dist_fn, radius: float, max_centers: int | None = N
 
 def _box_tail(family: FunctionFamily, half: float, space: Space) -> float:
     """sup over members of the size of f outside the box [-half, half)^n."""
-    pts = family.grid.points
-    outside = np.any((pts < -half) | (pts >= half), axis=1)
+    outside = family.grid.outside_box(half)
     return max(space.size(f.masked(outside)) for f in family)
+
+
+def _self_certified(family: FunctionFamily, net: EpsilonNet, space: Space) -> EpsilonNet:
+    """Attach the brute-force certificate of a freshly built net, which must pass it."""
+    cert = certify_net(family, net, space)
+    if not cert.passed:
+        raise SelfCertificationFailed(
+            f"freshly built {net.route} net failed its own certificate: worst distance "
+            f"{cert.worst_distance!r} above {cert.threshold!r}")
+    net.certificate = cert
+    return net
 
 
 def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
@@ -443,11 +465,11 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     """Constructive net via dyadic averaging.
 
     Picks the smallest outer generation m with the tail beyond the box
-    [-2^m, 2^m)^n under epsilon and the smallest ladder scale 2^t whose
-    translation (or twisted) modulus is under epsilon, projects every member
-    to its piecewise-constant average, and covers the projections greedily
-    at radius epsilon.  Certificate distances are measured in the ambient
-    space against the piecewise-constant centers.
+    [-2^m, 2^m)^n under epsilon and the finest ladder scale 2^t, whose
+    translation (or twisted) modulus must be under epsilon, projects every
+    member to its piecewise-constant average, and covers the projections
+    greedily at radius epsilon.  Certificate distances are measured in the
+    ambient space against the piecewise-constant centers.
     """
     grid = family.grid
     # outer generation: dyadic half-widths up to L
@@ -467,32 +489,21 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     if chosen_m is None:
         raise ModuliTooLarge(f"no dyadic box keeps the tail under {epsilon}")
 
-    scale_candidates = []
-    for s in default_scale_ladder(grid):
-        if s > 2.0 ** chosen_m:
-            continue
-        t = int(round(np.log2(s)))
-        if abs(2.0 ** t - s) <= 1e-9 * s:
-            scale_candidates.append((s, t))
-    if not scale_candidates:
+    # the ladder doubles from 2h, so either every scale is a power of two or
+    # none is; both moduli are nondecreasing in the scale, so the finest
+    # scale is the only one that can keep the modulus under epsilon
+    scales = [s for s in default_scale_ladder(grid) if s <= 2.0 ** chosen_m]
+    s = scales[0] if scales else 0.0
+    chosen_t = int(round(np.log2(s))) if scales else 0
+    if not scales or abs(2.0 ** chosen_t - s) > 1e-9 * s:
         raise SchemeMismatch(
             "no ladder scale is an exact power of two on this grid; "
             "dyadic nets need L to be a power of two")
-    chosen_t = None
-    equi_value = None
-    for s, t in scale_candidates:
-        if notion == "twisted":
-            w = weight if weight is not None else getattr(space, "weight", None)
-            if w is None:
-                raise ValueError("twisted notion requires a matrix weight")
-            v = twisted_modulus(family, w, space.p, s)
-        else:
-            v = translation_modulus(family, s, space)
-        if v < epsilon:
-            chosen_t = t
-            equi_value = v
-            break
-    if chosen_t is None:
+    if notion == "twisted":
+        equi_value = twisted_modulus(family, *_twisted_inputs(space, weight, None), s)
+    else:
+        equi_value = translation_modulus(family, s, space)
+    if not equi_value < epsilon:
         raise ModuliTooLarge(f"no ladder scale keeps the {notion} modulus under {epsilon}")
 
     scheme = DyadicScheme(grid, chosen_m, chosen_t)
@@ -525,18 +536,11 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
         },
         space_label=space.label,
     )
-    cert = certify_net(family, net, space)
-    if not cert.passed:
-        raise SelfCertificationFailed(
-            f"freshly built {net.route} net failed its own certificate: worst distance "
-            f"{cert.worst_distance!r} above {cert.threshold!r}")
-    return net
+    return _self_certified(family, net, space)
 
 
 def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightField,
                       mu: MeasureDensity | None, p: float,
-                      radius_ladder: list[float] | None = None,
-                      scale_ladder: list[float] | None = None,
                       max_centers: int | None = None) -> EpsilonNet:
     """Constructive net via ball averaging with the epsilon/3 budget split.
 
@@ -553,12 +557,10 @@ def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightFie
     grid = family.grid
     dens = mu if mu is not None else MeasureDensity.lebesgue(grid)
     space = Space.matrix_weight(w, p, dens)
-    radii = radius_ladder if radius_ladder is not None else default_radius_ladder(grid)
-    scales = scale_ladder if scale_ladder is not None else default_scale_ladder(grid)
 
     chosen_R = None
     tail_value = None
-    for R in radii:
+    for R in default_radius_ladder(grid):
         v = tail_modulus(family, R, space)
         if v < epsilon / 3:
             chosen_R = R
@@ -569,7 +571,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightFie
 
     chosen_r = None
     avg_value = None
-    for r in scales:
+    for r in default_scale_ladder(grid):
         if r >= chosen_R or chosen_R + r > grid.L * (1 + 1e-12):
             continue
         v = averaging_modulus(family, space, r, eval_radius=chosen_R)
@@ -622,25 +624,17 @@ def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightFie
         },
         space_label=space.label,
     )
-    cert = certify_net(family, net, space)
-    if not cert.passed:
-        raise SelfCertificationFailed(
-            f"freshly built {net.route} net failed its own certificate: worst distance "
-            f"{cert.worst_distance!r} above {cert.threshold!r}")
-    return net
+    return _self_certified(family, net, space)
 
 
-def certify_net(family: FunctionFamily, net: EpsilonNet, space: Space,
-                epsilon: float | None = None, c_net: float | None = None) -> Certificate:
+def certify_net(family: FunctionFamily, net: EpsilonNet, space: Space) -> Certificate:
     """Brute-force recomputation of the covering property.
 
     For every member, the distance to its nearest center is recomputed and
-    checked against c_net * epsilon (both default to the net's recorded
-    values).  The worst member is reported either way.
+    checked against the net's c_net * epsilon.  The worst member is
+    reported either way.
     """
-    eps = net.epsilon if epsilon is None else epsilon
-    c = net.c_net if c_net is None else c_net
-    threshold = c * eps
+    threshold = net.c_net * net.epsilon
     dists = []
     for f in family:
         dmin = min(space.dist(f, g) for g in net.centers)
@@ -702,8 +696,6 @@ class NecessityReport:
 
 def necessity_check(family: FunctionFamily, epsilons: list[float], w: MatrixWeightField,
                     p: float, mu: MeasureDensity | None = None,
-                    radius_ladder: list[float] | None = None,
-                    scale_ladder: list[float] | None = None,
                     max_centers: int | None = None,
                     ap_value: float | None = None) -> NecessityReport:
     """Mirror the necessity argument: from an epsilon-net of members, derive a
@@ -718,8 +710,8 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], w: MatrixWeig
     grid = family.grid
     dens = mu if mu is not None else MeasureDensity.lebesgue(grid)
     space = Space.matrix_weight(w, p, dens)
-    radii = radius_ladder if radius_ladder is not None else default_radius_ladder(grid)
-    scales = scale_ladder if scale_ladder is not None else default_scale_ladder(grid)
+    radii = default_radius_ladder(grid)
+    scales = default_scale_ladder(grid)
 
     rows = []
     for eps in epsilons:
@@ -865,7 +857,7 @@ def phi_error_constant(family: FunctionFamily, scheme: DyadicScheme, space: Spac
     detail = []
     for f in family:
         err = space.modular(f - dyadic_average(f, scheme))
-        tail_m = space.modular(f.masked(_outside_box_mask(family.grid, half)))
+        tail_m = space.modular(f.masked(family.grid.outside_box(half)))
         trans_m = translation_modulus(FunctionFamily([f]), scale, space)
         if not space.is_variable:
             trans_m = trans_m ** space.p
@@ -875,9 +867,4 @@ def phi_error_constant(family: FunctionFamily, scheme: DyadicScheme, space: Spac
         detail.append({"error_modular": err, "tail_modular": tail_m,
                        "translation_modular": trans_m, "ratio": ratio})
     return {"constant": c_worst, "m": scheme.m, "t": scheme.t, "detail": detail}
-
-
-def _outside_box_mask(grid: Grid, half: float) -> np.ndarray:
-    pts = grid.points
-    return np.any((pts < -half) | (pts >= half), axis=1)
 

@@ -75,3 +75,7 @@ class MalformedField(MwlpError, ValueError):
 
 class SelfCertificationFailed(MwlpError):
     """A freshly built net failed its own brute-force certificate."""
+
+
+class ConstantExponentRequired(MwlpError):
+    """Operation needs a constant exponent, but the exponent varies."""

@@ -87,6 +87,10 @@ class Grid:
         """Boolean mask of cells with |x| >= R (complement of the open ball)."""
         return self.radii >= R
 
+    def outside_box(self, half: float) -> np.ndarray:
+        """Boolean mask of cells outside the box [-half, half)^n."""
+        return np.any((self.points < -half) | (self.points >= half), axis=1)
+
     def shift_of(self, y) -> tuple[int, ...]:
         """Integer index shift of a lattice vector y (multiples of h per axis)."""
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))

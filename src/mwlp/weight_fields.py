@@ -395,22 +395,7 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
         raise ValueError("p must be positive")
     grid = w.grid
     if w.d == 1:
-        wv = w.values[:, 0, 0].real
-        if p > 1:
-            return _scalar_ap(grid, wv, p, cubes)
-        # p <= 1 scalar form: avg(w) / min(w) over each cube
-        best = -np.inf
-        for _, mean_w, _g, cells in _scalar_cube_stats(grid, wv, wv, cubes):
-            if grid.n == 1:
-                i0, i1 = cells
-                wmin = float(np.min(wv[i0:i1]))
-            else:
-                (a0, a1), (b0, b1) = cells
-                wmin = float(np.min(wv.reshape(grid.N, grid.N)[a0:a1, b0:b1]))
-            best = max(best, mean_w / wmin)
-        if not np.isfinite(best):
-            raise EmptyCubeFamily("cube family contains no cells of the grid")
-        return float(best)
+        return _scalar_ap(grid, w.values[:, 0, 0].real, p, cubes)
 
     wp = w.power(1.0 / p)
     wm = w.power(-1.0 / p)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mwlp import fieldio
@@ -9,7 +10,7 @@ from mwlp.cli import main
 from mwlp.errors import SchemaError
 from mwlp.grids import Grid
 from mwlp.scenario import default_scenario, from_file, validate
-from mwlp.spaces import SampledVectorField
+from mwlp.spaces import ExponentField, SampledVectorField
 
 
 SMALL_SCENARIO = """\
@@ -175,6 +176,76 @@ task: {{name: net, epsilon: 0.2, route: {route}}}
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: freshly built {route} net failed its own certificate")
+
+    @pytest.mark.parametrize("task, route", [("net", "dyadic"), ("net", "average"),
+                                             ("certify", "dyadic")])
+    def test_each_net_certified_once(self, tmp_path, monkeypatch, task, route):
+        from mwlp import compactness
+
+        calls = []
+        original = compactness.certify_net
+
+        def counted(family, net, space):
+            calls.append(net)
+            return original(family, net, space)
+
+        monkeypatch.setattr(compactness, "certify_net", counted)
+        scenario = f"""\
+seed: 11
+grid: {{n: 1, L: 2.0, N: 256}}
+weight: {{kind: power, alpha: [0.5], rotation: {{kind: none}}}}
+family: {{kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}}
+task: {{name: {task}, epsilon: 0.2, route: {route}}}
+"""
+        out = tmp_path / "r.json"
+        assert main(["run", str(write_scenario(tmp_path, scenario)), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rep = json.loads(out.read_text())["outputs"]
+        assert rep["certificate"] == calls[0].certificate.as_dict()
+
+    def test_certify_honours_notion(self, tmp_path, monkeypatch):
+        from mwlp import compactness
+
+        notions = []
+        original = compactness.build_net_dyadic
+
+        def recording(*args, **kwargs):
+            notions.append(kwargs.get("notion"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compactness, "build_net_dyadic", recording)
+        scenario = """\
+seed: 11
+grid: {n: 1, L: 2.0, N: 256}
+weight: {kind: power, alpha: [0.5, 0.25], rotation: {kind: linear, rate: 1.0}}
+family: {kind: gaussian_bumps, count: 4, d: 2, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}
+task: {name: certify, epsilon: 0.2, route: dyadic, notion: twisted}
+"""
+        assert main(["run", str(write_scenario(tmp_path, scenario))]) == 0
+        assert notions == ["twisted"]
+
+    @pytest.mark.parametrize("task", [
+        "{name: net, route: dyadic}", "{name: net, route: average}",
+        "{name: certify}", "{name: necessity}", "{name: moduli, notion: twisted}"])
+    def test_variable_exponent_needs_constant_exponent(self, tmp_path, capsys, task):
+        g = Grid(1, 2.0, 64)
+        exponent = tmp_path / "exponent.txt"
+        fieldio.save_field(exponent, ExponentField(g, 1.5 + 0.5 * np.abs(g.points[:, 0])))
+        scenario = f"""\
+seed: 11
+grid: {{n: 1, L: 2.0, N: 64}}
+weight: {{kind: power, alpha: [0.5]}}
+exponent: {{kind: file, path: '{exponent}'}}
+family: {{kind: gaussian_bumps, count: 3, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}}
+task: {task}
+"""
+        assert main(["run", str(write_scenario(tmp_path, scenario))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "exponent" in err[0]
 
     def test_truncated_center_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "center.txt"

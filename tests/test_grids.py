@@ -54,3 +54,12 @@ def test_index_of_point_round_trip():
     g = Grid(2, 2.0, 16)
     for k in (0, 7, 100, g.num_points - 1):
         assert g.index_of_point(g.points[k]) == k
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_outside_box_counts_cells(n, N):
+    # [-L/2, L/2)^n holds N/2 cells per axis
+    g = Grid(n, 1.0, N)
+    mask = g.outside_box(0.5)
+    assert mask.shape == (g.num_points,)
+    assert int(np.sum(mask)) == N ** n - (N // 2) ** n
