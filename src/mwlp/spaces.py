@@ -359,11 +359,16 @@ def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
                    max_iter: int = MVEE_MAX_ITER) -> np.ndarray:
     """Minimum-volume origin-centered ellipsoid of a symmetric point cloud.
 
-    Khachiyan-style multiplicative updates on the design weights u:
-    at each step the point with the largest w_j = v_j^H M(u)^{-1} v_j,
-    M(u) = sum u_j v_j v_j^H, receives the exact line-search weight
-    alpha = (w/d - 1)/(w - 1).  M^{-1} and w are maintained by rank-one
-    Sherman-Morrison updates with periodic refreshes; points whose
+    Khachiyan-style multiplicative updates on the design weights u, with
+    the away steps of Todd and Yildirim: with w_j = v_j^H M(u)^{-1} v_j and
+    M(u) = sum u_j v_j v_j^H, either the point with the largest w_j gains
+    weight, or, when the support point with the smallest w_j is the further
+    from the optimality condition w_j = d, that point loses weight (down to
+    being dropped).  Both moves take the exact line-search step
+    alpha = (w/d - 1)/(w - 1), clamped to keep u >= 0; the away steps take
+    weight off points that do not belong to the optimal support, which plain
+    updates only shrink geometrically.  M^{-1} and w are maintained by
+    rank-one Sherman-Morrison updates with periodic refreshes; points whose
     constraint is clearly slack are pruned, and containment over the full
     input cloud is enforced exactly by a final rescale (so pruning can only
     cost a sliver of optimality, never validity).
@@ -371,7 +376,15 @@ def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
     m, d = points.shape
     pts = points
     conj = points.conj()
-    u = np.full(m, 1.0 / m)
+    # start on d points spanning C^d: greedily the point farthest from the
+    # span of those already chosen
+    u = np.zeros(m)
+    resid = points.copy()
+    for _ in range(d):
+        j = int(np.einsum("ij,ij->i", resid, resid.conj()).real.argmax())
+        u[j] = 1.0 / d
+        q = resid[j] / np.linalg.norm(resid[j])
+        resid -= (resid @ q.conj())[:, None] * q[None, :]
 
     def refresh():
         mu_mat = (pts * u[:, None]).T @ conj
@@ -380,20 +393,35 @@ def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
         return minv, w
 
     minv, w = refresh()
+    support = np.flatnonzero(u)
     for it in range(max_iter):
-        r = int(np.argmax(w))
+        r = int(w.argmax())
         wr = float(w[r])
         if wr <= d * (1.0 + gap_tol):
             break
-        alpha = (wr / d - 1.0) / (wr - 1.0)
+        s = int(support[w[support].argmin()])
+        ws, us = float(w[s]), float(u[s])
+        away = 1.0 - ws / d > wr / d - 1.0 and us < 1.0
+        if away:
+            # the largest decrease of u_s that keeps u_s >= 0 drops the point
+            drop = -us / (1.0 - us)
+            alpha = max((ws / d - 1.0) / (ws - 1.0), drop) if ws > 1.0 else drop
+            away = 1.0 + alpha * (ws - 1.0) > 1e-8
+        if away:
+            r, wr = s, ws
+            changed = alpha == drop
+        else:
+            alpha = (wr / d - 1.0) / (wr - 1.0)
+            changed = u[r] == 0.0
         u *= 1.0 - alpha
-        u[r] += alpha
+        u[r] = 0.0 if away and changed else u[r] + alpha
         # Sherman-Morrison update of M^{-1} and of all w_j
         b = minv @ pts[r]
         t = conj @ b
-        denom = 1.0 - alpha + alpha * wr
-        minv = (minv - (alpha / denom) * np.outer(b, b.conj())) / (1.0 - alpha)
-        w = (w - (alpha / denom) * np.abs(t) ** 2) / (1.0 - alpha)
+        c = alpha / (1.0 + alpha * (wr - 1.0))
+        minv = (minv - c * (b[:, None] * b.conj())) / (1.0 - alpha)
+        w -= c * (t.real ** 2 + t.imag ** 2)
+        w /= 1.0 - alpha
         if it % 500 == 499:
             if pts.shape[0] > 4 * d:
                 keep = (u > 1e-12) | (w > 0.8 * d)
@@ -403,6 +431,9 @@ def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
                     u = u[keep]
                     u /= np.sum(u)
             minv, w = refresh()
+            changed = True
+        if changed:
+            support = np.flatnonzero(u)
     mu_mat = (pts * u[:, None]).T @ conj
     a = np.linalg.inv(mu_mat) / d
     a = 0.5 * (a + a.conj().T)

@@ -190,21 +190,21 @@ class TestApConstant:
         oracle = ref.ap_over_intervals(wv, 2.5, ref.default_intervals(N))
         assert val == pytest.approx(oracle, rel=1e-12)
 
-    @pytest.mark.parametrize("grid", [Grid(1, 1.0, 64), Grid(2, 1.0, 16)])
-    def test_small_p_form(self, grid):
-        # p <= 1 uses avg(w)/min(w) over each cube for d = 1
-        rng = np.random.default_rng(11)
-        wv = 0.5 + rng.random(grid.num_points)
-        w = MatrixWeightField.from_scalar(ScalarWeightField(grid, wv), invertible=True)
-        fam = CubeFamily.default(grid)
-        val = ap_constant(w, 1.0, fam)
-        cells = wv.reshape(grid.shape)
-        best = 0.0
-        for k in range(len(fam)):
-            cube = cells[tuple(slice(i0, i1) for i0, i1 in fam.axis_ranges(grid, k))]
-            if cube.size:
-                best = max(best, cube.mean() / cube.min())
-        assert val == pytest.approx(best, rel=1e-12)
+    def test_small_p_form(self):
+        # p <= 1 uses avg(w)/min(w) over each cube for d = 1, in 1-D and 2-D
+        for grid in (Grid(1, 1.0, 64), Grid(2, 1.0, 16)):
+            rng = np.random.default_rng(11)
+            wv = 0.5 + rng.random(grid.num_points)
+            w = MatrixWeightField.from_scalar(ScalarWeightField(grid, wv), invertible=True)
+            fam = CubeFamily.default(grid)
+            val = ap_constant(w, 1.0, fam)
+            cells = wv.reshape(grid.shape)
+            best = 0.0
+            for k in range(len(fam)):
+                cube = cells[tuple(slice(i0, i1) for i0, i1 in fam.axis_ranges(grid, k))]
+                if cube.size:
+                    best = max(best, cube.mean() / cube.min())
+            assert val == pytest.approx(best, rel=1e-12), grid
 
     def test_matrix_general_path_vs_scalar_for_scalar_times_identity(self):
         # W = w * I_2: the pairwise norms reduce to (w(x)/w(y))^{1/p}
