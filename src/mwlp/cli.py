@@ -258,13 +258,16 @@ def _task_john(sc, sc_mod, rng) -> tuple[dict, int]:
 
 
 def _setup(sc, sc_mod, rng, constant_exponent: bool = True):
-    """Weight, measure, family and exponent of a scenario on its grid.
+    """The scenario's space and family on its grid.
 
-    Returns (w, mu, family, p, pf): p is the constant exponent, or None with
-    pf the exponent field when it varies, which tasks that need a constant
-    exponent reject with a SchemaError.
+    Returns (space, family).  The space is L^p(W, mu) for a constant
+    exponent; for a varying one it is L^p(.)(rho) with the norm family
+    derived from the weight at the exponent ceiling (the integrability
+    assumption is on p_+), which tasks that need a constant exponent reject
+    with a SchemaError.
     """
     from .errors import SchemaError
+    from .spaces import NormFamily, Space
 
     p = sc_mod.constant_p(sc)
     if p is None and constant_exponent:
@@ -273,55 +276,39 @@ def _setup(sc, sc_mod, rng, constant_exponent: bool = True):
     w = sc_mod.build_weight(sc, grid)
     mu = sc_mod.build_measure(sc, grid)
     family = sc_mod.build_family(sc, grid, rng)
-    pf = None if p is not None else sc_mod.build_exponent(sc, grid)
-    return w, mu, family, p, pf
+    if p is None:
+        pf = sc_mod.build_exponent(sc, grid)
+        return Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf), family
+    return Space.matrix_weight(w, p, mu), family
 
 
 def _task_norm(sc, sc_mod, rng) -> tuple[dict, int]:
-    from .spaces import NormFamily, lp_w_norm, luxemburg_norm
-
-    w, mu, family, p, pf = _setup(sc, sc_mod, rng, constant_exponent=False)
-    if p is None:
-        # variable exponent: derive the norm family from the weight at the
-        # exponent ceiling (the integrability assumption is on p_+)
-        rho = NormFamily.from_matrix_weight(w, pf.p_plus)
-        values = [luxemburg_norm(f, rho, pf) for f in family]
-        kind = "luxemburg"
-    else:
-        values = [lp_w_norm(f, w, p, mu) for f in family]
-        kind = f"L^{p}(W{', mu' if mu else ''})"
-    return {"norm": kind, "values": values, "family": family.metadata}, 0
+    space, family = _setup(sc, sc_mod, rng, constant_exponent=False)
+    return {"norm": space.label, "values": [space.norm(f) for f in family],
+            "family": family.metadata}, 0
 
 
 def _task_moduli(sc, sc_mod, rng) -> tuple[dict, int]:
     from .compactness import moduli_report
-    from .spaces import NormFamily, Space
 
-    w, mu, family, p, pf = _setup(sc, sc_mod, rng, constant_exponent=False)
-    if p is None:
-        space = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
-    else:
-        space = Space.matrix_weight(w, p, mu)
-    notion = sc.task.get("notion", "translation")
-    rep = moduli_report(family, space, notion=notion, weight=w, p=p)
+    space, family = _setup(sc, sc_mod, rng, constant_exponent=False)
+    rep = moduli_report(family, space, notion=sc.task.get("notion", "translation"))
     return rep.as_dict(), 0
 
 
-def _build_net(sc, w, mu, family, p):
+def _build_net(sc, space, family):
     """The task's net, built and self-certified by its route's builder."""
     from .compactness import build_net_average, build_net_dyadic
-    from .spaces import Space
 
     eps = float(sc.task.get("epsilon", 0.1))
     if sc.task.get("route", "dyadic") == "average":
-        return build_net_average(family, eps, w, mu, p)
-    return build_net_dyadic(family, eps, Space.matrix_weight(w, p, mu),
-                            notion=sc.task.get("notion", "translation"), weight=w)
+        return build_net_average(family, eps, space)
+    return build_net_dyadic(family, eps, space, notion=sc.task.get("notion", "translation"))
 
 
 def _task_net(sc, sc_mod, rng) -> tuple[dict, int]:
-    w, mu, family, p, _ = _setup(sc, sc_mod, rng)
-    net = _build_net(sc, w, mu, family, p)
+    space, family = _setup(sc, sc_mod, rng)
+    net = _build_net(sc, space, family)
     out = {
         "route": net.route, "epsilon": net.epsilon, "net_size": net.size,
         "c_net": net.c_net, "params": net.params,
@@ -346,14 +333,12 @@ def _task_net(sc, sc_mod, rng) -> tuple[dict, int]:
 
 def _task_certify(sc, sc_mod, rng) -> tuple[dict, int]:
     """Recheck loaded centers from scratch, or report a rebuilt net's certificate."""
-    w, mu, family, p, _ = _setup(sc, sc_mod, rng)
+    space, family = _setup(sc, sc_mod, rng)
     center_paths = sc.task.get("centers")
     if center_paths:
         from . import fieldio
         from .compactness import EpsilonNet, certify_net
-        from .spaces import Space
 
-        space = Space.matrix_weight(w, p, mu)
         centers = [fieldio.load_field(cp) for cp in center_paths]
         net = EpsilonNet(epsilon=float(sc.task.get("epsilon", 0.1)), centers=centers,
                          assignment=[0] * len(family), distances=[],
@@ -361,7 +346,7 @@ def _task_certify(sc, sc_mod, rng) -> tuple[dict, int]:
                          space_label=space.label)
         cert = certify_net(family, net, space)
     else:
-        net = _build_net(sc, w, mu, family, p)
+        net = _build_net(sc, space, family)
         cert = net.certificate
     out = {"epsilon": net.epsilon, "net_size": net.size, "c_net": net.c_net,
            "route": net.route, "certificate": cert.as_dict()}
@@ -371,10 +356,10 @@ def _task_certify(sc, sc_mod, rng) -> tuple[dict, int]:
 def _task_necessity(sc, sc_mod, rng) -> tuple[dict, int]:
     from .compactness import necessity_check
 
-    w, mu, family, p, _ = _setup(sc, sc_mod, rng)
+    space, family = _setup(sc, sc_mod, rng)
     epsilons = [float(e) for e in sc.task.get("epsilons", [0.2, 0.1, 0.05])]
     ap_value = sc.task.get("ap_value")
-    rep = necessity_check(family, epsilons, w, p, mu=mu,
+    rep = necessity_check(family, epsilons, space,
                           ap_value=None if ap_value is None else float(ap_value))
     return rep.as_dict(), 0 if rep.passed else 2
 

@@ -350,6 +350,17 @@ def twisted_modulus(family: FunctionFamily, w: MatrixWeightField, p: float, r: f
     return twisted_curve(family, w, p, [r])[0]
 
 
+def _ball_density(space: Space) -> MeasureDensity:
+    """The measure ball averages use: the space's density, else Lebesgue."""
+    return space.mu if space.mu is not None else MeasureDensity.lebesgue(space.grid)
+
+
+def _averaging_residual(f: SampledVectorField, space: Space, scheme: BallScheme,
+                        mask: np.ndarray) -> float:
+    """The size of (S_r f - f) chi_mask, S_r averaging against the scheme's measure."""
+    return space.size((ball_average(f, scheme.mu, scheme) - f).masked(mask))
+
+
 def averaging_modulus(family: FunctionFamily, space: Space, r: float,
                       eval_radius: float | None = None) -> float:
     """sup over members of ||(S_r f - f) chi_{B(0, R_eval)}||.
@@ -358,42 +369,33 @@ def averaging_modulus(family: FunctionFamily, space: Space, r: float,
     region keeps every ball unclipped: R_eval = L - r.
     """
     grid = family.grid
-    mu = space.mu if space.mu is not None else MeasureDensity.lebesgue(grid)
     if eval_radius is None:
         eval_radius = grid.L - r
     if eval_radius <= 0 or eval_radius + r > grid.L * (1 + 1e-12):
         raise RadiusExceedsBox(f"evaluation radius {eval_radius} plus r={r} exceeds the box")
-    scheme = BallScheme(grid, r, mu)
+    scheme = BallScheme(grid, r, _ball_density(space))
     mask = grid.inside_ball(eval_radius)
-    worst = 0.0
-    for f in family:
-        diff = ball_average(f, mu, scheme) - f
-        worst = max(worst, space.size(diff.masked(mask)))
-    return worst
+    return max(_averaging_residual(f, space, scheme, mask) for f in family)
 
 
-def _twisted_inputs(space: Space, weight: MatrixWeightField | None,
-                    p: float | None) -> tuple[MatrixWeightField, float]:
-    """The matrix weight and constant exponent of the twisted notion, taken
-    from the space where not given."""
-    w = weight if weight is not None else getattr(space, "weight", None)
-    if w is None:
-        raise ValueError("twisted notion requires a matrix weight")
-    p = p if p is not None else space.p
-    if p is None:
+def _weight_and_exponent(space: Space, purpose: str) -> tuple[MatrixWeightField, float]:
+    """The matrix weight and constant exponent of a space, for a purpose that needs both."""
+    if space.is_variable:
         raise ConstantExponentRequired(
-            "the twisted notion needs a constant exponent; this space's exponent varies")
-    return w, p
+            f"{purpose} needs a constant exponent; this space's exponent varies")
+    w = getattr(space, "weight", None)
+    if w is None:
+        raise ValueError(f"{purpose} requires a matrix weight")
+    return w, space.p
 
 
-def moduli_report(family: FunctionFamily, space: Space, notion: str = "translation",
-                  weight: MatrixWeightField | None = None,
-                  p: float | None = None) -> ModuliReport:
+def moduli_report(family: FunctionFamily, space: Space,
+                  notion: str = "translation") -> ModuliReport:
     """Measure the boundedness, tail and equicontinuity curves on the default ladders."""
     grid = family.grid
     scales = default_scale_ladder(grid)
     if notion == "twisted":
-        w, p = _twisted_inputs(space, weight, p)
+        w, p = _weight_and_exponent(space, "the twisted notion")
     bound = boundedness_modulus(family, space)
     tail = [(R, tail_modulus(family, R, space)) for R in default_radius_ladder(grid)]
     if notion == "translation":
@@ -460,7 +462,6 @@ def _self_certified(family: FunctionFamily, net: EpsilonNet, space: Space) -> Ep
 
 def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
                      notion: str = "translation",
-                     weight: MatrixWeightField | None = None,
                      max_centers: int | None = None) -> EpsilonNet:
     """Constructive net via dyadic averaging.
 
@@ -500,7 +501,8 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
             "no ladder scale is an exact power of two on this grid; "
             "dyadic nets need L to be a power of two")
     if notion == "twisted":
-        equi_value = twisted_modulus(family, *_twisted_inputs(space, weight, None), s)
+        equi_value = twisted_modulus(
+            family, *_weight_and_exponent(space, "the twisted notion"), s)
     else:
         equi_value = translation_modulus(family, s, space)
     if not equi_value < epsilon:
@@ -539,8 +541,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     return _self_certified(family, net, space)
 
 
-def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightField,
-                      mu: MeasureDensity | None, p: float,
+def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
                       max_centers: int | None = None) -> EpsilonNet:
     """Constructive net via ball averaging with the epsilon/3 budget split.
 
@@ -548,15 +549,16 @@ def build_net_average(family: FunctionFamily, epsilon: float, w: MatrixWeightFie
     B(0, R) under epsilon/3, then clusters the averaged members in the
     uniform norm at radius epsilon / A, where
     A = 3 (integral over B(0, R) of ||W||_op dmu)^{1/p}.  Centers are the
-    averaged representatives restricted to B(0, R).
+    averaged representatives restricted to B(0, R).  The space must be
+    L^p(W, mu) with a constant exponent.
     """
+    w, p = _weight_and_exponent(space, "the averaging route")
     if p < 1.0:
         raise ValueError("the averaging route needs p >= 1; use the dyadic route for p < 1")
     if p == 1.0 and not w.invertible:
         raise NotInvertible("p = 1 needs an invertible weight with bounded inverse")
     grid = family.grid
-    dens = mu if mu is not None else MeasureDensity.lebesgue(grid)
-    space = Space.matrix_weight(w, p, dens)
+    dens = _ball_density(space)
 
     chosen_R = None
     tail_value = None
@@ -694,82 +696,76 @@ class NecessityReport:
         }
 
 
-def necessity_check(family: FunctionFamily, epsilons: list[float], w: MatrixWeightField,
-                    p: float, mu: MeasureDensity | None = None,
+def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
                     max_centers: int | None = None,
                     ap_value: float | None = None) -> NecessityReport:
     """Mirror the necessity argument: from an epsilon-net of members, derive a
     tail radius R and an averaging scale r, then verify the family moduli
     against the triangle-inequality bounds with measured constants.
 
-    Requires p > 1; ap_value, if supplied, documents the A_p estimate of the
-    weight over the family used (the check itself does not recompute it).
+    The space must be L^p(W, mu) with a constant p > 1; ap_value, if
+    supplied, documents the A_p estimate of the weight over the family used
+    (the check itself does not recompute it).  Each member's tail beyond
+    every ladder radius is measured once per call, and each (member, scale)
+    averaging residual at most once, against one ball scheme per scale.
     """
+    _, p = _weight_and_exponent(space, "the necessity check")
     if not p > 1:
         raise ValueError("the necessity characterization needs p > 1")
     grid = family.grid
-    dens = mu if mu is not None else MeasureDensity.lebesgue(grid)
-    space = Space.matrix_weight(w, p, dens)
     radii = default_radius_ladder(grid)
     scales = default_scale_ladder(grid)
+    dens = _ball_density(space)
+    outside = [grid.outside_ball(R) for R in radii]
+    tails = [[space.size(f.masked(mask)) for mask in outside] for f in family]
+    schemes: dict[float, tuple[BallScheme, np.ndarray]] = {}
+    residuals: dict[tuple[int, float], float] = {}
+
+    def scheme_at(r: float) -> tuple[BallScheme, np.ndarray]:
+        """The ball scheme of scale r and its unclipped region B(0, L - r)."""
+        if r not in schemes:
+            schemes[r] = (BallScheme(grid, r, dens), grid.inside_ball(grid.L - r))
+        return schemes[r]
+
+    def residual(i: int, r: float) -> float:
+        if (i, r) not in residuals:
+            residuals[i, r] = _averaging_residual(family[i], space, *scheme_at(r))
+        return residuals[i, r]
+
+    def dist_fn(i: int, j: int) -> float:
+        return space.dist(family[i], family[j])
 
     rows = []
     for eps in epsilons:
-        def dist_fn(i: int, j: int) -> float:
-            return space.dist(family[i], family[j])
-
         center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps, max_centers)
-        centers = [family[k] for k in center_idx]
 
         # tail radius from the centers: R = max over centers of the smallest
         # ladder radius whose center tail is below eps
-        per_center_R = []
-        for g in centers:
-            single = FunctionFamily([g])
-            rk = None
-            for R in radii:
-                if tail_modulus(single, R, space) < eps:
-                    rk = R
-                    break
-            per_center_R.append(rk if rk is not None else radii[-1])
-        R_star = max(per_center_R)
-        tail_val = tail_modulus(family, R_star, space)
+        k_star = max(next((k for k, t in enumerate(tails[c]) if t < eps), len(radii) - 1)
+                     for c in center_idx)
+        tail_val = max(t[k_star] for t in tails)
         tail_bound = 2.0 * eps
 
-        # averaging scale from the centers: the largest ladder scale at which
-        # every center is eps-close to its average
-        r_star = None
-        for r in sorted(scales, reverse=True):
-            if r >= grid.L / 2:
-                continue
-            ok = True
-            for g in centers:
-                if averaging_modulus(FunctionFamily([g]), space, r) >= eps:
-                    ok = False
-                    break
-            if ok:
-                r_star = r
-                break
-        if r_star is None:
-            r_star = min(scales)
+        # averaging scale from the centers: the largest ladder scale below L/2
+        # at which every center is eps-close to its average
+        r_star = next((r for r in sorted(scales, reverse=True)
+                       if r < grid.L / 2 and all(residual(c, r) < eps for c in center_idx)),
+                      min(scales))
 
         # measured boundedness constant of S_r on the member-center differences
-        scheme = BallScheme(grid, r_star, dens)
+        scheme, inside = scheme_at(r_star)
         cs = 0.0
         for i, f in enumerate(family):
-            g = centers[assignment[i]]
-            diff = f - g
+            diff = f - family[center_idx[assignment[i]]]
             denom = space.norm(diff)
             if denom <= 1e-13:
                 continue
-            num = space.norm(ball_average(diff, dens, scheme).masked(
-                grid.inside_ball(grid.L - r_star)))
-            cs = max(cs, num / denom)
-        avg_val = averaging_modulus(family, space, r_star)
+            cs = max(cs, space.norm(ball_average(diff, dens, scheme).masked(inside)) / denom)
+        avg_val = max(residual(i, r_star) for i in range(len(family)))
         avg_bound = (2.0 + cs) * eps
         passed = tail_val <= tail_bound * (1 + 1e-9) and avg_val <= avg_bound * (1 + 1e-9)
         rows.append(NecessityRow(
-            epsilon=eps, net_size=len(centers), R=R_star, r=r_star,
+            epsilon=eps, net_size=len(center_idx), R=radii[k_star], r=r_star,
             tail_value=tail_val, tail_bound=tail_bound,
             averaging_value=avg_val, averaging_bound=avg_bound,
             s_r_constant=cs, passed=passed,

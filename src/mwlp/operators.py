@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyBall, NotInvertible, SchemeMismatch, ShapeMismatch
 from .grids import Grid
-from .spaces import SampledVectorField, lp_w_norm
+from .spaces import SampledVectorField, Space
 from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
 
 
@@ -407,13 +407,14 @@ def averaging_bound(fields: list[SampledVectorField], w: MatrixWeightField, p: f
     """Measured sup over fields and radii of ||S_r f|| / ||f|| in L^p(W)."""
     grid = w.grid
     dens = mu if mu is not None else MeasureDensity.lebesgue(grid)
+    space = Space.matrix_weight(w, p)
     worst = 0.0
     for r in radii:
         scheme = BallScheme(grid, r, dens)
         for f in fields:
-            denom = lp_w_norm(f, w, p)
+            denom = space.norm(f)
             if denom <= 0:
                 continue
-            num = lp_w_norm(ball_average(f, dens, scheme), w, p)
+            num = space.norm(ball_average(f, dens, scheme))
             worst = max(worst, num / denom)
     return worst

@@ -298,6 +298,8 @@ class Space:
             raise ValueError("exactly one of p, exponent must be given")
         if exponent is not None and mu is not None:
             raise ValueError("variable-exponent spaces are defined against Lebesgue measure")
+        if mu is not None and mu.grid != grid:
+            raise ShapeMismatch("density grid mismatch")
         self.grid = grid
         self.d = d
         self.rho = rho

@@ -175,7 +175,7 @@ def test_criterion_5_averaging_nets(bump_setup):
     eps = 0.1
     details = []
     for mu in (None, MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2 / 2)):
-        net = build_net_average(family, eps, weight, mu, 2.0)
+        net = build_net_average(family, eps, Space.matrix_weight(weight, 2.0, mu))
         budgets = net.params["budgets"]
         # the proof's budget split is recorded and honored
         assert budgets["tail"] == eps / 3
@@ -199,7 +199,7 @@ def test_criterion_5_averaging_nets(bump_setup):
 def test_criterion_6_necessity(bump_setup):
     t0 = time.perf_counter()
     grid, family, weight = bump_setup
-    rep = necessity_check(family, [0.2, 0.1, 0.05], weight, 2.0)
+    rep = necessity_check(family, [0.2, 0.1, 0.05], Space.matrix_weight(weight, 2.0))
     assert rep.passed
     for row in rep.rows:
         assert row.tail_value <= row.tail_bound

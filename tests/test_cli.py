@@ -11,6 +11,7 @@ from mwlp.errors import SchemaError
 from mwlp.grids import Grid
 from mwlp.scenario import default_scenario, from_file, validate
 from mwlp.spaces import ExponentField, SampledVectorField
+from mwlp.weight_fields import MeasureDensity
 
 
 SMALL_SCENARIO = """\
@@ -246,6 +247,28 @@ task: {task}
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "exponent" in err[0]
+
+    @pytest.mark.parametrize("task", ["{name: net, epsilon: 0.2, route: average}",
+                                      "{name: necessity}"])
+    def test_space_label_names_the_density(self, tmp_path, task):
+        g = Grid(1, 2.0, 256)
+        density = tmp_path / "density.txt"
+        fieldio.save_field(density, MeasureDensity(g, 1.0 + g.points[:, 0] ** 2 / 2))
+        labels = []
+        for measure in ("{kind: lebesgue}", f"{{kind: file, path: '{density}'}}"):
+            scenario = f"""\
+seed: 11
+grid: {{n: 1, L: 2.0, N: 256}}
+weight: {{kind: power, alpha: [0.5], rotation: {{kind: none}}}}
+measure: {measure}
+family: {{kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}}
+task: {task}
+"""
+            out = tmp_path / "r.json"
+            assert main(["run", str(write_scenario(tmp_path, scenario)), "--out", str(out)]) == 0
+            labels.append(json.loads(out.read_text())["outputs"]["space"])
+        assert labels == ["L^2.0(W)", "L^2.0(W, mu)"]
 
     def test_truncated_center_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "center.txt"

@@ -12,6 +12,8 @@ from mwlp.compactness import (
     build_net_dyadic,
     certify_net,
     componentwise_reduction,
+    default_radius_ladder,
+    default_scale_ladder,
     moduli_report,
     necessity_check,
     phi_error_constant,
@@ -19,7 +21,7 @@ from mwlp.compactness import (
     translation_modulus,
     twisted_modulus,
 )
-from mwlp.errors import NotTotallyBoundedInput, RadiusExceedsBox
+from mwlp.errors import ConstantExponentRequired, NotTotallyBoundedInput, RadiusExceedsBox
 from mwlp.families import gaussian_bumps, indicator_field
 from mwlp.grids import Grid
 from mwlp.operators import DyadicScheme, translate
@@ -29,6 +31,8 @@ from mwlp.weight_fields import (
     MeasureDensity,
     make_power_weight,
 )
+
+from reference_necessity import necessity_rows
 
 
 @pytest.fixture
@@ -219,7 +223,7 @@ class TestDyadicNet:
                               invertible=True)
         sp = Space.matrix_weight(w, 2.0)
         fam = small_family(grid, rng, d=2, count=5)
-        net = build_net_dyadic(fam, 0.2, sp, notion="twisted", weight=w)
+        net = build_net_dyadic(fam, 0.2, sp, notion="twisted")
         assert net.params["notion"] == "twisted"
         assert certify_net(fam, net, sp).passed
 
@@ -228,14 +232,14 @@ class TestAverageNet:
     def test_singleton(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
         fam = FunctionFamily([small_family(grid, rng)[0]])
-        net = build_net_average(fam, 0.3, w, None, 2.0)
+        net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0))
         assert net.size == 1
 
     def test_budget_split_recorded(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
         fam = small_family(grid, rng, count=6)
         eps = 0.3
-        net = build_net_average(fam, eps, w, None, 2.0)
+        net = build_net_average(fam, eps, Space.matrix_weight(w, 2.0))
         b = net.params["budgets"]
         assert b["tail"] == eps / 3
         assert b["averaging"] == eps / 3
@@ -253,20 +257,28 @@ class TestAverageNet:
         members = [SampledVectorField(grid, (a * bump).astype(complex))
                    for a in (0.1, 0.15, 0.5)]
         fam = FunctionFamily(members)
-        net = build_net_average(fam, 0.3, w, None, 2.0)
+        net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0))
         assert net.size == 2
 
     def test_p_below_one_routed_away(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
         fam = small_family(grid, rng)
         with pytest.raises(ValueError):
-            build_net_average(fam, 0.1, w, None, 0.5)
+            build_net_average(fam, 0.1, Space.matrix_weight(w, 0.5))
+
+    def test_variable_exponent_rejected(self, grid, rng):
+        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        pf = ExponentField(grid, np.where(grid.points[:, 0] < 0, 1.5, 2.5))
+        sp = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
+        fam = small_family(grid, rng, count=3)
+        with pytest.raises(ConstantExponentRequired):
+            build_net_average(fam, 0.3, sp)
 
     def test_density_measure(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
         mu = MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2 / 2)
         fam = small_family(grid, rng, count=5)
-        net = build_net_average(fam, 0.3, w, mu, 2.0)
+        net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0, mu))
         sp = Space.matrix_weight(w, 2.0, mu)
         assert certify_net(fam, net, sp).passed
 
@@ -293,14 +305,14 @@ class TestNecessity:
     def test_singleton_passes_all_epsilons(self, grid, rng):
         w = make_power_weight(grid, [0.5], invertible=True)
         fam = FunctionFamily([small_family(grid, rng)[0]])
-        rep = necessity_check(fam, [0.5, 0.2, 0.1], w, 2.0)
+        rep = necessity_check(fam, [0.5, 0.2, 0.1], Space.matrix_weight(w, 2.0))
         assert rep.passed
 
     def test_finite_family_passes(self, grid, rng):
         w = make_power_weight(grid, [0.5, 1 / 3], rotation=lambda p: p[:, 0],
                               invertible=True)
         fam = small_family(grid, rng, d=2, count=8)
-        rep = necessity_check(fam, [0.4, 0.2], w, 2.0)
+        rep = necessity_check(fam, [0.4, 0.2], Space.matrix_weight(w, 2.0))
         assert rep.passed
         for row in rep.rows:
             assert row.tail_value <= row.tail_bound
@@ -310,7 +322,7 @@ class TestNecessity:
         w = make_power_weight(grid, [0.5], invertible=True)
         fam = small_family(grid, rng)
         with pytest.raises(ValueError):
-            necessity_check(fam, [0.1], w, 1.0)
+            necessity_check(fam, [0.1], Space.matrix_weight(w, 1.0))
 
     def test_center_cap(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
@@ -318,7 +330,7 @@ class TestNecessity:
                    for k in range(6)]
         fam = FunctionFamily(members)
         with pytest.raises(NotTotallyBoundedInput):
-            necessity_check(fam, [0.01], w, 2.0, max_centers=2)
+            necessity_check(fam, [0.01], Space.matrix_weight(w, 2.0), max_centers=2)
 
     def test_certified_family_passes_at_4eps(self, grid, rng):
         # sufficiency -> necessity loop: a family with a certified eps-net
@@ -329,8 +341,71 @@ class TestNecessity:
         eps = 0.1
         net = build_net_dyadic(fam, eps, sp)
         assert certify_net(fam, net, sp).passed
-        rep = necessity_check(fam, [4 * eps], w, 2.0)
+        rep = necessity_check(fam, [4 * eps], sp)
         assert rep.passed
+
+    @staticmethod
+    def _assert_rows_match(fam, epsilons, sp):
+        rows = necessity_check(fam, epsilons, sp).rows
+        expected = necessity_rows(fam, epsilons, sp)
+        assert [r.as_dict() for r in rows] == [r.as_dict() for r in expected]
+        assert all(type(r.passed) is bool for r in rows)
+        return rows
+
+    @staticmethod
+    def _assert_fallbacks(fam, row):
+        # every member is a center at a tiny epsilon, and the largest tail
+        # and residual are at least epsilon, so some center fails every
+        # ladder radius and the smallest scale: both choices are fallbacks
+        assert row.net_size == len(fam)
+        assert row.R == default_radius_ladder(fam.grid)[-1]
+        assert row.tail_value >= row.epsilon
+        assert row.r == min(default_scale_ladder(fam.grid))
+        assert row.averaging_value >= row.epsilon
+
+    def test_rows_match_reference_1d(self, grid, rng):
+        w = make_power_weight(grid, [0.5], invertible=True)
+        fam = small_family(grid, rng, count=8)
+        rows = self._assert_rows_match(fam, [0.5, 0.2, 0.05, 1e-9],
+                                       Space.matrix_weight(w, 2.0))
+        self._assert_fallbacks(fam, rows[-1])
+
+    def test_rows_match_reference_2d(self, rng):
+        g = Grid(2, 2.0, 32)
+        w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0],
+                              invertible=True)
+        mu = MeasureDensity(g, 1.0 + g.radii ** 2 / 2)
+        fam = gaussian_bumps(g, 2, 5, rng, center_range=(-0.4, 0.4),
+                             width_range=(0.2, 0.4))
+        for sp in (Space.matrix_weight(w, 2.0), Space.matrix_weight(w, 2.0, mu)):
+            rows = self._assert_rows_match(fam, [0.4, 0.2, 0.1, 1e-9], sp)
+            self._assert_fallbacks(fam, rows[-1])
+
+    def test_one_ball_scheme_per_scale(self, grid, rng, monkeypatch):
+        from mwlp import compactness
+
+        built = []
+
+        class CountedScheme(compactness.BallScheme):
+            def __post_init__(self):
+                built.append(self.r)
+                super().__post_init__()
+
+        monkeypatch.setattr(compactness, "BallScheme", CountedScheme)
+        w = make_power_weight(grid, [0.5], invertible=True)
+        fam = small_family(grid, rng, count=8)
+        necessity_check(fam, [0.5, 0.2, 0.1, 0.05], Space.matrix_weight(w, 2.0))
+        assert built
+        assert len(built) == len(set(built))
+        assert set(built) <= set(default_scale_ladder(grid))
+
+    def test_variable_exponent_rejected(self, grid, rng):
+        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        pf = ExponentField(grid, np.where(grid.points[:, 0] < 0, 1.5, 2.5))
+        sp = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
+        fam = small_family(grid, rng, count=3)
+        with pytest.raises(ConstantExponentRequired):
+            necessity_check(fam, [0.2], sp)
 
 
 class TestComponentwise:

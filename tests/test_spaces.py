@@ -280,3 +280,11 @@ class TestSpace:
         # p-power distance is subadditive
         h = SampledVectorField(g, rng.standard_normal(32).astype(complex))
         assert sp.dist(f, h) <= sp.dist(f, zero) + sp.dist(zero, h) + 1e-12
+
+    @pytest.mark.parametrize("density_grid", [Grid(1, 2.0, 64), Grid(1, 1.0, 32)])
+    def test_density_on_another_grid_rejected(self, density_grid):
+        g = Grid(1, 1.0, 64)
+        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        mu = MeasureDensity(density_grid, 1.0 + density_grid.radii)
+        with pytest.raises(ShapeMismatch):
+            Space.matrix_weight(w, 2.0, mu)
