@@ -361,20 +361,17 @@ def _averaging_residual(f: SampledVectorField, space: Space, scheme: BallScheme,
     return space.size((ball_average(f, scheme.mu, scheme) - f).masked(mask))
 
 
-def averaging_modulus(family: FunctionFamily, space: Space, r: float,
-                      eval_radius: float | None = None) -> float:
-    """sup over members of ||(S_r f - f) chi_{B(0, R_eval)}||.
+def averaging_modulus(family: FunctionFamily, space: Space, r: float) -> float:
+    """sup over members of ||(S_r f - f) chi_{B(0, L - r)}||.
 
-    S_r averages against the space's measure.  The default evaluation
-    region keeps every ball unclipped: R_eval = L - r.
+    S_r averages against the space's measure; the evaluation region
+    B(0, L - r) keeps every ball unclipped.
     """
     grid = family.grid
-    if eval_radius is None:
-        eval_radius = grid.L - r
-    if eval_radius <= 0 or eval_radius + r > grid.L * (1 + 1e-12):
-        raise RadiusExceedsBox(f"evaluation radius {eval_radius} plus r={r} exceeds the box")
+    if r >= grid.L:
+        raise RadiusExceedsBox(f"scale r={r} leaves no unclipped ball in the box")
     scheme = BallScheme(grid, r, _ball_density(space))
-    mask = grid.inside_ball(eval_radius)
+    mask = grid.inside_ball(grid.L - r)
     return max(_averaging_residual(f, space, scheme, mask) for f in family)
 
 
@@ -571,12 +568,17 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     if chosen_R is None:
         raise ModuliTooLarge(f"no ladder radius keeps the tail under {epsilon / 3}")
 
+    # the averaging modulus on B(0, R); the chosen scale's averaged members
+    # are the ones clustered below, so each scale's ball scheme is built once
+    inside = grid.inside_ball(chosen_R)
     chosen_r = None
     avg_value = None
     for r in default_scale_ladder(grid):
         if r >= chosen_R or chosen_R + r > grid.L * (1 + 1e-12):
             continue
-        v = averaging_modulus(family, space, r, eval_radius=chosen_R)
+        scheme = BallScheme(grid, r, dens)
+        averaged = [ball_average(f, dens, scheme) for f in family]
+        v = max(space.size((g - f).masked(inside)) for f, g in zip(family, averaged))
         if v < epsilon / 3:
             chosen_r = r
             avg_value = v
@@ -584,13 +586,10 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     if chosen_r is None:
         raise ModuliTooLarge(f"no ladder scale keeps the averaging modulus under {epsilon / 3}")
 
-    inside = grid.inside_ball(chosen_R)
     op_norms = w.op_norm_field().values
     a_const = 3.0 * float(np.sum(op_norms[inside] * dens.values[inside])
                           * grid.h ** grid.n) ** (1.0 / p)
 
-    scheme = BallScheme(grid, chosen_r, dens)
-    averaged = [ball_average(f, dens, scheme) for f in family]
     stacked = np.stack([g.values for g in averaged])
 
     def dist_uniform(i: int, j: int) -> float:
@@ -706,8 +705,9 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
     The space must be L^p(W, mu) with a constant p > 1; ap_value, if
     supplied, documents the A_p estimate of the weight over the family used
     (the check itself does not recompute it).  Each member's tail beyond
-    every ladder radius is measured once per call, and each (member, scale)
-    averaging residual at most once, against one ball scheme per scale.
+    every ladder radius is measured once per call, each member pair's
+    distance and each (member, scale) averaging residual at most once,
+    against one ball scheme per scale.
     """
     _, p = _weight_and_exponent(space, "the necessity check")
     if not p > 1:
@@ -732,8 +732,15 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
             residuals[i, r] = _averaging_residual(family[i], space, *scheme_at(r))
         return residuals[i, r]
 
+    dists: dict[tuple[int, int], float] = {}
+
     def dist_fn(i: int, j: int) -> float:
-        return space.dist(family[i], family[j])
+        if i == j:
+            return 0.0
+        key = (i, j) if i < j else (j, i)
+        if key not in dists:
+            dists[key] = space.dist(family[i], family[j])
+        return dists[key]
 
     rows = []
     for eps in epsilons:

@@ -178,3 +178,31 @@ def batched_power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarr
 def batched_spectral_norm(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of every matrix in a (..., d, d) stack."""
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
+def pairwise_op_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_x b_y||_op for every pair of an (Ma, d, d) and an (Mb, d, d) stack.
+
+    Returns shape (Ma, Mb): the square root of the largest eigenvalue of
+    C = P^H P, P = a_x b_y.  The products come from one unoptimized einsum
+    over (d, d, M) layouts with both cell axes innermost, so no BLAS call
+    (and no BLAS thread) touches the pair block.  C is formed from the
+    computed products, not as b_y^H (a_x^H a_x) b_y, so the values keep the
+    accuracy of the products when a_x b_y nearly cancels.  For d = 2,
+        lambda_max = (c11 + c22) / 2 + hypot((c11 - c22) / 2, |c12|),
+    free of the cancellation in the sqrt(trace^2 - 4 det) form; otherwise
+    eigvalsh on the stack of C.
+    """
+    at = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    bt = np.ascontiguousarray(np.moveaxis(b, 0, -1))
+    prod = np.einsum("ikx,kjy->ijxy", at, bt, optimize=False)
+    if prod.shape[0] == 2:
+        sq = prod.real ** 2 + prod.imag ** 2
+        c11 = sq[0, 0] + sq[1, 0]
+        c22 = sq[0, 1] + sq[1, 1]
+        c12 = prod[0, 0].conj() * prod[0, 1] + prod[1, 0].conj() * prod[1, 1]
+        lam = 0.5 * (c11 + c22) + np.hypot(0.5 * (c11 - c22), np.abs(c12))
+    else:
+        gram = np.einsum("kixy,kjxy->xyij", prod.conj(), prod, optimize=False)
+        lam = np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(lam)

@@ -24,6 +24,8 @@ from .weight_fields import MatrixWeightField, MeasureDensity
 #: Luxemburg bisection: relative tolerance and iteration cap
 LUX_TOL = 1e-8
 LUX_MAX_ITER = 200
+#: doublings of the upper bracket end before the Luxemburg norm gives up
+LUX_MAX_DOUBLINGS = 60
 
 #: ellipsoid fit: duality gap, iteration cap, default samples per dimension
 MVEE_GAP = 1e-7
@@ -241,7 +243,9 @@ def luxemburg_norm(f: SampledVectorField, rho: NormFamily, pf: ExponentField) ->
 
     The modular of f / lam is strictly decreasing in lam for nonzero f, so
     bisection on the bracket [min, max] of modular^{1/p_-}, modular^{1/p_+}
-    is safe; the upper end is doubled if the modular there still exceeds 1.
+    is safe; the upper end is doubled while the modular there still exceeds
+    1, and NonFinite is raised if LUX_MAX_DOUBLINGS doublings do not close
+    the bracket.
     """
     mu0 = modular(f, rho, pf)
     if not np.isfinite(mu0):
@@ -259,10 +263,13 @@ def luxemburg_norm(f: SampledVectorField, rho: NormFamily, pf: ExponentField) ->
     ends = (mu0 ** (1.0 / pf.p_minus), mu0 ** (1.0 / pf.p_plus))
     lo = max(min(ends), 1e-12)
     hi = max(ends) + 1.0
-    guard = 0
-    while modular_scaled(hi) > 1.0 and guard < 60:
+    doublings = 0
+    while modular_scaled(hi) > 1.0:
+        if doublings == LUX_MAX_DOUBLINGS:
+            raise NonFinite(f"Luxemburg bracket did not close: the modular of f / {hi:.3e} "
+                            f"still exceeds 1 after {LUX_MAX_DOUBLINGS} doublings")
         hi *= 2.0
-        guard += 1
+        doublings += 1
     for _ in range(LUX_MAX_ITER):
         if hi - lo <= LUX_TOL * max(hi, 1e-12):
             break

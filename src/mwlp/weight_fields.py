@@ -306,6 +306,9 @@ class CubeFamily:
 # ---------------------------------------------------------------------------
 # A_p constants
 
+#: cell pairs per block of the matrix A_p pairwise pass
+PAIR_BLOCK = 1 << 14
+
 
 def _scalar_cube_stats(grid: Grid, w: np.ndarray, g: np.ndarray, cubes: CubeFamily):
     """Per-cube means of w and g via prefix sums.  Yields (k, mean_w, mean_g, cells)."""
@@ -376,8 +379,7 @@ def scalar_ap_constant(w: ScalarWeightField, p: float, cubes: CubeFamily) -> flo
     return _scalar_ap(w.grid, w.values, p, cubes)
 
 
-def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
-                chunk: int = 256) -> float:
+def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
     """Matrix A_p constant estimate over a finite cube family.
 
     For p > 1 this discretizes
@@ -385,7 +387,8 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
     and for p <= 1
         sup_Q max_{x in Q} avg_y ||W^{1/p}(y) W^{-1/p}(x)||_op^p,
     with averages as midpoint-rule means over the cells of each cube.  The
-    pairwise pass is O(cells^2) per cube; d = 1 uses exact scalar formulas.
+    pairwise pass is O(cells^2) per cube, in blocks of about PAIR_BLOCK
+    pairs; d = 1 uses exact scalar formulas.
     """
     if not w.invertible:
         raise NotInvertible("A_p constant requires an invertible weight")
@@ -397,33 +400,32 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
     if w.d == 1:
         return _scalar_ap(grid, w.values[:, 0, 0].real, p, cubes)
 
+    # row x averages ||W^{1/p}(x) W^{-1/p}(y)||^{p'} over y for p > 1, and
+    # ||W^{1/p}(y) W^{-1/p}(x)||^p = ||W^{-1/p}(x) W^{1/p}(y)||^p for p <= 1
     wp = w.power(1.0 / p)
     wm = w.power(-1.0 / p)
+    if p > 1:
+        pp = p / (p - 1.0)
+        rows, cols, exponent = wp, wm, pp
+    else:
+        rows, cols, exponent = wm, wp, p
     best = -np.inf
     for k in range(len(cubes)):
         cells = cubes.cube_cells(grid, k)
         m = cells.shape[0]
         if m == 0:
             continue
-        a = wp[cells]
-        b = wm[cells]
+        a = rows[cells]
+        b = cols[cells]
+        step = max(1, PAIR_BLOCK // m)
+        row_means = np.empty(m)
+        for start in range(0, m, step):
+            s = mc.pairwise_op_norm(a[start:start + step], b)
+            row_means[start:start + step] = np.mean(np.power(s, exponent), axis=1)
         if p > 1:
-            pp = p / (p - 1.0)
-            inner = np.empty(m)
-            for start in range(0, m, chunk):
-                stop = min(start + chunk, m)
-                prod = np.einsum("xij,yjk->xyik", a[start:stop], b)
-                s = mc.batched_spectral_norm(prod)
-                inner[start:stop] = np.mean(np.power(s, pp), axis=1)
-            val = float(np.mean(np.power(inner, p / pp)))
+            val = float(np.mean(np.power(row_means, p / pp)))
         else:
-            outer = np.empty(m)
-            for start in range(0, m, chunk):
-                stop = min(start + chunk, m)
-                prod = np.einsum("yij,xjk->xyik", a, b[start:stop])
-                s = mc.batched_spectral_norm(prod)
-                outer[start:stop] = np.mean(np.power(s, p), axis=1)
-            val = float(np.max(outer))
+            val = float(np.max(row_means))
         if val > best:
             best = val
     if not np.isfinite(best):

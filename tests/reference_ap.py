@@ -1,0 +1,66 @@
+"""Reference matrix A_p pass: the per-pair product stack and a batched SVD
+of every product, as `weight_fields.ap_constant` computed it before the
+factored pairwise kernel.  Slow and plain, kept as the oracle the kernel
+path must reproduce."""
+
+import numpy as np
+
+from mwlp import matrix_core as mc
+from mwlp.errors import EmptyCubeFamily, NotInvertible
+from mwlp.weight_fields import CubeFamily, MatrixWeightField, _scalar_ap
+
+
+def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
+                chunk: int = 256) -> float:
+    """Matrix A_p constant estimate over a finite cube family.
+
+    For p > 1 this discretizes
+        sup_Q avg_x ( avg_y ||W^{1/p}(x) W^{-1/p}(y)||_op^{p'} )^{p/p'}
+    and for p <= 1
+        sup_Q max_{x in Q} avg_y ||W^{1/p}(y) W^{-1/p}(x)||_op^p,
+    with averages as midpoint-rule means over the cells of each cube.  The
+    pairwise pass is O(cells^2) per cube; d = 1 uses exact scalar formulas.
+    """
+    if not w.invertible:
+        raise NotInvertible("A_p constant requires an invertible weight")
+    if len(cubes) == 0:
+        raise EmptyCubeFamily("no cubes supplied")
+    if not p > 0:
+        raise ValueError("p must be positive")
+    grid = w.grid
+    if w.d == 1:
+        return _scalar_ap(grid, w.values[:, 0, 0].real, p, cubes)
+
+    wp = w.power(1.0 / p)
+    wm = w.power(-1.0 / p)
+    best = -np.inf
+    for k in range(len(cubes)):
+        cells = cubes.cube_cells(grid, k)
+        m = cells.shape[0]
+        if m == 0:
+            continue
+        a = wp[cells]
+        b = wm[cells]
+        if p > 1:
+            pp = p / (p - 1.0)
+            inner = np.empty(m)
+            for start in range(0, m, chunk):
+                stop = min(start + chunk, m)
+                prod = np.einsum("xij,yjk->xyik", a[start:stop], b)
+                s = mc.batched_spectral_norm(prod)
+                inner[start:stop] = np.mean(np.power(s, pp), axis=1)
+            val = float(np.mean(np.power(inner, p / pp)))
+        else:
+            outer = np.empty(m)
+            for start in range(0, m, chunk):
+                stop = min(start + chunk, m)
+                prod = np.einsum("yij,xjk->xyik", a, b[start:stop])
+                s = mc.batched_spectral_norm(prod)
+                outer[start:stop] = np.mean(np.power(s, p), axis=1)
+            val = float(np.max(outer))
+        if val > best:
+            best = val
+    if not np.isfinite(best):
+        raise EmptyCubeFamily("cube family contains no cells of the grid")
+    return float(best)
+

@@ -274,6 +274,23 @@ class TestAverageNet:
         with pytest.raises(ConstantExponentRequired):
             build_net_average(fam, 0.3, sp)
 
+    def test_one_ball_scheme_per_radius(self, grid, rng, monkeypatch):
+        from mwlp import compactness
+
+        built = []
+
+        class CountedScheme(compactness.BallScheme):
+            def __post_init__(self):
+                built.append(self.r)
+                super().__post_init__()
+
+        monkeypatch.setattr(compactness, "BallScheme", CountedScheme)
+        w = make_power_weight(grid, [0.5], invertible=True)
+        fam = small_family(grid, rng, count=6)
+        net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0))
+        assert net.params["r"] in built
+        assert len(built) == len(set(built))
+
     def test_density_measure(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
         mu = MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2 / 2)
@@ -343,6 +360,22 @@ class TestNecessity:
         assert certify_net(fam, net, sp).passed
         rep = necessity_check(fam, [4 * eps], sp)
         assert rep.passed
+
+    def test_each_member_pair_measured_once(self, grid, rng, monkeypatch):
+        calls = []
+        dist = Space.dist
+
+        def counted(space, f, g):
+            calls.append((f, g))
+            return dist(space, f, g)
+
+        monkeypatch.setattr(Space, "dist", counted)
+        w = make_power_weight(grid, [0.5], invertible=True)
+        fam = small_family(grid, rng, count=8)
+        rep = necessity_check(fam, [0.4, 0.2, 0.1, 0.05], Space.matrix_weight(w, 2.0))
+        n = len(fam)
+        assert rep.rows[-1].net_size > 1
+        assert 0 < len(calls) <= n * (n - 1) // 2
 
     @staticmethod
     def _assert_rows_match(fam, epsilons, sp):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mwlp.errors import NormAxiomViolation, ShapeMismatch
+from mwlp.errors import NonFinite, NormAxiomViolation, ShapeMismatch
 from mwlp.grids import Grid
 from mwlp.spaces import (
     ExponentField,
@@ -152,6 +152,21 @@ class TestLuxemburg:
         lam = luxemburg_norm(f, rho, pf)
         assert 2.0 < lam < 4.0
         assert 4 / lam ** 2 + 8 / lam ** 3 == pytest.approx(1.0, abs=1e-7)
+
+    def test_bracket_that_never_closes_raises(self, monkeypatch):
+        # a modular reported far below the true one starts the bracket at
+        # about 2; 60 doublings cannot reach the norm of a field of size 1e25
+        import mwlp.spaces
+
+        monkeypatch.setattr(mwlp.spaces, "modular", lambda f, rho, pf: 1.0)
+        g = Grid(1, 1.0, 64)
+        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        rho = NormFamily.from_matrix_weight(w, 2.0)
+        pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
+        f = SampledVectorField(g, np.full(64, 1e25, dtype=complex))
+        with pytest.raises(NonFinite) as exc:
+            luxemburg_norm(f, rho, pf)
+        assert "\n" not in str(exc.value)
 
     def test_homogeneity(self, rng):
         g = Grid(1, 1.0, 32)
