@@ -263,9 +263,8 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
     correlation terms, at most 2 d^2 + 4 d.  The scale uses omega rather
     than W at f's own points, because tau_k f meets W where f does not.
     """
-    rho = space.rho
-    w = getattr(rho, "weight", None)
-    if w is None or space.is_variable or space.p != 2.0 or rho.p_used != 2.0:
+    w = space.weight
+    if w is None or space.p != 2.0:
         return None
     grid = w.grid
     if members[0].grid != grid or members[0].d != w.d:
@@ -380,7 +379,7 @@ def _weight_and_exponent(space: Space, purpose: str) -> tuple[MatrixWeightField,
     if space.is_variable:
         raise ConstantExponentRequired(
             f"{purpose} needs a constant exponent; this space's exponent varies")
-    w = getattr(space, "weight", None)
+    w = space.weight
     if w is None:
         raise ValueError(f"{purpose} requires a matrix weight")
     return w, space.p
@@ -434,6 +433,22 @@ def greedy_cover(count: int, dist_fn, radius: float, max_centers: int | None = N
                 dists[i] = dij
                 assignment[i] = len(centers) - 1
     return centers, assignment.tolist(), dists.tolist()
+
+
+def _pair_memo(dist):
+    """A symmetric metric dist(i, j) measured at most once per unordered pair,
+    with dist(i, i) = 0 never measured."""
+    memo: dict[tuple[int, int], float] = {}
+
+    def dist_fn(i: int, j: int) -> float:
+        if i == j:
+            return 0.0
+        key = (i, j) if i < j else (j, i)
+        if key not in memo:
+            memo[key] = dist(i, j)
+        return memo[key]
+
+    return dist_fn
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +523,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     scheme = DyadicScheme(grid, chosen_m, chosen_t)
     projections = [dyadic_average(f, scheme) for f in family]
     proj_err = max(space.dist(f, g) for f, g in zip(family, projections))
-
-    def dist_fn(i: int, j: int) -> float:
-        return space.dist(projections[i], projections[j])
-
+    dist_fn = _pair_memo(lambda i, j: space.dist(projections[i], projections[j]))
     center_idx, assignment, _proj_d = greedy_cover(len(family), dist_fn, epsilon, max_centers)
     centers = [projections[k] for k in center_idx]
     distances = [space.dist(family[i], centers[assignment[i]]) for i in range(len(family))]
@@ -732,16 +744,7 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
             residuals[i, r] = _averaging_residual(family[i], space, *scheme_at(r))
         return residuals[i, r]
 
-    dists: dict[tuple[int, int], float] = {}
-
-    def dist_fn(i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        if key not in dists:
-            dists[key] = space.dist(family[i], family[j])
-        return dists[key]
-
+    dist_fn = _pair_memo(lambda i, j: space.dist(family[i], family[j]))
     rows = []
     for eps in epsilons:
         center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps, max_centers)

@@ -62,10 +62,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         u = self.vectors
         return (u * self.eigenvalues) @ u.conj().T

@@ -59,15 +59,6 @@ class SampledVectorField:
         return self.values.shape[1]
 
     @classmethod
-    def from_function(cls, grid: Grid, fn, d: int | None = None) -> "SampledVectorField":
-        vals = np.asarray(fn(grid.points), dtype=np.complex128)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if d is not None and vals.shape[1] != d:
-            raise ShapeMismatch(f"function returned d={vals.shape[1]}, expected {d}")
-        return cls(grid, vals)
-
-    @classmethod
     def zero(cls, grid: Grid, d: int) -> "SampledVectorField":
         return cls(grid, np.zeros((grid.num_points, d), dtype=np.complex128))
 
@@ -116,10 +107,6 @@ class ExponentField:
     def constant(cls, grid: Grid, p: float) -> "ExponentField":
         return cls(grid, np.full(grid.num_points, float(p)))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.p_plus == self.p_minus
-
 
 class NormFamily:
     """Family of norms rho_x on C^d, one per grid point.
@@ -154,10 +141,7 @@ class NormFamily:
                 return np.linalg.norm(
                     np.einsum("mij,...mj->...mi", wp, values), axis=-1)
 
-        fam = cls(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
-        fam.weight = w
-        fam.p_used = p
-        return fam
+        return cls(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
 
     @classmethod
     def from_oracle(cls, grid: Grid, d: int, fn, description: str = "oracle norm family",
@@ -204,12 +188,9 @@ def lp_w_norm(f: SampledVectorField, w: MatrixWeightField, p: float,
     """
     if f.grid != w.grid or f.d != w.d:
         raise ShapeMismatch("field and weight do not match")
-    if w.d == 1:
-        wv = w.values[:, 0, 0].real
-        dens = wv * np.abs(f.values[:, 0]) ** p
-    else:
-        wp = w.power(1.0 / p)
-        dens = np.linalg.norm(np.einsum("mij,mj->mi", wp, f.values), axis=1) ** p
+    if w.d > 1:
+        return Space.matrix_weight(w, p, mu).norm(f)
+    dens = w.values[:, 0, 0].real * np.abs(f.values[:, 0]) ** p
     if mu is not None:
         if mu.grid != f.grid:
             raise ShapeMismatch("density grid mismatch")
@@ -289,7 +270,8 @@ class Space:
     """A weighted function space: evaluates norms, modulars and distances.
 
     Three flavors:
-      * matrix_weight(W, p, mu): L^p(W, mu), constant exponent,
+      * matrix_weight(W, p, mu): L^p(W, mu), constant exponent, the one
+        flavor whose `weight` is W (None in the others),
       * norm_family(rho, p, mu): L^p(rho, mu), constant exponent,
       * variable(rho, pf): L^{p(.)}(rho) with the Luxemburg norm; sizes
         are modulars ("bounded in the sense of the modular").
@@ -300,7 +282,7 @@ class Space:
 
     def __init__(self, grid: Grid, d: int, rho: NormFamily, *, p: float | None = None,
                  exponent: ExponentField | None = None, mu: MeasureDensity | None = None,
-                 label: str = ""):
+                 weight: MatrixWeightField | None = None, label: str = ""):
         if (p is None) == (exponent is None):
             raise ValueError("exactly one of p, exponent must be given")
         if exponent is not None and mu is not None:
@@ -313,15 +295,15 @@ class Space:
         self.p = p
         self.exponent = exponent
         self.mu = mu
+        self.weight = weight
         self.label = label or "space"
 
     @classmethod
     def matrix_weight(cls, w: MatrixWeightField, p: float,
                       mu: MeasureDensity | None = None) -> "Space":
         rho = NormFamily.from_matrix_weight(w, p)
-        sp = cls(w.grid, w.d, rho, p=p, mu=mu, label=f"L^{p}(W{', mu' if mu else ''})")
-        sp.weight = w
-        return sp
+        return cls(w.grid, w.d, rho, p=p, mu=mu, weight=w,
+                   label=f"L^{p}(W{', mu' if mu else ''})")
 
     @classmethod
     def norm_family(cls, rho: NormFamily, p: float,
@@ -464,7 +446,8 @@ def _eval_norm(rho, vecs: np.ndarray) -> np.ndarray:
         out = np.asarray(rho(vecs), dtype=np.float64)
         if out.shape == (vecs.shape[0],):
             return out
-    except Exception:
+    except (TypeError, ValueError):
+        # a scalar callable on a batch; an oracle's own MwlpError propagates
         pass
     return np.array([float(rho(v)) for v in vecs], dtype=np.float64)
 
@@ -570,8 +553,6 @@ def degenerate_sobolev_norm(f: SampledVectorField, w: MatrixWeightField, p: floa
         raise ShapeMismatch("degenerate Sobolev norm takes a scalar field")
     if w.grid != f.grid or w.d != f.grid.n:
         raise ShapeMismatch("weight dimension must equal the grid dimension")
-    v = w.op_norm_field()
-    zero_dens = v.values * np.abs(f.values[:, 0]) ** p
-    zero_term = f.grid.quadrature(zero_dens) ** (1.0 / p)
+    zero_term = lp_w_norm(f, MatrixWeightField.from_scalar(w.op_norm_field()), p)
     grad_term = lp_w_norm(gradient(f), w, p)
-    return float(zero_term + grad_term)
+    return zero_term + grad_term

@@ -210,12 +210,13 @@ def suite_maximal_bound(rng, count: int) -> dict:
     p = 2.0
     ratios = {}
     fam = bump_combinations(grid, 2, max(min(count, 8), 2), rng)
+    pairs = [(christ_goldberg_maximal(f, w, p).values, np.linalg.norm(f.values, axis=1))
+             for f in fam]
     for q in (p - 0.25, p, p + 0.25):
         worst = 0.0
-        for f in fam:
-            mf = christ_goldberg_maximal(f, w, p)
-            num = grid.quadrature(mf.values ** q) ** (1 / q)
-            den = grid.quadrature(np.linalg.norm(f.values, axis=1) ** q) ** (1 / q)
+        for mf, fv in pairs:
+            num = grid.quadrature(mf ** q) ** (1 / q)
+            den = grid.quadrature(fv ** q) ** (1 / q)
             if den > 0:
                 worst = max(worst, num / den)
         ratios[f"q={q}"] = worst

@@ -260,27 +260,6 @@ class CubeFamily:
         return cls(np.array(corners), np.array(sides),
                    f"dense scan: corners at all cell boundaries, dyadic sides 2h..2L, N={grid.N}")
 
-    @classmethod
-    def origin_anchored(cls, grid: Grid, max_generation: int | None = None) -> "CubeFamily":
-        """Origin-anchored cubes [0, s)^n and reflections, s = 2L/2^g, g = 1..gmax."""
-        gmax = int(np.log2(grid.N)) if max_generation is None else max_generation
-        corners: list[list[float]] = []
-        sides: list[float] = []
-        L, n = grid.L, grid.n
-        for g in range(1, gmax + 1):
-            side = 2.0 * L / 2 ** g
-            if n == 1:
-                for c in (0.0, -side):
-                    corners.append([c])
-                    sides.append(side)
-            else:
-                for s1 in (0.0, -side):
-                    for s2 in (0.0, -side):
-                        corners.append([s1, s2])
-                        sides.append(side)
-        return cls(np.array(corners), np.array(sides),
-                   f"origin-anchored cubes, generations 1..{gmax}, L={L}")
-
     def cube_cells(self, grid: Grid, k: int) -> np.ndarray:
         """Flat indices of cells whose centers lie in cube k."""
         lo = self.corners[k]

@@ -195,6 +195,26 @@ class TestDyadicNet:
         assert cert.passed
         assert cert.worst_distance <= net.c_net * net.epsilon * (1 + 1e-9)
 
+    def test_each_projection_pair_measured_once(self, grid, unweighted, rng, monkeypatch):
+        calls = []
+        dist = Space.dist
+
+        def counted(space, f, g):
+            calls.append((id(f), id(g)))
+            return dist(space, f, g)
+
+        monkeypatch.setattr(Space, "dist", counted)
+        fam = small_family(grid, rng, count=12)
+        net = build_net_dyadic(fam, 0.1, unweighted)
+        members = {id(f) for f in fam}
+        # the greedy cover compares projections only; members appear in the
+        # projection error, the net distances and the certificate
+        cover = [frozenset(c) for c in calls if not members.intersection(c)]
+        n = len(fam)
+        assert net.size > 1
+        assert all(len(pair) == 2 for pair in cover)
+        assert len(set(cover)) == len(cover) <= n * (n - 1) // 2
+
     def test_shrinking_epsilon_never_shrinks_net(self, grid, unweighted, rng):
         fam = small_family(grid, rng, count=12)
         sizes = [build_net_dyadic(fam, eps, unweighted).size

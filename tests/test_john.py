@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mwlp.errors import DegenerateNorm
+from mwlp.errors import DegenerateNorm, NonFinite
 from mwlp.spaces import john_ellipsoid
 
 
@@ -62,3 +62,28 @@ def test_degenerate_norm_rejected(rng):
     # rank-deficient sphere sample
     with pytest.raises(DegenerateNorm):
         john_ellipsoid(lambda v: np.abs(v[:, 0]), 2, rng=rng)
+
+
+def test_oracle_error_propagates_without_retry(rng):
+    calls = []
+
+    def failing(v):
+        calls.append(v.shape)
+        raise NonFinite("oracle produced NaN")
+
+    with pytest.raises(NonFinite):
+        john_ellipsoid(failing, 2, rng=rng)
+    assert calls == [(2, 2)]
+
+
+def test_scalar_callable_still_fits(rng):
+    # complex() of a batch raises TypeError, so each vector is evaluated alone
+    def scalar_l1(v):
+        return abs(complex(v[0])) + abs(complex(v[1]))
+
+    w = john_ellipsoid(scalar_l1, 2, rng=rng, sphere_samples=200, calibration_samples=200)
+    vt = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    rv = l1(vt)
+    wv = np.linalg.norm(vt @ w.T, axis=1)
+    assert np.min(wv / rv) >= 1.0 - 1e-9
+    assert np.max(wv / rv) <= np.sqrt(2) * 1.05
