@@ -53,22 +53,14 @@ class Grid:
     @cached_property
     def points(self) -> np.ndarray:
         """Cell centers, shape (M, n), row-major over axes."""
-        c = self.axis_centers
-        if self.n == 1:
-            pts = c[:, None].copy()
-        else:
-            a, b = np.meshgrid(c, c, indexing="ij")
-            pts = np.stack([a.ravel(), b.ravel()], axis=1)
+        pts = _mesh(self.axis_centers, self.n)
         pts.setflags(write=False)
         return pts
 
     @cached_property
     def radii(self) -> np.ndarray:
         """Euclidean distance of each cell center from the origin."""
-        if self.n == 1:
-            r = np.abs(self.points[:, 0])
-        else:
-            r = np.linalg.norm(self.points, axis=1)
+        r = np.linalg.norm(self.points, axis=1)
         r.setflags(write=False)
         return r
 
@@ -108,11 +100,18 @@ class Grid:
 
     def shift_window(self, kmax: int) -> np.ndarray:
         """Integer shifts with every |k_i| <= kmax, shape (S, n), row-major over axes."""
-        k = np.arange(-kmax, kmax + 1)
-        if self.n == 1:
-            return k[:, None]
-        k1, k2 = np.meshgrid(k, k, indexing="ij")
-        return np.stack([k1.ravel(), k2.ravel()], axis=1)
+        return _mesh(np.arange(-kmax, kmax + 1), self.n)
+
+    def shift_slices(self, k) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+        """Slices (dst, src) with out[dst] = values[src] on (N,)*n arrays moving
+        values by the integer shift k, zero fill: what leaves the box is dropped."""
+        dst, src = [], []
+        for ki in k:
+            a = min(abs(int(ki)), self.N)
+            head, tail = slice(a, self.N), slice(0, self.N - a)
+            dst.append(head if ki >= 0 else tail)
+            src.append(tail if ki >= 0 else head)
+        return tuple(dst), tuple(src)
 
     def shifts_within(self, shifts: np.ndarray, r: float) -> np.ndarray:
         """Mask of the rows k of an (S, n) shift array with k != 0 and |k * h| <= r."""
@@ -138,7 +137,17 @@ class Grid:
         k = np.rint(idx)
         if np.any(np.abs(idx - k) > 1e-6) or np.any(k < 0) or np.any(k >= self.N):
             raise ValueError(f"{c.tolist()} is not a cell center of this grid")
-        k = k.astype(int)
-        if self.n == 1:
-            return int(k[0])
-        return int(k[0] * self.N + k[1])
+        return int(np.ravel_multi_index(tuple(k.astype(int)), self.shape))
+
+    def box_cells(self, box) -> np.ndarray:
+        """Flat indices, ascending, of the cells in an index box: rows (lo, hi)
+        per axis, cell index lo <= i < hi."""
+        cells = np.zeros((), dtype=np.intp)
+        for lo, hi in np.asarray(box).tolist():
+            cells = np.add.outer(cells * self.N, np.arange(lo, hi))
+        return cells.ravel()
+
+
+def _mesh(axis_values: np.ndarray, n: int) -> np.ndarray:
+    """All n-tuples of axis_values, shape (len ** n, n), row-major over axes."""
+    return np.stack([a.ravel() for a in np.meshgrid(*(axis_values,) * n, indexing="ij")], axis=-1)

@@ -23,22 +23,10 @@ from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
 
 def shift_values(values: np.ndarray, grid: Grid, shift: tuple[int, ...]) -> np.ndarray:
     """Index-shifted copy of a (M, d) value array with zero fill."""
-    d = values.shape[-1]
-    vals = values.reshape(grid.shape + (d,))
+    vals = values.reshape(grid.shape + values.shape[1:])
     out = np.zeros_like(vals)
-    src = []
-    dst = []
-    for k in shift:
-        n = grid.N
-        if abs(k) >= n:
-            return np.zeros_like(values)
-        if k >= 0:
-            dst.append(slice(k, n))
-            src.append(slice(0, n - k))
-        else:
-            dst.append(slice(0, n + k))
-            src.append(slice(-k, n))
-    out[tuple(dst)] = vals[tuple(src)]
+    dst, src = grid.shift_slices(shift)
+    out[dst] = vals[src]
     return out.reshape(values.shape)
 
 
@@ -111,20 +99,17 @@ class DyadicScheme:
         return _aligned_cells(self.grid, self.side)
 
     @cached_property
-    def axis_range(self) -> tuple[int, int]:
-        """Index range [a, b) of cells inside [-2^m, 2^m) along one axis."""
+    def box(self) -> tuple[slice, ...]:
+        """Index of R_m in a (N,)*n array: the cells inside [-2^m, 2^m) on every axis."""
         grid = self.grid
         a = int(round((grid.L - self.outer_half) / grid.h))
         b = int(round((grid.L + self.outer_half) / grid.h))
-        return a, b
+        return (slice(a, b),) * grid.n
 
     def inside_mask(self) -> np.ndarray:
-        a, b = self.axis_range
-        ax = np.zeros(self.grid.N, dtype=bool)
-        ax[a:b] = True
-        if self.grid.n == 1:
-            return ax
-        return np.logical_and.outer(ax, ax).ravel()
+        mask = np.zeros(self.grid.shape, dtype=bool)
+        mask[self.box] = True
+        return mask.ravel()
 
 
 def _tree_mean(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -145,34 +130,24 @@ def dyadic_coefficients(f: SampledVectorField, scheme: DyadicScheme) -> np.ndarr
     """Cube means of f over the scheme, shape (num_cubes, d)."""
     if f.grid != scheme.grid:
         raise SchemeMismatch("field and scheme grids differ")
-    a, b = scheme.axis_range
-    nc = scheme.cubes_per_axis
-    cpc = scheme.cells_per_cube_axis
-    if f.grid.n == 1:
-        block = f.values[a:b].reshape(nc, cpc, f.d)
-        return _tree_mean(block, 1).reshape(-1, f.d)
-    vals = f.values.reshape(f.grid.N, f.grid.N, f.d)
-    block = vals[a:b, a:b].reshape(nc, cpc, nc, cpc, f.d)
-    return _tree_mean(_tree_mean(block, 3), 1).reshape(-1, f.d)
+    n = f.grid.n
+    vals = f.values.reshape(f.grid.shape + (f.d,))[scheme.box]
+    block = vals.reshape((scheme.cubes_per_axis, scheme.cells_per_cube_axis) * n + (f.d,))
+    # reduce the cube axes 2n-1, ..., 3, 1 in this order: it fixes the rounding
+    for ax in range(2 * n - 1, 0, -2):
+        block = _tree_mean(block, ax)
+    return block.reshape(-1, f.d)
 
 
 def field_from_coefficients(scheme: DyadicScheme, coeffs: np.ndarray, d: int) -> SampledVectorField:
     """Piecewise-constant field with the given cube values, zero outside R_m."""
     grid = scheme.grid
-    a, b = scheme.axis_range
-    nc = scheme.cubes_per_axis
-    cpc = scheme.cells_per_cube_axis
-    out = np.zeros((grid.num_points, d), dtype=np.complex128)
-    if grid.n == 1:
-        block = np.repeat(coeffs.reshape(nc, d), cpc, axis=0)
-        out[a:b] = block
-    else:
-        c = coeffs.reshape(nc, nc, d)
-        block = np.repeat(np.repeat(c, cpc, axis=0), cpc, axis=1)
-        o = out.reshape(grid.N, grid.N, d)
-        o[a:b, a:b] = block
-        out = o.reshape(grid.num_points, d)
-    return SampledVectorField(grid, out)
+    block = coeffs.reshape((scheme.cubes_per_axis,) * grid.n + (d,))
+    for ax in range(grid.n):
+        block = np.repeat(block, scheme.cells_per_cube_axis, axis=ax)
+    out = np.zeros(grid.shape + (d,), dtype=np.complex128)
+    out[scheme.box] = block
+    return SampledVectorField(grid, out.reshape(grid.num_points, d))
 
 
 def dyadic_average(f: SampledVectorField, scheme: DyadicScheme) -> SampledVectorField:
@@ -219,6 +194,11 @@ class BallScheme:
         return window[np.sum(window * window, axis=1) < (self.r / self.grid.h) ** 2 * (1 - 1e-12)]
 
     @cached_property
+    def slices(self) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+        """Grid.shift_slices of every offset, in offsets order."""
+        return [self.grid.shift_slices(k) for k in self.offsets.tolist()]
+
+    @cached_property
     def measures(self) -> np.ndarray:
         """mu[B(x, r)] at every grid point."""
         return _window_sum(self.grid, self.mu.values, self) * self.grid.h ** self.grid.n
@@ -235,14 +215,10 @@ def _window_sum(grid: Grid, values: np.ndarray, scheme: BallScheme) -> np.ndarra
         hi = np.minimum(i + k + 1, grid.N)
         out = c[hi] - c[lo]
         return out.reshape(values.shape)
-    vals = values.reshape((grid.N, grid.N) + values.shape[1:])
+    vals = values.reshape(grid.shape + values.shape[1:])
     out = np.zeros_like(vals)
-    for k1, k2 in scheme.offsets.tolist():
-        src_r = slice(max(0, -k1), grid.N - max(0, k1))
-        dst_r = slice(max(0, k1), grid.N - max(0, -k1))
-        src_c = slice(max(0, -k2), grid.N - max(0, k2))
-        dst_c = slice(max(0, k2), grid.N - max(0, -k2))
-        out[dst_r, dst_c] += vals[src_r, src_c]
+    for dst, src in scheme.slices:
+        out[dst] += vals[src]
     return out.reshape(values.shape)
 
 
@@ -260,8 +236,9 @@ def ball_average(f: SampledVectorField, mu: MeasureDensity, scheme: BallScheme) 
         raise EmptyBall(f"a ball of radius {scheme.r} has zero measure")
     weighted = f.values * mu.values[:, None]
     sums = _window_sum(f.grid, weighted, scheme) * f.grid.h ** f.grid.n
-    # divide real and imaginary parts separately: IEEE real division keeps
-    # S_r of a constant exactly constant
+    # divide real and imaginary parts separately, so S_r of a constant c is c
+    # up to the window sums' error: within 4 (M + 2) (total mass / smallest
+    # ball mass) ulp of |c|, since the 1-D sums subtract running sums
     out = sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
     return SampledVectorField(f.grid, out)
 
@@ -269,17 +246,18 @@ def ball_average(f: SampledVectorField, mu: MeasureDensity, scheme: BallScheme) 
 def symdiff_measure(x, y, r: float, mu: MeasureDensity) -> float:
     """mu[B(x, r) symmetric-difference B(y, r)] by cell counting.
 
-    x and y are grid points (cell-center coordinates).
+    x and y are grid points (cell-center coordinates); the ball at a cell is
+    that cell plus BallScheme.offsets, clipped to the box.
     """
     grid = mu.grid
-    if r < 2.0 * grid.h * (1 - 1e-12):
-        raise ValueError("radius below the 2h resolution floor")
-    px = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    py = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    pts = grid.points
-    in_x = np.linalg.norm(pts - px, axis=1) < r
-    in_y = np.linalg.norm(pts - py, axis=1) < r
-    return mu.measure(in_x ^ in_y)
+    offsets = BallScheme(grid, r, mu).offsets
+    balls = []
+    for p in (x, y):
+        z = np.array(np.unravel_index(grid.index_of_point(p), grid.shape)) + offsets
+        ball = np.zeros(grid.shape, dtype=bool)
+        ball[tuple(z[np.all((z >= 0) & (z < grid.N), axis=1)].T)] = True
+        balls.append(ball.ravel())
+    return mu.measure(balls[0] ^ balls[1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ all cubes, and the family used travels with the value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -210,33 +211,17 @@ class CubeFamily:
         """Dyadic partitions of the box, generations 0..log2(N), plus
         origin-anchored cubes of the same scales."""
         gmax = int(np.log2(grid.N))
-        corners: list[list[float]] = []
+        corners: list[tuple[float, ...]] = []
         sides: list[float] = []
         L, n = grid.L, grid.n
         for g in range(gmax + 1):
-            per_axis = 2 ** g
-            side = 2.0 * L / per_axis
-            edges = -L + side * np.arange(per_axis)
-            if n == 1:
-                for e in edges:
-                    corners.append([e])
-                    sides.append(side)
-            else:
-                for e1 in edges:
-                    for e2 in edges:
-                        corners.append([e1, e2])
-                        sides.append(side)
+            side = 2.0 * L / 2 ** g
+            cubes = list(product(-L + side * np.arange(2 ** g), repeat=n))
             # origin-anchored cubes of this scale (all orthants), when they fit
             if side <= L:
-                if n == 1:
-                    for sgn in ((0.0,), (-side,)):
-                        corners.append([sgn[0]])
-                        sides.append(side)
-                else:
-                    for s1 in (0.0, -side):
-                        for s2 in (0.0, -side):
-                            corners.append([s1, s2])
-                            sides.append(side)
+                cubes += product((0.0, -side), repeat=n)
+            corners += cubes
+            sides += [side] * len(cubes)
         return cls(np.array(corners), np.array(sides),
                    f"dyadic generations 0..{gmax} of [-L,L)^{n} plus origin-anchored cubes, L={L}, N={grid.N}")
 
@@ -260,26 +245,20 @@ class CubeFamily:
         return cls(np.array(corners), np.array(sides),
                    f"dense scan: corners at all cell boundaries, dyadic sides 2h..2L, N={grid.N}")
 
+    def boxes(self, grid: Grid) -> np.ndarray:
+        """Index boxes of all cubes, shape (K, n, 2): cube k holds the cells
+        whose axis-i index lies in [boxes[k, i, 0], boxes[k, i, 1]), the cells
+        whose centers lie in the cube, clipped to the grid."""
+        edges = np.stack([self.corners, self.corners + self.sides[:, None]], axis=-1)
+        return np.clip(np.ceil((edges + grid.L) / grid.h - 0.5 - 1e-9).astype(int), 0, grid.N)
+
     def cube_cells(self, grid: Grid, k: int) -> np.ndarray:
         """Flat indices of cells whose centers lie in cube k."""
-        lo = self.corners[k]
-        hi = lo + self.sides[k]
-        pts = grid.points
-        mask = np.all((pts >= lo - 1e-12) & (pts < hi - 1e-12 * grid.h), axis=1)
-        return np.nonzero(mask)[0]
+        return grid.box_cells(self.boxes(grid)[k])
 
     def axis_ranges(self, grid: Grid, k: int) -> tuple[tuple[int, int], ...]:
         """Per-axis index range [i0, i1) of the cells inside cube k."""
-        lo = self.corners[k]
-        side = self.sides[k]
-        out = []
-        for ax in range(grid.n):
-            i0 = int(np.ceil((lo[ax] + grid.L) / grid.h - 0.5 - 1e-9))
-            i1 = int(np.ceil((lo[ax] + side + grid.L) / grid.h - 0.5 - 1e-9))
-            i0 = max(i0, 0)
-            i1 = min(i1, grid.N)
-            out.append((i0, i1))
-        return tuple(out)
+        return tuple(map(tuple, self.boxes(grid)[k].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,61 +268,40 @@ class CubeFamily:
 PAIR_BLOCK = 1 << 14
 
 
-def _scalar_cube_stats(grid: Grid, w: np.ndarray, g: np.ndarray, cubes: CubeFamily):
-    """Per-cube means of w and g via prefix sums.  Yields (k, mean_w, mean_g, cells)."""
-    if grid.n == 1:
-        cw = np.concatenate([[0.0], np.cumsum(w)])
-        cg = np.concatenate([[0.0], np.cumsum(g)])
-        for k in range(len(cubes)):
-            (i0, i1), = cubes.axis_ranges(grid, k)
-            m = i1 - i0
-            if m <= 0:
-                continue
-            yield k, (cw[i1] - cw[i0]) / m, (cg[i1] - cg[i0]) / m, (i0, i1)
-    else:
-        N = grid.N
-        w2 = w.reshape(N, N)
-        g2 = g.reshape(N, N)
-        cw = np.zeros((N + 1, N + 1))
-        cg = np.zeros((N + 1, N + 1))
-        cw[1:, 1:] = np.cumsum(np.cumsum(w2, axis=0), axis=1)
-        cg[1:, 1:] = np.cumsum(np.cumsum(g2, axis=0), axis=1)
-
-        def rect(c, a0, a1, b0, b1):
-            return c[a1, b1] - c[a0, b1] - c[a1, b0] + c[a0, b0]
-
-        for k in range(len(cubes)):
-            (a0, a1), (b0, b1) = cubes.axis_ranges(grid, k)
-            m = (a1 - a0) * (b1 - b0)
-            if m <= 0:
-                continue
-            yield k, rect(cw, a0, a1, b0, b1) / m, rect(cg, a0, a1, b0, b1) / m, ((a0, a1), (b0, b1))
+def _box_means(grid: Grid, values: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Means of a per-cell array over nonempty index boxes (K, n, 2), from one
+    padded n-D prefix sum and inclusion-exclusion over the 2^n box corners.
+    Corners go with the last axis outermost, which in 2-D is
+    c[a1, b1] - c[a0, b1] - c[a1, b0] + c[a0, b0]."""
+    n = grid.n
+    c = np.pad(values.reshape(grid.shape), (1, 0))
+    for ax in range(n):
+        c = np.cumsum(c, axis=ax)
+    total = np.zeros(len(boxes))
+    for corner in product((1, 0), repeat=n):
+        term = c[tuple(boxes[:, ax, s] for ax, s in enumerate(reversed(corner)))]
+        total = total - term if (n - sum(corner)) % 2 else total + term
+    return total / np.prod(boxes[:, :, 1] - boxes[:, :, 0], axis=1)
 
 
 def _scalar_ap(grid: Grid, w: np.ndarray, p: float, cubes: CubeFamily) -> float:
     """Muckenhoupt expression maximum for a positive scalar weight."""
     if len(cubes) == 0:
         raise EmptyCubeFamily("no cubes supplied")
-    best = -np.inf
+    boxes = cubes.boxes(grid)
+    boxes = boxes[np.all(boxes[:, :, 1] > boxes[:, :, 0], axis=1)]
+    mean_w = _box_means(grid, w, boxes)
+    # per-cube powers stay scalar: array np.power may differ in the last bit
     if p > 1:
         pp = p / (p - 1.0)
-        g = np.power(w, -pp / p)
-        for _, mean_w, mean_g, _ in _scalar_cube_stats(grid, w, g, cubes):
-            val = mean_w * mean_g ** (p / pp)
-            if val > best:
-                best = val
+        mean_g = _box_means(grid, np.power(w, -pp / p), boxes)
+        vals = [mw * mg ** (p / pp) for mw, mg in zip(mean_w, mean_g)]
     else:
         # sup over x in Q of (mean of w over Q) / w(x), esssup as a max over cells
-        for _, mean_w, _unused, cells in _scalar_cube_stats(grid, w, w, cubes):
-            if grid.n == 1:
-                i0, i1 = cells
-                wmin = float(np.min(w[i0:i1]))
-            else:
-                (a0, a1), (b0, b1) = cells
-                wmin = float(np.min(w.reshape(grid.N, grid.N)[a0:a1, b0:b1]))
-            val = mean_w / wmin
-            if val > best:
-                best = val
+        wv = w.reshape(grid.shape)
+        vals = [mw / float(np.min(wv[tuple(slice(*r) for r in box)]))
+                for mw, box in zip(mean_w, boxes.tolist())]
+    best = max(vals, default=-np.inf)
     if not np.isfinite(best):
         raise EmptyCubeFamily("cube family contains no cells of the grid")
     return float(best)
@@ -389,8 +347,8 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
     else:
         rows, cols, exponent = wm, wp, p
     best = -np.inf
-    for k in range(len(cubes)):
-        cells = cubes.cube_cells(grid, k)
+    for box in cubes.boxes(grid):
+        cells = grid.box_cells(box)
         m = cells.shape[0]
         if m == 0:
             continue

@@ -228,6 +228,23 @@ class TestSymdiff:
         assert symdiff_measure(x, y, r, mu) == 0.0
 
 
+    def test_neighbour_balls_differ_by_two_cells(self):
+        # h = 0.2 / 64 is not a binary fraction: float distances |y - x| put
+        # cells at 2h on either side of r = 2h, while the offsets rule gives
+        # every ball the same three cells, so each difference is exactly 2h
+        grid = Grid(1, 0.1, 64)
+        mu = MeasureDensity.lebesgue(grid)
+        r = 2 * grid.h
+        for i in range(1, grid.N - 2):
+            x, y = grid.points[i], grid.points[i + 1]
+            assert symdiff_measure(x, y, r, mu) == 2 * grid.h, i
+
+    def test_radius_floor(self, grid):
+        mu = MeasureDensity.lebesgue(grid)
+        with pytest.raises(ValueError):
+            symdiff_measure(grid.points[20], grid.points[21], 1.5 * grid.h, mu)
+
+
 class TestDifferentiation:
     def test_monotone_decrease_for_smooth_field(self):
         g = Grid(1, 1.0, 512)
