@@ -194,32 +194,74 @@ class BallScheme:
         return window[np.sum(window * window, axis=1) < (self.r / self.grid.h) ** 2 * (1 - 1e-12)]
 
     @cached_property
-    def slices(self) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
-        """Grid.shift_slices of every offset, in offsets order."""
-        return [self.grid.shift_slices(k) for k in self.offsets.tolist()]
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets as runs along the last axis: for every leading offset
+        (k_1, ..., k_{n-1}) with |k_i| <= reach, first axis outermost, the
+        half-width w of its run k_n in [-w, w] (-1 where the run is empty)."""
+        k, n = self.reach, self.grid.n
+        lead = np.array(list(product(range(-k, k + 1), repeat=n - 1)), dtype=int)
+        rows = np.ravel_multi_index(tuple((self.offsets[:, :-1] + k).T), (2 * k + 1,) * (n - 1))
+        half = np.full(len(lead), -1)
+        np.maximum.at(half, rows, self.offsets[:, -1])
+        return lead, half
 
     @cached_property
     def measures(self) -> np.ndarray:
         """mu[B(x, r)] at every grid point."""
-        return _window_sum(self.grid, self.mu.values, self) * self.grid.h ** self.grid.n
+        return _window_sum(self.grid, self.mu.values, [self])[0] * self.grid.h ** self.grid.n
 
 
-def _window_sum(grid: Grid, values: np.ndarray, scheme: BallScheme) -> np.ndarray:
-    """Sum of values over the discrete ball at every center (boundary-clipped)."""
+def _window_sum(grid: Grid, values: np.ndarray, schemes: list[BallScheme]) -> list[np.ndarray]:
+    """Sums of values over the discrete balls at every center (boundary-clipped),
+    one array per scheme.
+
+    In 1-D every sum is a difference of one shared running sum.  For n >= 2
+    the ball is a run along the last axis per leading offset (BallScheme.runs).
+    One power-of-two table along that axis, padded with `reach` zeros on both
+    sides, holds T_j[i] = T_{j-1}[i] + T_{j-1}[i + 2^(j-1)]; a run of 2w + 1
+    cells is the sum of the entries of the binary digits of 2w + 1, formed
+    once per distinct w, and the runs add up shifted along the leading axes.
+    Only additions, so each sum is a tree sum of its K terms and errs by at
+    most (K - 1) eps times the sum of |values| over the ball.
+    """
     if grid.n == 1:
-        k = int(scheme.offsets[-1, 0])
         flat = values.reshape(grid.N, -1)
         c = np.concatenate([np.zeros((1,) + flat.shape[1:]), np.cumsum(flat, axis=0)], axis=0)
         i = np.arange(grid.N)
-        lo = np.maximum(i - k, 0)
-        hi = np.minimum(i + k + 1, grid.N)
-        out = c[hi] - c[lo]
-        return out.reshape(values.shape)
+        out = []
+        for scheme in schemes:
+            k = int(scheme.offsets[-1, 0])
+            lo = np.maximum(i - k, 0)
+            hi = np.minimum(i + k + 1, grid.N)
+            out.append((c[hi] - c[lo]).reshape(values.shape))
+        return out
     vals = values.reshape(grid.shape + values.shape[1:])
-    out = np.zeros_like(vals)
-    for dst, src in scheme.slices:
-        out[dst] += vals[src]
-    return out.reshape(values.shape)
+    reach = max(s.reach for s in schemes)
+    lead_axes = (slice(None),) * (grid.n - 1)
+    pad = [(0, 0)] * vals.ndim
+    pad[grid.n - 1] = (reach, reach)
+    table = [np.pad(vals, pad)]
+    while 2 ** len(table) <= 2 * reach + 1:
+        step = 2 ** (len(table) - 1)
+        t = table[-1]
+        table.append(t[lead_axes + (slice(None, -step),)] + t[lead_axes + (slice(step, None),)])
+    out = []
+    for scheme in schemes:
+        lead, half = scheme.runs
+        total = np.zeros_like(vals)
+        for w in np.unique(half[half >= 0]).tolist():
+            # the run of 2w + 1 cells: one table entry per binary digit of 2w + 1
+            row, start = None, reach - w
+            for j, t in enumerate(table):
+                if (2 * w + 1) >> j & 1:
+                    part = t[lead_axes + (slice(start, start + grid.N),)]
+                    row = part if row is None else row + part
+                    start += 2 ** j
+            for k in lead[half == w].tolist():
+                dst, src = grid.shift_slices(k + [0])
+                total[dst] += row[src]
+        out.append(total.reshape(values.shape))
+    return out
 
 
 def ball_average(f: SampledVectorField, mu: MeasureDensity, scheme: BallScheme) -> SampledVectorField:
@@ -231,14 +273,15 @@ def ball_average(f: SampledVectorField, mu: MeasureDensity, scheme: BallScheme) 
     if mu is scheme.mu:
         meas = scheme.measures
     else:
-        meas = _window_sum(f.grid, mu.values, scheme) * f.grid.h ** f.grid.n
+        meas = _window_sum(f.grid, mu.values, [scheme])[0] * f.grid.h ** f.grid.n
     if np.any(meas <= 0.0):
         raise EmptyBall(f"a ball of radius {scheme.r} has zero measure")
     weighted = f.values * mu.values[:, None]
-    sums = _window_sum(f.grid, weighted, scheme) * f.grid.h ** f.grid.n
+    sums = _window_sum(f.grid, weighted, [scheme])[0] * f.grid.h ** f.grid.n
     # divide real and imaginary parts separately, so S_r of a constant c is c
     # up to the window sums' error: within 4 (M + 2) (total mass / smallest
-    # ball mass) ulp of |c|, since the 1-D sums subtract running sums
+    # ball mass) ulp of |c|, set by the 1-D sums, which subtract running sums;
+    # the n-D sums only add, K - 1 ulp of the ball's mass for a ball of K cells
     out = sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
     return SampledVectorField(f.grid, out)
 
@@ -286,8 +329,9 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     The family consists of balls centered at grid points with dyadic radii;
     the result is a lower estimate of the all-balls supremum.  Points x go in
     blocks of about MAXIMAL_BLOCK (cell, point) pairs: one einsum gives
-    phi[y, x] = |W^{1/p}(x) W^{-1/p}(y) f(y)|, one window sum per radius every
-    ball mean, and the balls holding x are those BallScheme.offsets admits.
+    phi[y, x] = |W^{1/p}(x) W^{-1/p}(y) f(y)|, one window-sum call for all
+    radii every ball mean, and the balls holding x are those
+    BallScheme.offsets admits.
     """
     if not w.invertible:
         raise NotInvertible("maximal operator requires an invertible weight")
@@ -302,7 +346,7 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     m_points = grid.num_points
     lebesgue = MeasureDensity.lebesgue(grid)
     schemes = [BallScheme(grid, r, lebesgue) for r in radii]
-    counts = [_window_sum(grid, np.ones(m_points), s)[:, None] for s in schemes]
+    counts = [c[:, None] for c in _window_sum(grid, np.ones(m_points), schemes)]
     cells = np.indices(grid.shape).reshape(grid.n, -1).T
     out = np.zeros(m_points)
     step = max(1, MAXIMAL_BLOCK // m_points)
@@ -310,8 +354,8 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
         xs = slice(x0, x0 + step)
         phi = np.linalg.norm(np.einsum("xij,yj->yxi", wp[xs], g), axis=-1)
         cols = np.arange(phi.shape[1])[:, None]
-        for s, cnt in zip(schemes, counts):
-            means = _window_sum(grid, phi, s) / cnt
+        for s, cnt, sums in zip(schemes, counts, _window_sum(grid, phi, schemes)):
+            means = sums / cnt
             # the centers z = x - k of the balls that hold x, inside the box
             z = cells[xs, None, :] - s.offsets
             inside = np.all((z >= 0) & (z < grid.N), axis=-1)

@@ -2,7 +2,10 @@
 as the library computed them before every grid kernel took one n-dimensional
 path with cells located by integer index boxes.  Kept as oracles the n-D
 paths must reproduce bit for bit; methods became functions taking the
-object they belonged to as their first argument."""
+object they belonged to as their first argument.  The window sums are the
+1-D running sum and the 2-D loop over ball offsets, as `_window_sum` took
+them before its n-D branch added runs along the last axis: the 1-D sums
+must stay bit for bit, the 2-D sums within the error of direct summation."""
 
 import numpy as np
 
@@ -57,7 +60,7 @@ def index_of_point(grid: Grid, coords) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shifts and the 2-D window sum
+# shifts and the window sums
 
 
 def shift_values(values: np.ndarray, grid: Grid, shift: tuple[int, ...]) -> np.ndarray:
@@ -77,6 +80,17 @@ def shift_values(values: np.ndarray, grid: Grid, shift: tuple[int, ...]) -> np.n
             dst.append(slice(0, n + k))
             src.append(slice(-k, n))
     out[tuple(dst)] = vals[tuple(src)]
+    return out.reshape(values.shape)
+
+
+def window_sum_1d(grid: Grid, values: np.ndarray, scheme) -> np.ndarray:
+    k = int(scheme.offsets[-1, 0])
+    flat = values.reshape(grid.N, -1)
+    c = np.concatenate([np.zeros((1,) + flat.shape[1:]), np.cumsum(flat, axis=0)], axis=0)
+    i = np.arange(grid.N)
+    lo = np.maximum(i - k, 0)
+    hi = np.minimum(i + k + 1, grid.N)
+    out = c[hi] - c[lo]
     return out.reshape(values.shape)
 
 

@@ -34,7 +34,7 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     out = np.zeros(m_points)
     lebesgue = MeasureDensity.lebesgue(grid)
     schemes = [BallScheme(grid, r, lebesgue) for r in radii]
-    counts = [_window_sum(grid, np.ones(m_points), s) for s in schemes]
+    counts = _window_sum(grid, np.ones(m_points), schemes)
     if grid.n == 1:
         idx = np.arange(grid.N)
         for xi in range(m_points):
@@ -58,7 +58,7 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
             best = 0.0
             for s, cnt in zip(schemes, counts):
                 near = np.linalg.norm(pts - pts[xi], axis=1) < s.r
-                means = _window_sum(grid, phi, s)[near] / cnt[near]
+                means = _window_sum(grid, phi, [s])[0][near] / cnt[near]
                 local = float(np.max(means))
                 if local > best:
                     best = local

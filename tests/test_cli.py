@@ -350,3 +350,70 @@ task: {name: moduli, notion: translation}
         rep = json.loads(out.read_text())
         assert rep["outputs"]["net_size"] <= 40
         assert rep["outputs"]["certificate"]["passed"]
+
+
+class TestExitCodes:
+    """The README's exit codes: 2 when the check a command decides on fails,
+    1 with a one-line `error:` message when a net fails its own certificate."""
+
+    NECESSITY = """\
+seed: 11
+grid: {n: 1, L: 2.0, N: 256}
+weight: {kind: power, alpha: [0.5], rotation: {kind: none}}
+family: {kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}
+task: {name: necessity, epsilons: [0.2]}
+"""
+
+    def _outputs(self, out):
+        return json.loads(out.read_text())["outputs"]
+
+    def test_necessity_failure_exits_two(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from mwlp import compactness
+
+        original = compactness.necessity_check
+        monkeypatch.setattr(compactness, "necessity_check", lambda *args, **kwargs:
+                            dataclasses.replace(original(*args, **kwargs), passed=False))
+        out = tmp_path / "necessity.json"
+        path = write_scenario(tmp_path, self.NECESSITY)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert self._outputs(out)["passed"] is False
+
+    def test_verify_lemmas_failure_exits_two(self, tmp_path, monkeypatch):
+        from mwlp import verify
+
+        monkeypatch.setattr(verify, "SUITES", (lambda rng, count: {"name": "forced",
+                                                                   "passed": False},))
+        out = tmp_path / "vl.json"
+        assert main(["verify-lemmas", "--count", "1", "--out", str(out)]) == 2
+        assert self._outputs(out)["suites"] == [{"name": "forced", "passed": False}]
+
+    def test_john_sandwich_failure_exits_two(self, tmp_path, monkeypatch):
+        from mwlp import spaces
+
+        # half the fitted ellipsoid: |W v| >= rho(v) fails on every test vector
+        original = spaces.john_ellipsoid
+        monkeypatch.setattr(spaces, "john_ellipsoid",
+                            lambda *args, **kwargs: 0.5 * original(*args, **kwargs))
+        out = tmp_path / "john.json"
+        assert main(["john", "--out", str(out)]) == 2
+        rep = self._outputs(out)
+        assert rep["passed"] is False
+        assert rep["left_ratio_min"] < 1.0
+
+    def test_self_certification_failure_in_certify_exits_one(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from mwlp import compactness
+        from mwlp.errors import SelfCertificationFailed
+
+        def failing(*args, **kwargs):
+            raise SelfCertificationFailed("freshly built dyadic net failed its own certificate")
+
+        monkeypatch.setattr(compactness, "build_net_dyadic", failing)
+        path = write_scenario(tmp_path, self.NECESSITY.replace(
+            "{name: necessity, epsilons: [0.2]}", "{name: certify, epsilon: 0.2}"))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: freshly built dyadic net failed its own certificate"]

@@ -1,11 +1,15 @@
 """The n-dimensional grid kernels against the per-dimension code they replace
-(tests/reference_grid_kernels.py): grid geometry, shifts, window sums, dyadic
-averaging, cube cells and the scalar A_p pass agree with `==`."""
+(tests/reference_grid_kernels.py): grid geometry, shifts, 1-D window sums,
+dyadic averaging, cube cells and the scalar A_p pass agree with `==`; 2-D
+window sums, which add runs instead of one shifted copy per ball offset, agree
+with the offset loop within the error of direct summation."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_grid_kernels as ref
 from mwlp.errors import SchemeMismatch
@@ -16,6 +20,7 @@ from mwlp.spaces import SampledVectorField
 from mwlp.weight_fields import CubeFamily, MeasureDensity, _box_means, _scalar_ap
 
 LS = [1.0, 8.0, 0.1, 1.0 / 3.0]
+EPS = np.finfo(float).eps
 GRIDS = [Grid(1, L, N) for L in LS for N in (8, 64)] + [Grid(2, L, N) for L in LS for N in (8, 32)]
 IDS = [f"n{g.n}-L{g.L:.3g}-N{g.N}" for g in GRIDS]
 
@@ -56,11 +61,67 @@ def test_shifts_and_window_sums_match(grid):
     steps = [0, 1, -1, 3, -5, grid.N - 1, -grid.N, grid.N + 2]
     for shift in itertools.product(steps, repeat=grid.n):
         assert np.array_equal(shift_values(vals, grid, shift), ref.shift_values(vals, grid, shift))
-    if grid.n == 2:
-        mu = MeasureDensity.lebesgue(grid)
-        for r in (2 * grid.h, 2.5 * grid.h, 4 * grid.h):
-            scheme = BallScheme(grid, r, mu)
-            assert np.array_equal(_window_sum(grid, vals, scheme), ref.window_sum_2d(grid, vals, scheme))
+    mu = MeasureDensity.lebesgue(grid)
+    for r in (2 * grid.h, 2.5 * grid.h, 4 * grid.h):
+        scheme = BallScheme(grid, r, mu)
+        [sums] = _window_sum(grid, vals, [scheme])
+        if grid.n == 1:
+            assert np.array_equal(sums, ref.window_sum_1d(grid, vals, scheme))
+        else:
+            _assert_within_direct_sum_error(grid, vals, scheme, sums)
+
+
+def _assert_within_direct_sum_error(grid, vals, scheme, sums):
+    # a sum of K terms in any order errs by at most (K - 1) eps / 2 times the
+    # sum of |terms| in each real component; for the two sums' difference and
+    # the modulus over both components that is within 2 (K - 1) eps sum |f|
+    direct = ref.window_sum_2d(grid, vals, scheme)
+    bound = 2 * (len(scheme.offsets) - 1) * EPS * ref.window_sum_2d(grid, np.abs(vals), scheme)
+    assert np.all(np.abs(sums - direct) <= bound)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), L=st.sampled_from(LS), log_n=st.integers(3, 6),
+       cols=st.integers(1, 3), complex_values=st.booleans(), data=st.data())
+def test_window_sums_2d_within_direct_sum_error(seed, L, log_n, cols, complex_values, data):
+    grid = Grid(2, L, 2 ** log_n)
+    whole = data.draw(st.integers(2, min(grid.N, 20)))
+    # r/h just above an integer (where the disc's rim rows thin out or empty)
+    # or strictly between two integers
+    frac = data.draw(st.sampled_from([1e-13, 1.2e-12, 2e-12, 1e-9, 1e-6])
+                     | st.floats(0.01, 0.99))
+    scheme = BallScheme(grid, (whole + frac) * grid.h, MeasureDensity.lebesgue(grid))
+    rng = np.random.default_rng(seed)
+    shape = (grid.num_points, cols)
+    # signed values over several decades, so that summation order shows
+    vals = np.exp(3 * rng.standard_normal(shape)) * rng.choice([-1, 1], shape)
+    if complex_values:
+        vals = vals + 1j * rng.standard_normal(shape)
+    [sums] = _window_sum(grid, vals, [scheme])
+    _assert_within_direct_sum_error(grid, vals, scheme, sums)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_many_schemes_in_one_call_equal_separate_calls(n):
+    grid = Grid(n, 1.0 / 3.0, 32)
+    mu = MeasureDensity.lebesgue(grid)
+    rng = np.random.default_rng(13)
+    vals = rng.standard_normal((grid.num_points, 3)) + 1j * rng.standard_normal((grid.num_points, 3))
+    schemes = [BallScheme(grid, r * grid.h, mu) for r in (5.5, 2, 3.0000001, 2.5, 9, 16)]
+    for scheme, sums in zip(schemes, _window_sum(grid, vals, schemes), strict=True):
+        assert np.array_equal(sums, _window_sum(grid, vals, [scheme])[0])
+
+
+@pytest.mark.parametrize("r", [2.0, 2.5, 3.0 + 1.2e-12, 3.0 + 2e-12, 4.0, 7.3, 16.0])
+def test_runs_cover_exactly_the_ball_offsets(r):
+    grid = Grid(2, 0.1, 64)
+    scheme = BallScheme(grid, r * grid.h, MeasureDensity.lebesgue(grid))
+    lead, half = scheme.runs
+    k = scheme.reach
+    assert [int(x) for x in lead[:, 0]] == list(range(-k, k + 1))
+    cells = [(int(a), b) for (a,), w in zip(lead, half.tolist()) for b in range(-w, w + 1)]
+    assert len(cells) == len(set(cells))
+    assert set(cells) == {tuple(int(v) for v in o) for o in scheme.offsets}
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)

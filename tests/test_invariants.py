@@ -37,10 +37,11 @@ def test_greedy_cover_keeps_every_item_within_the_radius(seed, count, dim, radiu
        lebesgue=st.booleans())
 def test_ball_average_maps_constants_to_constants(seed, n, log_n, L, cells, lebesgue):
     # S_r c = (sum of c mu) / (sum of mu) over each ball.  Every window sum is
-    # a difference of two running sums over at most M cells (1-D) or a direct
-    # sum of at most M terms (2-D), so its error is at most M ulp of the total
-    # mass; relative to the smallest ball mass, and for numerator and
-    # denominator together, that is the bound below.
+    # a difference of two running sums over at most M cells (1-D) or a sum by
+    # additions only of at most M terms (2-D: runs of a power-of-two table
+    # added row by row), so its error is at most M ulp of the total mass;
+    # relative to the smallest ball mass, and for numerator and denominator
+    # together, that is the bound below.
     rng = np.random.default_rng(seed)
     grid = Grid(n, L, 2 ** log_n)
     dens = np.ones(grid.num_points) if lebesgue else 0.5 + 1.5 * rng.random(grid.num_points)

@@ -61,6 +61,22 @@ def test_block_size_does_not_change_values(n, N, rng, monkeypatch):
     assert np.array_equal(reference_maximal(f, w, 2.0).values, whole)
 
 
+def test_one_running_sum_per_block_and_one_for_the_counts(rng, monkeypatch):
+    grid = Grid(1, 1.0, 1024)
+    w, f = _weight(grid, 1, rng), _field(grid, 1, rng)
+    calls = []
+    cumsum = np.cumsum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    christ_goldberg_maximal(f, w, 2.0)
+    # MAXIMAL_BLOCK = 2^18 (cell, point) pairs: 4 blocks of 256 points
+    assert len(calls) == 4 + 1
+
+
 def test_index_rule_oracle_inexact_h(rng):
     # h = 0.025: float distances between cell centers land on both sides of
     # r = 2h, so the ball holding x must come from the index rule
