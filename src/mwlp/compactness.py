@@ -357,7 +357,7 @@ def _ball_density(space: Space) -> MeasureDensity:
 def _averaging_residual(f: SampledVectorField, space: Space, scheme: BallScheme,
                         mask: np.ndarray) -> float:
     """The size of (S_r f - f) chi_mask, S_r averaging against the scheme's measure."""
-    return space.size((ball_average(f, scheme.mu, scheme) - f).masked(mask))
+    return space.size((ball_average(f, scheme) - f).masked(mask))
 
 
 def averaging_modulus(family: FunctionFamily, space: Space, r: float) -> float:
@@ -589,7 +589,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
         if r >= chosen_R or chosen_R + r > grid.L * (1 + 1e-12):
             continue
         scheme = BallScheme(grid, r, dens)
-        averaged = [ball_average(f, dens, scheme) for f in family]
+        averaged = [ball_average(f, scheme) for f in family]
         v = max(space.size((g - f).masked(inside)) for f, g in zip(family, averaged))
         if v < epsilon / 3:
             chosen_r = r
@@ -770,7 +770,7 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
             denom = space.norm(diff)
             if denom <= 1e-13:
                 continue
-            cs = max(cs, space.norm(ball_average(diff, dens, scheme).masked(inside)) / denom)
+            cs = max(cs, space.norm(ball_average(diff, scheme).masked(inside)) / denom)
         avg_val = max(residual(i, r_star) for i in range(len(family)))
         avg_bound = (2.0 + cs) * eps
         passed = tail_val <= tail_bound * (1 + 1e-9) and avg_val <= avg_bound * (1 + 1e-9)

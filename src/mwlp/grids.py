@@ -116,8 +116,7 @@ class Grid:
     def shifts_within(self, shifts: np.ndarray, r: float) -> np.ndarray:
         """Mask of the rows k of an (S, n) shift array with k != 0 and |k * h| <= r."""
         inside = np.all(np.abs(shifts) <= self.max_shift(r), axis=1)
-        if self.n == 2:
-            inside &= np.sum(shifts * shifts, axis=1) * self.h ** 2 <= r * r * (1 + 1e-12)
+        inside &= np.sum(shifts * shifts, axis=1) * self.h ** 2 <= r * r * (1 + 1e-12)
         return inside & np.any(shifts != 0, axis=1)
 
     def lattice_shifts(self, r: float) -> list[tuple[int, ...]]:

@@ -197,10 +197,12 @@ class BallScheme:
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The offsets as runs along the last axis: for every leading offset
         (k_1, ..., k_{n-1}) with |k_i| <= reach, first axis outermost, the
-        half-width w of its run k_n in [-w, w] (-1 where the run is empty)."""
+        half-width w of its run k_n in [-w, w] (-1 where the run is empty).
+        An offset's row is its leading offsets read as digits in base
+        2 reach + 1; in 1-D there is one row, with no leading offset."""
         k, n = self.reach, self.grid.n
         lead = np.array(list(product(range(-k, k + 1), repeat=n - 1)), dtype=int)
-        rows = np.ravel_multi_index(tuple((self.offsets[:, :-1] + k).T), (2 * k + 1,) * (n - 1))
+        rows = (self.offsets[:, :-1] + k) @ (2 * k + 1) ** np.arange(n - 2, -1, -1)
         half = np.full(len(lead), -1)
         np.maximum.at(half, rows, self.offsets[:, -1])
         return lead, half
@@ -215,26 +217,15 @@ def _window_sum(grid: Grid, values: np.ndarray, schemes: list[BallScheme]) -> li
     """Sums of values over the discrete balls at every center (boundary-clipped),
     one array per scheme.
 
-    In 1-D every sum is a difference of one shared running sum.  For n >= 2
-    the ball is a run along the last axis per leading offset (BallScheme.runs).
-    One power-of-two table along that axis, padded with `reach` zeros on both
-    sides, holds T_j[i] = T_{j-1}[i] + T_{j-1}[i + 2^(j-1)]; a run of 2w + 1
-    cells is the sum of the entries of the binary digits of 2w + 1, formed
-    once per distinct w, and the runs add up shifted along the leading axes.
-    Only additions, so each sum is a tree sum of its K terms and errs by at
-    most (K - 1) eps times the sum of |values| over the ball.
+    The ball is a run along the last axis per leading offset (BallScheme.runs;
+    in 1-D a single run).  One power-of-two table along that axis, padded
+    with `reach` zeros on both sides, holds T_j[i] = T_{j-1}[i] +
+    T_{j-1}[i + 2^(j-1)]; a run of 2w + 1 cells is the sum of the entries of
+    the binary digits of 2w + 1, formed once per distinct w, and the runs add
+    up shifted along the leading axes.  Only additions, so each sum is a tree
+    sum of its K terms and errs by at most (K - 1) eps times the sum of
+    |values| over the ball.
     """
-    if grid.n == 1:
-        flat = values.reshape(grid.N, -1)
-        c = np.concatenate([np.zeros((1,) + flat.shape[1:]), np.cumsum(flat, axis=0)], axis=0)
-        i = np.arange(grid.N)
-        out = []
-        for scheme in schemes:
-            k = int(scheme.offsets[-1, 0])
-            lo = np.maximum(i - k, 0)
-            hi = np.minimum(i + k + 1, grid.N)
-            out.append((c[hi] - c[lo]).reshape(values.shape))
-        return out
     vals = values.reshape(grid.shape + values.shape[1:])
     reach = max(s.reach for s in schemes)
     lead_axes = (slice(None),) * (grid.n - 1)
@@ -264,24 +255,20 @@ def _window_sum(grid: Grid, values: np.ndarray, schemes: list[BallScheme]) -> li
     return out
 
 
-def ball_average(f: SampledVectorField, mu: MeasureDensity, scheme: BallScheme) -> SampledVectorField:
-    """Average operator S_r f(x): the mu-mean of f over the ball at x."""
+def ball_average(f: SampledVectorField, scheme: BallScheme) -> SampledVectorField:
+    """Average operator S_r f(x): the mean of f over the ball at x against the
+    scheme's density."""
     if f.grid != scheme.grid:
         raise ShapeMismatch("field and ball scheme grids differ")
-    if mu.grid != f.grid:
-        raise ShapeMismatch("density grid mismatch")
-    if mu is scheme.mu:
-        meas = scheme.measures
-    else:
-        meas = _window_sum(f.grid, mu.values, [scheme])[0] * f.grid.h ** f.grid.n
+    meas = scheme.measures
     if np.any(meas <= 0.0):
         raise EmptyBall(f"a ball of radius {scheme.r} has zero measure")
-    weighted = f.values * mu.values[:, None]
+    weighted = f.values * scheme.mu.values[:, None]
     sums = _window_sum(f.grid, weighted, [scheme])[0] * f.grid.h ** f.grid.n
     # divide real and imaginary parts separately, so S_r of a constant c is c
-    # up to the window sums' error: within 4 (M + 2) (total mass / smallest
-    # ball mass) ulp of |c|, set by the 1-D sums, which subtract running sums;
-    # the n-D sums only add, K - 1 ulp of the ball's mass for a ball of K cells
+    # up to the window sums' error: each sum adds the K terms of its ball, so
+    # numerator and denominator each err by at most (K - 1) eps relative, and
+    # S_r c is within about 2 K eps |c| of c
     out = sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
     return SampledVectorField(f.grid, out)
 
@@ -385,7 +372,7 @@ def cg_domination_constant(f: SampledVectorField, w: MatrixWeightField, p: float
     lebesgue = MeasureDensity.lebesgue(grid)
     worst = 0.0
     for r in radii:
-        sr = ball_average(f, lebesgue, BallScheme(grid, r, lebesgue))
+        sr = ball_average(f, BallScheme(grid, r, lebesgue))
         worst = max(worst, float(np.max(rho.evaluate(sr.values)[mask] / maximal[mask])))
     return worst
 
@@ -405,7 +392,7 @@ def differentiation_errors(f: SampledVectorField, mu: MeasureDensity,
     out = []
     for r in radii:
         scheme = BallScheme(grid, r, mu)
-        sr = ball_average(f, mu, scheme)
+        sr = ball_average(f, scheme)
         interior = grid.radii <= grid.L - r
         if not np.any(interior):
             raise ValueError(f"no interior points for radius {r}")
@@ -428,6 +415,6 @@ def averaging_bound(fields: list[SampledVectorField], w: MatrixWeightField, p: f
             denom = space.norm(f)
             if denom <= 0:
                 continue
-            num = space.norm(ball_average(f, lebesgue, scheme))
+            num = space.norm(ball_average(f, scheme))
             worst = max(worst, num / denom)
     return worst

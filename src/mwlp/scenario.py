@@ -173,7 +173,8 @@ def validate(raw: dict, source: str = "<dict>") -> Scenario:
         if kind not in ("gaussian_bumps", "files"):
             _fail("family.kind", f"unknown family kind {kind!r}")
         if kind == "gaussian_bumps":
-            _as_int(_require(f, "count", "family"), "family.count")
+            if _as_int(_require(f, "count", "family"), "family.count") < 1:
+                _fail("family.count", "must be at least 1")
             _as_int(_require(f, "d", "family"), "family.d")
         else:
             paths = _require(f, "paths", "family")
@@ -185,6 +186,12 @@ def validate(raw: dict, source: str = "<dict>") -> Scenario:
     name = _require(task, "name", "task")
     if name not in TASK_NAMES:
         _fail("task.name", f"unknown task {name!r}; expected one of {TASK_NAMES}")
+    choices = {"notion": {"moduli": ("translation", "twisted", "averaging"),
+                          "net": ("translation", "twisted"), "certify": ("translation", "twisted")},
+               "route": {"net": ("dyadic", "average"), "certify": ("dyadic", "average")}}
+    for key, allowed in choices.items():
+        if name in allowed and task.get(key, allowed[name][0]) not in allowed[name]:
+            _fail(f"task.{key}", f"unknown {key} {task[key]!r}; expected one of {allowed[name]}")
 
     return Scenario(raw=raw, seed=seed, grid_spec=grid_spec, weight_spec=weight_spec,
                     measure_spec=measure_spec, exponent_spec=exponent_spec,

@@ -3,9 +3,10 @@ as the library computed them before every grid kernel took one n-dimensional
 path with cells located by integer index boxes.  Kept as oracles the n-D
 paths must reproduce bit for bit; methods became functions taking the
 object they belonged to as their first argument.  The window sums are the
-1-D running sum and the 2-D loop over ball offsets, as `_window_sum` took
-them before its n-D branch added runs along the last axis: the 1-D sums
-must stay bit for bit, the 2-D sums within the error of direct summation."""
+1-D running sum and the loop over ball offsets (written for any n), as
+`_window_sum` took them before it added runs along the last axis in every
+dimension: the runs must stay within the error of direct summation of the
+offset loop, which the running sum, subtracting two prefix sums, does not."""
 
 import numpy as np
 
@@ -94,15 +95,13 @@ def window_sum_1d(grid: Grid, values: np.ndarray, scheme) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def window_sum_2d(grid: Grid, values: np.ndarray, scheme) -> np.ndarray:
-    vals = values.reshape((grid.N, grid.N) + values.shape[1:])
+def window_sum_direct(grid: Grid, values: np.ndarray, scheme) -> np.ndarray:
+    vals = values.reshape(grid.shape + values.shape[1:])
     out = np.zeros_like(vals)
-    for k1, k2 in scheme.offsets.tolist():
-        src_r = slice(max(0, -k1), grid.N - max(0, k1))
-        dst_r = slice(max(0, k1), grid.N - max(0, -k1))
-        src_c = slice(max(0, -k2), grid.N - max(0, k2))
-        dst_c = slice(max(0, k2), grid.N - max(0, -k2))
-        out[dst_r, dst_c] += vals[src_r, src_c]
+    for k in scheme.offsets.tolist():
+        dst = tuple(slice(max(0, ki), grid.N - max(0, -ki)) for ki in k)
+        src = tuple(slice(max(0, -ki), grid.N - max(0, ki)) for ki in k)
+        out[dst] += vals[src]
     return out.reshape(values.shape)
 
 

@@ -66,7 +66,7 @@ def necessity_rows(family, epsilons, space, max_centers=None):
             denom = space.norm(diff)
             if denom <= 1e-13:
                 continue
-            num = space.norm(ball_average(diff, dens, scheme).masked(
+            num = space.norm(ball_average(diff, scheme).masked(
                 grid.inside_ball(grid.L - r_star)))
             cs = max(cs, num / denom)
         avg_val = averaging_modulus(family, space, r_star)

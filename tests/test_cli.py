@@ -403,6 +403,18 @@ task: {name: necessity, epsilons: [0.2]}
         assert rep["passed"] is False
         assert rep["left_ratio_min"] < 1.0
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("{name: necessity, epsilons: [0.2]}", "{name: net, notion: bogus}", "task.notion"),
+        ("{name: necessity, epsilons: [0.2]}", "{name: moduli, notion: bogus}", "task.notion"),
+        ("{name: necessity, epsilons: [0.2]}", "{name: net, route: bogus}", "task.route"),
+        ("count: 4", "count: 0", "family.count"),
+    ], ids=["net-notion", "moduli-notion", "net-route", "family-count"])
+    def test_invalid_scenario_value_exits_one(self, tmp_path, capsys, old, new, field):
+        path = write_scenario(tmp_path, self.NECESSITY.replace(old, new))
+        assert main(["run", str(path)]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and f"{field}:" in err
+
     def test_self_certification_failure_in_certify_exits_one(self, tmp_path, capsys,
                                                              monkeypatch):
         from mwlp import compactness

@@ -50,6 +50,14 @@ def test_lattice_shifts_within_radius():
     assert (0, 0) not in shifts
 
 
+@pytest.mark.parametrize("L, N", [(1.0, 64), (1.0 / 3.0, 256), (8.0, 1024)])
+def test_1d_lattice_shifts_at_ladder_scales(L, N):
+    # at r = 2^j h the disc test keeps every shift with |k| <= 2^j
+    g = Grid(1, L, N)
+    for j in range(1, 7):
+        assert g.lattice_shifts(2 ** j * g.h) == [(k,) for k in range(-2 ** j, 2 ** j + 1) if k]
+
+
 def test_index_of_point_round_trip():
     g = Grid(2, 2.0, 16)
     for k in (0, 7, 100, g.num_points - 1):

@@ -36,12 +36,9 @@ def test_greedy_cover_keeps_every_item_within_the_radius(seed, count, dim, radiu
        L=st.sampled_from([1.0, 0.1, 1.0 / 3.0, 8.0]), cells=st.integers(2, 6),
        lebesgue=st.booleans())
 def test_ball_average_maps_constants_to_constants(seed, n, log_n, L, cells, lebesgue):
-    # S_r c = (sum of c mu) / (sum of mu) over each ball.  Every window sum is
-    # a difference of two running sums over at most M cells (1-D) or a sum by
-    # additions only of at most M terms (2-D: runs of a power-of-two table
-    # added row by row), so its error is at most M ulp of the total mass;
-    # relative to the smallest ball mass, and for numerator and denominator
-    # together, that is the bound below.
+    # S_r c = (sum of c mu) / (sum of mu) over each ball.  Both window sums
+    # add the K terms of their ball, each within (K - 1) eps relative, so
+    # their quotient is within about 2 K eps of c; the bound doubles that.
     rng = np.random.default_rng(seed)
     grid = Grid(n, L, 2 ** log_n)
     dens = np.ones(grid.num_points) if lebesgue else 0.5 + 1.5 * rng.random(grid.num_points)
@@ -49,10 +46,8 @@ def test_ball_average_maps_constants_to_constants(seed, n, log_n, L, cells, lebe
     scheme = BallScheme(grid, min(cells, grid.N // 2) * grid.h, mu)
     c = complex(rng.standard_normal(), rng.standard_normal())
     f = SampledVectorField(grid, np.full(grid.num_points, c))
-    out = ball_average(f, mu, scheme).values[:, 0]
-    cell = grid.h ** grid.n
-    ulps = 4 * (grid.num_points + 2) * np.sum(dens) * cell / np.min(scheme.measures)
-    assert np.max(np.abs(out - c)) <= ulps * EPS * abs(c)
+    out = ball_average(f, scheme).values[:, 0]
+    assert np.max(np.abs(out - c)) <= 4 * len(scheme.offsets) * EPS * abs(c)
 
 
 @PROPERTY
