@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import (
     ConstantExponentRequired,
+    MatrixWeightRequired,
     ModuliTooLarge,
     NotInvertible,
     NotTotallyBoundedInput,
+    OutOfRange,
     RadiusExceedsBox,
     SchemeMismatch,
     SelfCertificationFailed,
@@ -381,7 +383,7 @@ def _weight_and_exponent(space: Space, purpose: str) -> tuple[MatrixWeightField,
             f"{purpose} needs a constant exponent; this space's exponent varies")
     w = space.weight
     if w is None:
-        raise ValueError(f"{purpose} requires a matrix weight")
+        raise MatrixWeightRequired(f"{purpose} requires a matrix weight")
     return w, space.p
 
 
@@ -563,7 +565,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     """
     w, p = _weight_and_exponent(space, "the averaging route")
     if p < 1.0:
-        raise ValueError("the averaging route needs p >= 1; use the dyadic route for p < 1")
+        raise OutOfRange("the averaging route needs p >= 1; use the dyadic route for p < 1")
     if p == 1.0 and not w.invertible:
         raise NotInvertible("p = 1 needs an invertible weight with bounded inverse")
     grid = family.grid
@@ -723,7 +725,7 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
     """
     _, p = _weight_and_exponent(space, "the necessity check")
     if not p > 1:
-        raise ValueError("the necessity characterization needs p > 1")
+        raise OutOfRange("the necessity characterization needs p > 1")
     grid = family.grid
     radii = default_radius_ladder(grid)
     scales = default_scale_ladder(grid)

@@ -79,3 +79,11 @@ class SelfCertificationFailed(MwlpError):
 
 class ConstantExponentRequired(MwlpError):
     """Operation needs a constant exponent, but the exponent varies."""
+
+
+class OutOfRange(MwlpError, ValueError):
+    """A numeric argument, such as an exponent, lies outside the operation's range."""
+
+
+class MatrixWeightRequired(MwlpError, ValueError):
+    """Operation needs a space of the form L^p(W, mu), but the space has no matrix weight."""

@@ -52,10 +52,6 @@ def assemble(scenario, outputs: dict, version: str) -> dict:
     }
 
 
-def write_report(path, report: dict) -> None:
-    Path(path).write_text(render(report))
-
-
 def write_curve_csv(path, curve) -> None:
     """Two-column CSV (scale, value) for external plotting."""
     lines = ["scale,value"]

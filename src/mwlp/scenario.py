@@ -4,7 +4,6 @@ A scenario is a YAML mapping with the sections below; unknown keys and
 malformed values raise SchemaError naming the offending field path.
 
     seed: 20260810            # single 64-bit seed, drives all randomness
-    threads: 0                # optional worker cap (0 = library default)
     grid: {n: 1, L: 8.0, N: 4096}
     weight:                   # omit for tasks that need no weight
       kind: power             # power | identity | constant | file
@@ -27,22 +26,21 @@ malformed values raise SchemaError naming the offending field path.
     task:
       name: net               # ap-constant | john | norm | moduli | net |
                               # certify | necessity | verify-lemmas
-      ...task parameters (see the task runners)
+      ...task parameters, declared in TASK_PARAMS
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from .errors import SchemaError
 
-TASK_NAMES = ("ap-constant", "john", "norm", "moduli", "net", "certify",
-              "necessity", "verify-lemmas")
-
-_TOP_KEYS = {"seed", "threads", "grid", "weight", "measure", "exponent", "family", "task"}
+_TOP_KEYS = {"seed", "grid", "weight", "measure", "exponent", "family", "task"}
 
 
 @dataclass
@@ -55,12 +53,18 @@ class Scenario:
     exponent_spec: dict
     family_spec: dict | None
     task: dict
-    threads: int = 0
     source: str = "<dict>"
 
     @property
     def task_name(self) -> str:
         return self.task["name"]
+
+    def param(self, key: str):
+        """The task parameter `key`, checked against TASK_PARAMS, or its default."""
+        spec = TASK_PARAMS[self.task_name][key]
+        if key not in self.task:
+            return spec.default(self) if callable(spec.default) else copy.deepcopy(spec.default)
+        return spec.check(self.task[key], f"task.{key}")
 
 
 def _fail(path: str, msg: str):
@@ -91,6 +95,79 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+# ---------------------------------------------------------------------------
+# task parameters
+
+
+@dataclass(frozen=True)
+class Param:
+    """A task parameter: `check(value, path)` converts a given value or fails
+    naming `path`; `default` (a value, or a function of the Scenario) stands
+    in for an absent key; `validate` checks enumerated `choices` up front,
+    other values are checked where the task reads them."""
+
+    check: Callable
+    default: object = None
+    choices: tuple = ()
+
+
+def _rule(ok, rule: str, as_type=lambda value, path: value):
+    """A check that converts with `as_type`, then requires `ok(value)`."""
+    def check(value, path):
+        value = as_type(value, path)
+        if not ok(value):
+            _fail(path, f"{rule}, got {value!r}")
+        return value
+
+    return check
+
+
+def _list_of(check):
+    """A check for a nonempty list whose items pass `check`."""
+    def check_list(value, path):
+        _rule(lambda v: isinstance(v, list) and v, "expected a nonempty list")(value, path)
+        return [check(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+    return check_list
+
+
+def _lq_norm(value, path: str) -> dict:
+    _rule(lambda v: isinstance(v, dict) and set(v) == {"kind", "q"} and v["kind"] == "lq",
+          "expected {kind: lq, q: <number>}")(value, path)
+    q = _rule(lambda q: q >= 1, "must be at least 1 (.inf for the max norm)", _as_number)
+    return {"kind": "lq", "q": q(value["q"], f"{path}.q")}
+
+
+def _choice(*allowed) -> Param:
+    """An enumerated parameter whose default is its first value."""
+    return Param(_rule(lambda v: v in allowed, f"expected one of {allowed}"), allowed[0], allowed)
+
+
+def _count(low: int):
+    return _rule(lambda n: n >= low, f"must be an integer >= {low}", _as_int)
+
+
+_POSITIVE = _rule(lambda x: x > 0, "must be positive", _as_number)
+_PATH = _rule(lambda v: isinstance(v, str), "expected a file path")
+_NET_PARAMS = {"epsilon": Param(_POSITIVE, 0.1), "route": _choice("dyadic", "average"),
+               "notion": _choice("translation", "twisted")}
+
+# Every task's parameters: the one place their types, ranges and defaults live.
+TASK_PARAMS = {
+    "ap-constant": {"p": Param(_POSITIVE, lambda sc: constant_p(sc) or 2.0),
+                    "cubes": _choice("default", "dense")},
+    "john": {"d": Param(_count(1), 2), "norm": Param(_lq_norm, {"kind": "lq", "q": 1.0}),
+             "test_vectors": Param(_count(1), 1000)},
+    "norm": {"norm": _choice("matrix")},
+    "moduli": {"notion": _choice("translation", "twisted", "averaging")},
+    "net": dict(_NET_PARAMS, save_centers=Param(_PATH)),
+    "certify": dict(_NET_PARAMS, centers=Param(_list_of(_PATH)), c_net=Param(_POSITIVE, 1.0)),
+    "necessity": {"epsilons": Param(_list_of(_POSITIVE), [0.2, 0.1, 0.05]),
+                  "ap_value": Param(_POSITIVE)},
+    "verify-lemmas": {"count": Param(_count(0), 25), "weight_file": Param(_PATH)},
+}
+
+
 def validate(raw: dict, source: str = "<dict>") -> Scenario:
     """Validate a scenario mapping and return the parsed Scenario."""
     raw = _as_mapping(raw, "scenario")
@@ -98,7 +175,6 @@ def validate(raw: dict, source: str = "<dict>") -> Scenario:
     if unknown:
         _fail(sorted(unknown)[0], "unknown top-level field")
     seed = _as_int(raw.get("seed", 0), "seed")
-    threads = _as_int(raw.get("threads", 0), "threads")
 
     grid_spec = None
     if "grid" in raw:
@@ -184,21 +260,22 @@ def validate(raw: dict, source: str = "<dict>") -> Scenario:
 
     task = _as_mapping(_require(raw, "task", "scenario"), "task")
     name = _require(task, "name", "task")
-    if name not in TASK_NAMES:
-        _fail("task.name", f"unknown task {name!r}; expected one of {TASK_NAMES}")
-    choices = {"notion": {"moduli": ("translation", "twisted", "averaging"),
-                          "net": ("translation", "twisted"), "certify": ("translation", "twisted")},
-               "route": {"net": ("dyadic", "average"), "certify": ("dyadic", "average")}}
-    for key, allowed in choices.items():
-        if name in allowed and task.get(key, allowed[name][0]) not in allowed[name]:
-            _fail(f"task.{key}", f"unknown {key} {task[key]!r}; expected one of {allowed[name]}")
+    if name not in TASK_PARAMS:
+        _fail("task.name", f"unknown task {name!r}; expected one of {tuple(TASK_PARAMS)}")
+    params = TASK_PARAMS[name]
+    for key in [key for key in task if key != "name"]:
+        if key not in params:
+            _fail(f"task.{key}", f"unknown field of the {name} task")
+        if params[key].choices:
+            params[key].check(task[key], f"task.{key}")
 
     return Scenario(raw=raw, seed=seed, grid_spec=grid_spec, weight_spec=weight_spec,
                     measure_spec=measure_spec, exponent_spec=exponent_spec,
-                    family_spec=family_spec, task=task, threads=threads, source=source)
+                    family_spec=family_spec, task=task, source=source)
 
 
-def from_file(path) -> Scenario:
+def load(path) -> dict:
+    """The scenario mapping of a YAML file, not yet validated."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -209,7 +286,11 @@ def from_file(path) -> Scenario:
         raise SchemaError(f"{path}: YAML parse error{where}: {exc}") from exc
     if raw is None:
         raise SchemaError(f"{path}: empty scenario file")
-    return validate(raw, source=str(path))
+    return _as_mapping(raw, "scenario")
+
+
+def from_file(path) -> Scenario:
+    return validate(load(path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +410,11 @@ def build_family(sc: Scenario, grid, rng):
 
 
 def default_scenario(task_name: str) -> dict:
-    """The documented default scenario for each shorthand subcommand."""
+    """The documented default scenario for each shorthand subcommand.
+
+    Its task section spells out the listed parameters at their defaults,
+    so that reports echo them.
+    """
     base = {
         "seed": 20260810,
         "grid": {"n": 1, "L": 8.0, "N": 4096},
@@ -342,27 +427,19 @@ def default_scenario(task_name: str) -> dict:
                    "amplitude_range": [0.3, 1.0]},
     }
     tasks = {
-        "ap-constant": {
-            "seed": 20260810,
-            "grid": {"n": 1, "L": 1.0, "N": 4096},
-            "weight": {"kind": "power", "alpha": [0.5]},
-            "task": {"name": "ap-constant", "p": 2.0, "cubes": "default"},
-        },
-        "john": {
-            "seed": 20260810,
-            "task": {"name": "john", "d": 2, "norm": {"kind": "lq", "q": 1.0},
-                     "test_vectors": 1000},
-        },
-        "norm": dict(base, task={"name": "norm", "norm": "matrix"}),
-        "moduli": dict(base, task={"name": "moduli", "notion": "translation"}),
-        "net": dict(base, task={"name": "net", "epsilon": 0.1, "route": "dyadic"}),
-        "certify": dict(base, task={"name": "certify", "epsilon": 0.1,
-                                    "route": "dyadic"}),
-        "necessity": dict(base, task={"name": "necessity",
-                                      "epsilons": [0.2, 0.1, 0.05]}),
-        "verify-lemmas": {"seed": 20260810,
-                          "task": {"name": "verify-lemmas", "count": 25}},
+        "ap-constant": ({"seed": 20260810, "grid": {"n": 1, "L": 1.0, "N": 4096},
+                         "weight": {"kind": "power", "alpha": [0.5]}}, ("p", "cubes")),
+        "john": ({"seed": 20260810}, ("d", "norm", "test_vectors")),
+        "norm": (base, ("norm",)),
+        "moduli": (base, ("notion",)),
+        "net": (base, ("epsilon", "route")),
+        "certify": (base, ("epsilon", "route")),
+        "necessity": (base, ("epsilons",)),
+        "verify-lemmas": ({"seed": 20260810}, ("count",)),
     }
     if task_name not in tasks:
         raise SchemaError(f"no default scenario for task {task_name!r}")
-    return tasks[task_name]
+    sections, shown = tasks[task_name]
+    sc = validate(dict(sections, task={"name": task_name}))
+    sc.task.update({key: sc.param(key) for key in shown})
+    return sc.raw

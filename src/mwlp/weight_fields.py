@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import EmptyCubeFamily, NotInvertible, NotPSD
+from .errors import EmptyCubeFamily, NotInvertible, NotPSD, OutOfRange
 from .grids import Grid
 
 
@@ -310,7 +310,7 @@ def _scalar_ap(grid: Grid, w: np.ndarray, p: float, cubes: CubeFamily) -> float:
 def scalar_ap_constant(w: ScalarWeightField, p: float, cubes: CubeFamily) -> float:
     """A_p constant estimate of a scalar weight over a finite cube family (p > 1)."""
     if not p > 1:
-        raise ValueError("scalar A_p constant is defined here for p > 1")
+        raise OutOfRange("scalar A_p constant is defined here for p > 1")
     if np.any(w.values <= 0):
         raise NotInvertible("scalar weight must be strictly positive")
     return _scalar_ap(w.grid, w.values, p, cubes)
@@ -332,7 +332,7 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
     if len(cubes) == 0:
         raise EmptyCubeFamily("no cubes supplied")
     if not p > 0:
-        raise ValueError("p must be positive")
+        raise OutOfRange("p must be positive")
     grid = w.grid
     if w.d == 1:
         return _scalar_ap(grid, w.values[:, 0, 0].real, p, cubes)

@@ -1,11 +1,14 @@
 """Scenario schema, report determinism and CLI exit codes."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mwlp import fieldio
+from mwlp import cli, fieldio
 from mwlp.cli import main
 from mwlp.errors import SchemaError
 from mwlp.grids import Grid
@@ -13,6 +16,9 @@ from mwlp.scenario import default_scenario, from_file, validate
 from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import MeasureDensity
 
+
+SHORTHANDS = ("ap-constant", "john", "norm", "moduli", "net", "certify", "necessity",
+              "verify-lemmas")
 
 SMALL_SCENARIO = """\
 seed: 7
@@ -57,10 +63,35 @@ class TestSchema:
             from_file(path)
 
     def test_defaults_exist_for_all_shorthands(self):
-        for name in ("ap-constant", "john", "norm", "moduli", "net",
-                     "certify", "necessity", "verify-lemmas"):
+        for name in SHORTHANDS:
             sc = validate(default_scenario(name))
             assert sc.task_name == name
+
+    def test_default_task_sections(self):
+        # the task keys each shorthand's report echoes
+        assert {name: default_scenario(name)["task"] for name in SHORTHANDS} == {
+            "ap-constant": {"name": "ap-constant", "p": 2.0, "cubes": "default"},
+            "john": {"name": "john", "d": 2, "norm": {"kind": "lq", "q": 1.0},
+                     "test_vectors": 1000},
+            "norm": {"name": "norm", "norm": "matrix"},
+            "moduli": {"name": "moduli", "notion": "translation"},
+            "net": {"name": "net", "epsilon": 0.1, "route": "dyadic"},
+            "certify": {"name": "certify", "epsilon": 0.1, "route": "dyadic"},
+            "necessity": {"name": "necessity", "epsilons": [0.2, 0.1, 0.05]},
+            "verify-lemmas": {"name": "verify-lemmas", "count": 25},
+        }
+
+    @pytest.mark.parametrize("task, field", [
+        ({"name": "net", "route": "average", "notion": "bogus"}, "task.notion"),
+        ({"name": "ap-constant", "cubes": "dens"}, "task.cubes"),
+        ({"name": "norm", "norm": "lq"}, "task.norm")])
+    def test_validate_checks_enumerated_values(self, task, field):
+        with pytest.raises(SchemaError, match=f"{field}:"):
+            validate({"task": task})
+
+    def test_threads_key_rejected(self):
+        with pytest.raises(SchemaError, match="threads"):
+            validate(dict(default_scenario("norm"), threads=2))
 
 
 class TestCliRuns:
@@ -330,10 +361,6 @@ task: {name: moduli, notion: translation}
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_threads_flag_accepted(self, tmp_path):
-        path = write_scenario(tmp_path, SMALL_SCENARIO)
-        assert main(["run", str(path), "--threads", "2",
-                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_verify_lemmas_small_count_passes(self, tmp_path):
         out = tmp_path / "vl.json"
@@ -403,17 +430,42 @@ task: {name: necessity, epsilons: [0.2]}
         assert rep["passed"] is False
         assert rep["left_ratio_min"] < 1.0
 
+    TASK = "{name: necessity, epsilons: [0.2]}"
+
     @pytest.mark.parametrize("old, new, field", [
-        ("{name: necessity, epsilons: [0.2]}", "{name: net, notion: bogus}", "task.notion"),
-        ("{name: necessity, epsilons: [0.2]}", "{name: moduli, notion: bogus}", "task.notion"),
-        ("{name: necessity, epsilons: [0.2]}", "{name: net, route: bogus}", "task.route"),
+        (TASK, "{name: net, notion: bogus}", "task.notion"),
+        (TASK, "{name: moduli, notion: bogus}", "task.notion"),
+        (TASK, "{name: net, route: bogus}", "task.route"),
         ("count: 4", "count: 0", "family.count"),
-    ], ids=["net-notion", "moduli-notion", "net-route", "family-count"])
+        (TASK, "{name: net, epsilonn: 0.3}", "task.epsilonn"),
+        (TASK, "{name: net, epsilon: abc}", "task.epsilon"),
+        (TASK, "{name: necessity, epsilons: 0.1}", "task.epsilons"),
+        (TASK, "{name: necessity, epsilons: []}", "task.epsilons"),
+        (TASK, "{name: ap-constant, cubes: dens}", "task.cubes"),
+        (TASK, "{name: ap-constant, p: 0}", "task.p"),
+        (TASK, "{name: john, d: 0}", "task.d"),
+        (TASK, "{name: john, test_vectors: 0}", "task.test_vectors"),
+        (TASK, "{name: john, norm: {kind: lq, q: 0}}", "task.norm.q"),
+        (TASK, "{name: verify-lemmas, count: -1}", "task.count"),
+        (TASK, "{name: moduli, extra: 1}", "task.extra"),
+        (TASK, "{name: certify, centers: c0.txt}", "task.centers"),
+    ], ids=["net-notion", "moduli-notion", "net-route", "family-count", "net-unknown-key",
+            "net-epsilon-text", "necessity-epsilons-scalar", "necessity-epsilons-empty",
+            "ap-cubes", "ap-p-zero", "john-d-zero", "john-test-vectors-zero", "john-q-zero",
+            "verify-lemmas-count-negative", "moduli-unknown-key", "certify-centers-text"])
     def test_invalid_scenario_value_exits_one(self, tmp_path, capsys, old, new, field):
         path = write_scenario(tmp_path, self.NECESSITY.replace(old, new))
         assert main(["run", str(path)]) == 1
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: ") and f"{field}:" in err
+
+    @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
+                                         (1.0, "{name: necessity}")])
+    def test_exponent_out_of_range_exits_one(self, tmp_path, capsys, p, task):
+        text = self.NECESSITY.replace(self.TASK, task) + f"exponent: {{kind: constant, p: {p}}}\n"
+        assert main(["run", str(write_scenario(tmp_path, text))]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and "needs p" in err
 
     def test_self_certification_failure_in_certify_exits_one(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -429,3 +481,72 @@ task: {name: necessity, epsilons: [0.2]}
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: freshly built dyadic net failed its own certificate"]
+
+
+class TestShorthandFlags:
+    """Each shorthand flag sets exactly the scenario path it names."""
+
+    # (argv, scenario path, value) per flag; every shorthand also takes --seed.
+    FLAGS = {
+        "ap-constant": [(["--p", "0.5"], "task.p", 0.5),
+                        (["--alpha", "0.5", "0.25"], "weight.alpha", [0.5, 0.25]),
+                        (["--cubes", "dense"], "task.cubes", "dense"),
+                        (["--N", "512"], "grid.N", 512)],
+        "john": [(["--d", "3"], "task.d", 3), (["--q", "2"], "task.norm.q", 2.0),
+                 (["--q", "-1"], "task.norm.q", float("inf"))],
+        "norm": [(["--p", "1.5"], "exponent.p", 1.5)],
+        "moduli": [(["--notion", "twisted"], "task.notion", "twisted")],
+        "net": [(["--epsilon", "0.2"], "task.epsilon", 0.2),
+                (["--route", "average"], "task.route", "average"),
+                (["--save-centers", "centers"], "task.save_centers", "centers")],
+        "certify": [(["--epsilon", "0.2"], "task.epsilon", 0.2),
+                    (["--route", "average"], "task.route", "average"),
+                    (["--centers", "c0.txt", "c1.txt"], "task.centers", ["c0.txt", "c1.txt"]),
+                    (["--c-net", "2"], "task.c_net", 2.0)],
+        "necessity": [(["--epsilons", "0.3", "0.1"], "task.epsilons", [0.3, 0.1])],
+        "verify-lemmas": [(["--count", "3"], "task.count", 3),
+                          (["--weight-file", "w.txt"], "task.weight_file", "w.txt")],
+    }
+    CASES = [(command, argv, path, value) for command, flags in FLAGS.items()
+             for argv, path, value in flags + [(["--seed", "7"], "seed", 7)]]
+
+    @staticmethod
+    def scenario(argv):
+        return cli._scenario(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", SHORTHANDS)
+    def test_no_flags_echo_the_default_scenario(self, command):
+        assert self.scenario([command]).raw == default_scenario(command)
+
+    @pytest.mark.parametrize("command, argv, path, value", CASES,
+                             ids=[f"{c}{' '.join([''] + a)}" for c, a, _, _ in CASES])
+    def test_flag_sets_only_its_path(self, command, argv, path, value):
+        expected = default_scenario(command)
+        *sections, key = path.split(".")
+        node = expected
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        assert self.scenario([command, *argv]).raw == expected
+
+    def test_seed_flag_sets_the_file_seed(self, tmp_path):
+        path = write_scenario(tmp_path, SMALL_SCENARIO)
+        sc = self.scenario(["run", str(path), "--seed", "9"])
+        assert sc.raw == dict(from_file(path).raw, seed=9) and sc.seed == 9
+
+    def test_every_flag_is_listed(self):
+        [sub] = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        for command in SHORTHANDS:
+            paths = {a.dest for a in sub.choices[command]._actions
+                     if a.option_strings and a.dest not in ("help", "out", "timings")}
+            assert paths == {path for _, path, _ in self.FLAGS[command]} | {"seed"}
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```sh")[1].split("```")[0]
+        lines = [line for line in block.splitlines() if line.startswith("mwlp ")]
+        assert len(lines) >= 8
+        parser = cli._build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])

@@ -21,7 +21,14 @@ from mwlp.compactness import (
     translation_modulus,
     twisted_modulus,
 )
-from mwlp.errors import ConstantExponentRequired, NotTotallyBoundedInput, RadiusExceedsBox
+from mwlp.errors import (
+    ConstantExponentRequired,
+    MatrixWeightRequired,
+    MwlpError,
+    NotTotallyBoundedInput,
+    OutOfRange,
+    RadiusExceedsBox,
+)
 from mwlp.families import gaussian_bumps, indicator_field
 from mwlp.grids import Grid
 from mwlp.operators import DyadicScheme, translate
@@ -283,8 +290,19 @@ class TestAverageNet:
     def test_p_below_one_routed_away(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
         fam = small_family(grid, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             build_net_average(fam, 0.1, Space.matrix_weight(w, 0.5))
+
+    def test_needs_a_matrix_weight(self, grid, rng):
+        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        sp = Space.norm_family(NormFamily.from_matrix_weight(w, 2.0), 2.0)
+        fam = small_family(grid, rng, count=3)
+        for build in (lambda: build_net_average(fam, 0.1, sp),
+                      lambda: necessity_check(fam, [0.2], sp),
+                      lambda: moduli_report(fam, sp, notion="twisted")):
+            with pytest.raises(MatrixWeightRequired) as info:
+                build()
+            assert isinstance(info.value, MwlpError)
 
     def test_variable_exponent_rejected(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
@@ -358,7 +376,7 @@ class TestNecessity:
     def test_requires_p_above_one(self, grid, rng):
         w = make_power_weight(grid, [0.5], invertible=True)
         fam = small_family(grid, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             necessity_check(fam, [0.1], Space.matrix_weight(w, 1.0))
 
     def test_center_cap(self, grid, rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mwlp.errors import EmptyCubeFamily, NotInvertible, NotPSD
+from mwlp.errors import EmptyCubeFamily, NotInvertible, NotPSD, OutOfRange
 from mwlp.grids import Grid
 from mwlp.weight_fields import (
     CubeFamily,
@@ -228,6 +228,15 @@ class TestApConstant:
         empty = CubeFamily(np.zeros((0, 1)), np.zeros(0), "empty")
         with pytest.raises(EmptyCubeFamily):
             ap_constant(w, 2.0, empty)
+
+    def test_exponent_out_of_range(self):
+        g = Grid(1, 1.0, 16)
+        w = make_power_weight(g, [0.5], invertible=True)
+        fam = CubeFamily.default(g)
+        with pytest.raises(OutOfRange):
+            ap_constant(w, 0.0, fam)
+        with pytest.raises(OutOfRange):
+            scalar_ap_constant(ScalarWeightField(g, np.ones(16)), 1.0, fam)
 
     def test_2d_grid_path(self):
         g = Grid(2, 1.0, 16)
