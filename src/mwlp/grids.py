@@ -124,9 +124,6 @@ class Grid:
         window = self.shift_window(self.max_shift(r))
         return [tuple(int(x) for x in k) for k in window[self.shifts_within(window, r)]]
 
-    def refine(self) -> "Grid":
-        return Grid(self.n, self.L, 2 * self.N)
-
     def index_of_point(self, coords) -> int:
         """Flat index of the cell whose center is coords (must lie on the grid)."""
         c = np.atleast_1d(np.asarray(coords, dtype=np.float64))

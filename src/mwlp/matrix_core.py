@@ -62,10 +62,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.vectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector column so its first nonzero entry is real positive.

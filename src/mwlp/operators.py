@@ -106,11 +106,6 @@ class DyadicScheme:
         b = int(round((grid.L + self.outer_half) / grid.h))
         return (slice(a, b),) * grid.n
 
-    def inside_mask(self) -> np.ndarray:
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        mask[self.box] = True
-        return mask.ravel()
-
 
 def _tree_mean(arr: np.ndarray, axis: int) -> np.ndarray:
     """Mean along a power-of-two axis by pairwise halving.

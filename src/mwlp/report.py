@@ -44,7 +44,7 @@ def assemble(scenario, outputs: dict, version: str) -> dict:
         "provenance": {
             "seed": scenario.seed,
             "version": version,
-            "grid": scenario.grid_spec,
+            "grid": scenario.grid,
             "source": scenario.source,
         },
         "task": scenario.task_name,

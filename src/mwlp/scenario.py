@@ -1,32 +1,23 @@
 """Scenario files: schema, validation and object construction.
 
-A scenario is a YAML mapping with the sections below; unknown keys and
-malformed values raise SchemaError naming the offending field path.
+A scenario is a YAML mapping of the sections below.  SECTION_PARAMS declares
+every section's keys once, by section and kind, with their types, ranges and
+defaults; TASK_PARAMS declares every task's keys.  `validate` walks the
+sections: it checks each `kind`, rejects unknown keys, fails on a missing
+required key, checks each given value and fills in the defaults.  A key
+given as null counts as absent.  Each failure raises SchemaError naming the
+field path.
 
-    seed: 20260810            # single 64-bit seed, drives all randomness
+    seed: 20260810                       # one seed drives all randomness
     grid: {n: 1, L: 8.0, N: 4096}
-    weight:                   # omit for tasks that need no weight
-      kind: power             # power | identity | constant | file
+    weight:                              # power | identity | constant | file
+      kind: power
       alpha: [0.5, 0.3333333333333333]
-      rotation: {kind: linear, rate: 1.0}    # optional; linear | none
-      d: 2                    # identity
-      entries: [[[re, im], ...], ...]        # constant (d x d complex)
-      path: weight.txt        # file
-      invertible: true
-    measure: {kind: lebesgue}               # lebesgue | file
-    exponent: {kind: constant, p: 2.0}      # constant | file
-    family:
-      kind: gaussian_bumps    # gaussian_bumps | files
-      count: 40
-      d: 2
-      center_range: [-1.0, 1.0]
-      width_range: [0.5, 1.0]
-      amplitude_range: [0.3, 1.0]
-      paths: [f0.txt, f1.txt]               # files
-    task:
-      name: net               # ap-constant | john | norm | moduli | net |
-                              # certify | necessity | verify-lemmas
-      ...task parameters, declared in TASK_PARAMS
+      rotation: {kind: linear}           # none | linear
+    measure: {kind: lebesgue}            # lebesgue | file
+    exponent: {kind: file, path: p.txt}  # constant | file
+    family: {kind: gaussian_bumps, count: 40, d: 2}   # gaussian_bumps | files
+    task: {name: net, epsilon: 0.1}      # the named task's keys, in TASK_PARAMS
 """
 
 from __future__ import annotations
@@ -39,19 +30,21 @@ import numpy as np
 import yaml
 
 from .errors import SchemaError
-
-_TOP_KEYS = {"seed", "grid", "weight", "measure", "exponent", "family", "task"}
+from .matrix_core import MAX_DIM
 
 
 @dataclass
 class Scenario:
+    """A validated scenario: `raw` as given, which reports echo, and every
+    section checked by the walker with its defaults filled in."""
+
     raw: dict
     seed: int
-    grid_spec: dict | None
-    weight_spec: dict | None
-    measure_spec: dict
-    exponent_spec: dict
-    family_spec: dict | None
+    grid: dict | None
+    weight: dict | None
+    measure: dict
+    exponent: dict
+    family: dict | None
     task: dict
     source: str = "<dict>"
 
@@ -96,15 +89,19 @@ def _as_int(value, path: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# task parameters
+# parameters
+
+
+REQUIRED = object()  # the default of a section key that must be given
 
 
 @dataclass(frozen=True)
 class Param:
-    """A task parameter: `check(value, path)` converts a given value or fails
-    naming `path`; `default` (a value, or a function of the Scenario) stands
-    in for an absent key; `validate` checks enumerated `choices` up front,
-    other values are checked where the task reads them."""
+    """A parameter: `check(value, path)` converts a given value or fails
+    naming `path`; `default` (a value, or for a task key a function of the
+    Scenario) stands in for an absent key.  Section keys are all checked by
+    `validate`; of a task's keys only enumerated `choices` are, the others
+    where the task reads them."""
 
     check: Callable
     default: object = None
@@ -147,8 +144,107 @@ def _count(low: int):
     return _rule(lambda n: n >= low, f"must be an integer >= {low}", _as_int)
 
 
-_POSITIVE = _rule(lambda x: x > 0, "must be positive", _as_number)
+def _pair(item):
+    return _rule(lambda v: len(v) == 2, "expected a pair", _list_of(item))
+
+
+def _range(low: float):
+    """A check for [a, b] with low < a <= b < inf.  It returns the list as
+    given, so that the family's metadata prints its numbers as written."""
+    return _rule(lambda v: low < v[0] <= v[1] < np.inf, f"expected {low} < low <= high < inf",
+                 lambda value, path: _pair(_as_number)(value, path) and value)
+
+
+def _entry(value, path: str) -> complex:
+    """A matrix entry: a number or an [re, im] pair."""
+    if isinstance(value, list):
+        return complex(*_pair(_FINITE)(value, path))
+    return complex(_FINITE(value, path))
+
+
+def _section(name: str):
+    """The walker of section `name` of SECTION_PARAMS.
+
+    The section's `kind` picks its keys (a section without kinds has the one
+    kind None).  The walker rejects unknown keys, fails on a missing required
+    key, checks each given value and fills in the defaults."""
+    def check(value, path):
+        value, kinds = _as_mapping(value, path or name), SECTION_PARAMS[name]
+        kind = None if None in kinds else _choice(*kinds).check(
+            _require(value, "kind", path), f"{path}.kind")
+        params, checked = kinds[kind], {} if kind is None else {"kind": kind}
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in params and key not in checked:
+                _fail(f"{prefix}{key}", f"unknown field of the {name} section")
+        for key, param in params.items():
+            if value.get(key) is not None:
+                checked[key] = param.check(value[key], f"{prefix}{key}")
+            elif param.default is REQUIRED:
+                _fail(f"{prefix}{key}", "missing required field")
+            else:
+                checked[key] = copy.deepcopy(param.default)
+        return checked
+
+    return check
+
+
+def _task(task, path: str) -> dict:
+    """The task mapping with its name, its keys and its enumerated values checked."""
+    name = _require(_as_mapping(task, path), "name", path)
+    if name not in TASK_PARAMS:
+        _fail(f"{path}.name", f"unknown task {name!r}; expected one of {tuple(TASK_PARAMS)}")
+    params = TASK_PARAMS[name]
+    for key in [key for key in task if key != "name"]:
+        if key not in params:
+            _fail(f"{path}.{key}", f"unknown field of the {name} task")
+        if params[key].choices:
+            params[key].check(task[key], f"{path}.{key}")
+    return task
+
+
+_FINITE = _rule(np.isfinite, "must be finite", _as_number)
+_POSITIVE = _rule(lambda x: 0 < x < np.inf, "must be positive and finite", _as_number)
 _PATH = _rule(lambda v: isinstance(v, str), "expected a file path")
+_FILE = {"path": Param(_PATH, REQUIRED)}
+_BOOL = _rule(lambda v: isinstance(v, bool), "expected true or false")
+_MATRIX = _rule(lambda m: len(m) <= MAX_DIM and all(len(row) == len(m) for row in m),
+                f"expected a square matrix of at most {MAX_DIM} rows", _list_of(_list_of(_entry)))
+
+# Every section's keys, by section and kind: the one place their types,
+# ranges and defaults live.  "scenario" is the top level.
+SECTION_PARAMS = {
+    "scenario": {None: {
+        "seed": Param(_count(0), 0), "grid": Param(_section("grid")),
+        "weight": Param(_section("weight")),
+        "measure": Param(_section("measure"), {"kind": "lebesgue"}),
+        "exponent": Param(_section("exponent"), {"kind": "constant", "p": 2.0}),
+        "family": Param(_section("family")), "task": Param(_task, REQUIRED)}},
+    "grid": {None: {
+        "n": Param(_rule(lambda n: n in (1, 2), "must be 1 or 2", _as_int), REQUIRED),
+        "L": Param(_POSITIVE, REQUIRED),
+        "N": Param(_rule(lambda N: N >= 8 and not N & (N - 1), "must be a power of two >= 8",
+                         _as_int), REQUIRED)}},
+    "weight": {
+        "power": {"alpha": Param(_rule(lambda a: len(a) <= MAX_DIM,
+                                       f"expected at most {MAX_DIM} exponents",
+                                       _list_of(_FINITE)), REQUIRED),
+                  "rotation": Param(_section("weight.rotation")), "invertible": Param(_BOOL)},
+        "identity": {"d": Param(_rule(lambda d: d <= MAX_DIM, f"must be at most {MAX_DIM}",
+                                      _count(1)), REQUIRED)},
+        "constant": {"entries": Param(_MATRIX, REQUIRED), "invertible": Param(_BOOL, True)},
+        "file": _FILE},
+    "weight.rotation": {"none": {}, "linear": {"rate": Param(_FINITE, 1.0)}},
+    "measure": {"lebesgue": {}, "file": _FILE},
+    "exponent": {"constant": {"p": Param(_POSITIVE, REQUIRED)}, "file": _FILE},
+    "family": {
+        "gaussian_bumps": {"count": Param(_count(1), REQUIRED), "d": Param(_count(1), REQUIRED),
+                           "center_range": Param(_range(-np.inf), [-1.0, 1.0]),
+                           "width_range": Param(_range(0.0), [0.5, 1.0]),
+                           "amplitude_range": Param(_range(-np.inf), [0.3, 1.0])},
+        "files": {"paths": Param(_list_of(_PATH), REQUIRED)}},
+}
+
 _NET_PARAMS = {"epsilon": Param(_POSITIVE, 0.1), "route": _choice("dyadic", "average"),
                "notion": _choice("translation", "twisted")}
 
@@ -170,108 +266,7 @@ TASK_PARAMS = {
 
 def validate(raw: dict, source: str = "<dict>") -> Scenario:
     """Validate a scenario mapping and return the parsed Scenario."""
-    raw = _as_mapping(raw, "scenario")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        _fail(sorted(unknown)[0], "unknown top-level field")
-    seed = _as_int(raw.get("seed", 0), "seed")
-
-    grid_spec = None
-    if "grid" in raw:
-        g = _as_mapping(raw["grid"], "grid")
-        n = _as_int(_require(g, "n", "grid"), "grid.n")
-        if n not in (1, 2):
-            _fail("grid.n", "must be 1 or 2")
-        L = _as_number(_require(g, "L", "grid"), "grid.L")
-        if L <= 0:
-            _fail("grid.L", "must be positive")
-        N = _as_int(_require(g, "N", "grid"), "grid.N")
-        if N < 8 or N & (N - 1):
-            _fail("grid.N", "must be a power of two >= 8")
-        grid_spec = {"n": n, "L": L, "N": N}
-
-    weight_spec = None
-    if "weight" in raw and raw["weight"] is not None:
-        w = _as_mapping(raw["weight"], "weight")
-        kind = _require(w, "kind", "weight")
-        if kind not in ("power", "identity", "constant", "file"):
-            _fail("weight.kind", f"unknown weight kind {kind!r}")
-        if kind == "power":
-            alpha = _require(w, "alpha", "weight")
-            if not isinstance(alpha, list) or not alpha:
-                _fail("weight.alpha", "expected a nonempty list of exponents")
-            for i, a in enumerate(alpha):
-                _as_number(a, f"weight.alpha[{i}]")
-            rot = w.get("rotation")
-            if rot is not None:
-                rot = _as_mapping(rot, "weight.rotation")
-                rkind = rot.get("kind", "none")
-                if rkind not in ("none", "linear"):
-                    _fail("weight.rotation.kind", f"unknown rotation kind {rkind!r}")
-                if rkind == "linear":
-                    _as_number(rot.get("rate", 1.0), "weight.rotation.rate")
-        elif kind == "identity":
-            _as_int(_require(w, "d", "weight"), "weight.d")
-        elif kind == "constant":
-            _require(w, "entries", "weight")
-        elif kind == "file":
-            _require(w, "path", "weight")
-        weight_spec = w
-
-    measure_spec = {"kind": "lebesgue"}
-    if "measure" in raw and raw["measure"] is not None:
-        m = _as_mapping(raw["measure"], "measure")
-        kind = _require(m, "kind", "measure")
-        if kind not in ("lebesgue", "file"):
-            _fail("measure.kind", f"unknown measure kind {kind!r}")
-        if kind == "file":
-            _require(m, "path", "measure")
-        measure_spec = m
-
-    exponent_spec = {"kind": "constant", "p": 2.0}
-    if "exponent" in raw and raw["exponent"] is not None:
-        e = _as_mapping(raw["exponent"], "exponent")
-        kind = _require(e, "kind", "exponent")
-        if kind not in ("constant", "file"):
-            _fail("exponent.kind", f"unknown exponent kind {kind!r}")
-        if kind == "constant":
-            p = _as_number(_require(e, "p", "exponent"), "exponent.p")
-            if p <= 0:
-                _fail("exponent.p", "must be positive")
-        else:
-            _require(e, "path", "exponent")
-        exponent_spec = e
-
-    family_spec = None
-    if "family" in raw and raw["family"] is not None:
-        f = _as_mapping(raw["family"], "family")
-        kind = _require(f, "kind", "family")
-        if kind not in ("gaussian_bumps", "files"):
-            _fail("family.kind", f"unknown family kind {kind!r}")
-        if kind == "gaussian_bumps":
-            if _as_int(_require(f, "count", "family"), "family.count") < 1:
-                _fail("family.count", "must be at least 1")
-            _as_int(_require(f, "d", "family"), "family.d")
-        else:
-            paths = _require(f, "paths", "family")
-            if not isinstance(paths, list) or not paths:
-                _fail("family.paths", "expected a nonempty list of file paths")
-        family_spec = f
-
-    task = _as_mapping(_require(raw, "task", "scenario"), "task")
-    name = _require(task, "name", "task")
-    if name not in TASK_PARAMS:
-        _fail("task.name", f"unknown task {name!r}; expected one of {tuple(TASK_PARAMS)}")
-    params = TASK_PARAMS[name]
-    for key in [key for key in task if key != "name"]:
-        if key not in params:
-            _fail(f"task.{key}", f"unknown field of the {name} task")
-        if params[key].choices:
-            params[key].check(task[key], f"task.{key}")
-
-    return Scenario(raw=raw, seed=seed, grid_spec=grid_spec, weight_spec=weight_spec,
-                    measure_spec=measure_spec, exponent_spec=exponent_spec,
-                    family_spec=family_spec, task=task, source=source)
+    return Scenario(raw=raw, source=source, **_section("scenario")(raw, ""))
 
 
 def load(path) -> dict:
@@ -297,134 +292,114 @@ def from_file(path) -> Scenario:
 # object construction
 
 
+def _needed(sc: Scenario, section: str) -> dict:
+    spec = getattr(sc, section)
+    if spec is None:
+        _fail(section, f"this task requires a {section} section")
+    return spec
+
+
+def _field_file(path: str, file: str, kind: type, grid):
+    """The `kind` field in `file`, given at scenario path `path`, on `grid`."""
+    from . import fieldio
+
+    field = fieldio.load_field(file)
+    if not isinstance(field, kind):
+        _fail(path, f"{file} does not contain a {kind.__name__}")
+    if field.grid != grid:
+        _fail(path, f"the grid of {file} does not match the scenario grid")
+    return field
+
+
 def build_grid(sc: Scenario):
     from .grids import Grid
 
-    if sc.grid_spec is None:
-        _fail("grid", "this task requires a grid section")
-    return Grid(sc.grid_spec["n"], sc.grid_spec["L"], sc.grid_spec["N"])
+    return Grid(**_needed(sc, "grid"))
 
 
 def build_weight(sc: Scenario, grid):
-    from . import fieldio
     from .weight_fields import MatrixWeightField, make_power_weight
 
-    spec = sc.weight_spec
-    if spec is None:
-        _fail("weight", "this task requires a weight section")
-    kind = spec["kind"]
-    if kind == "file":
-        w = fieldio.load_field(spec["path"])
-        if not isinstance(w, MatrixWeightField):
-            _fail("weight.path", "file does not contain a matrix weight field")
-        return w
-    if kind == "identity":
-        d = spec["d"]
-        return MatrixWeightField.constant(grid, np.eye(d), invertible=True)
-    if kind == "constant":
-        entries = np.asarray(spec["entries"], dtype=np.float64)
-        if entries.ndim == 3:
-            mat = entries[..., 0] + 1j * entries[..., 1]
-        else:
-            mat = entries.astype(np.complex128)
-        return MatrixWeightField.constant(grid, mat,
-                                          invertible=bool(spec.get("invertible", True)))
+    spec = _needed(sc, "weight")
+    if spec["kind"] == "file":
+        return _field_file("weight.path", spec["path"], MatrixWeightField, grid)
+    if spec["kind"] == "identity":
+        return MatrixWeightField.constant(grid, np.eye(spec["d"]), invertible=True)
+    if spec["kind"] == "constant":
+        return MatrixWeightField.constant(grid, spec["entries"], invertible=spec["invertible"])
     rotation = None
-    rot = spec.get("rotation")
-    if rot and rot.get("kind", "none") == "linear":
-        rate = float(rot.get("rate", 1.0))
+    if spec["rotation"] is not None and spec["rotation"]["kind"] == "linear":
+        if len(spec["alpha"]) < 2:
+            _fail("weight.rotation", "a rotation needs at least two exponents in weight.alpha")
+        rate = spec["rotation"]["rate"]
 
         def rotation(pts, rate=rate):
             return rate * pts[:, 0]
 
-    inv = spec.get("invertible")
     return make_power_weight(grid, spec["alpha"], rotation=rotation,
-                             invertible=None if inv is None else bool(inv))
+                             invertible=spec["invertible"])
 
 
 def build_measure(sc: Scenario, grid):
-    from . import fieldio
     from .weight_fields import MeasureDensity
 
-    spec = sc.measure_spec
-    if spec["kind"] == "lebesgue":
+    if sc.measure["kind"] == "lebesgue":
         return None
-    mu = fieldio.load_field(spec["path"])
-    if not isinstance(mu, MeasureDensity):
-        _fail("measure.path", "file does not contain a measure density")
-    if mu.grid != grid:
-        _fail("measure.path", "density grid does not match the scenario grid")
-    return mu
+    return _field_file("measure.path", sc.measure["path"], MeasureDensity, grid)
 
 
 def build_exponent(sc: Scenario, grid):
-    from . import fieldio
     from .spaces import ExponentField
 
-    spec = sc.exponent_spec
-    if spec["kind"] == "constant":
-        return ExponentField.constant(grid, spec["p"])
-    ef = fieldio.load_field(spec["path"])
-    if not isinstance(ef, ExponentField):
-        _fail("exponent.path", "file does not contain an exponent field")
-    if ef.grid != grid:
-        _fail("exponent.path", "exponent grid does not match the scenario grid")
-    return ef
+    if sc.exponent["kind"] == "constant":
+        return ExponentField.constant(grid, sc.exponent["p"])
+    return _field_file("exponent.path", sc.exponent["path"], ExponentField, grid)
 
 
 def constant_p(sc: Scenario) -> float | None:
     """The constant exponent of the scenario, or None when it varies."""
-    spec = sc.exponent_spec
-    if spec["kind"] == "constant":
-        return float(spec["p"])
-    return None
+    return sc.exponent["p"] if sc.exponent["kind"] == "constant" else None
 
 
 def build_family(sc: Scenario, grid, rng):
-    from . import fieldio
     from .compactness import FunctionFamily
     from .families import gaussian_bumps
     from .spaces import SampledVectorField
 
-    spec = sc.family_spec
-    if spec is None:
-        _fail("family", "this task requires a family section")
+    spec = _needed(sc, "family")
     if spec["kind"] == "files":
-        members = []
-        for p in spec["paths"]:
-            f = fieldio.load_field(p)
-            if not isinstance(f, SampledVectorField):
-                _fail("family.paths", f"{p} does not contain a vector field")
-            members.append(f)
+        members = [_field_file(f"family.paths[{i}]", p, SampledVectorField, grid)
+                   for i, p in enumerate(spec["paths"])]
         return FunctionFamily(members, metadata=f"{len(members)} members from files")
-    return gaussian_bumps(
-        grid, spec["d"], spec["count"], rng,
-        center_range=tuple(spec.get("center_range", (-1.0, 1.0))),
-        width_range=tuple(spec.get("width_range", (0.5, 1.0))),
-        amplitude_range=tuple(spec.get("amplitude_range", (0.3, 1.0))),
-    )
+    return gaussian_bumps(grid, spec["d"], spec["count"], rng,
+                          center_range=tuple(spec["center_range"]),
+                          width_range=tuple(spec["width_range"]),
+                          amplitude_range=tuple(spec["amplitude_range"]))
 
 
 # ---------------------------------------------------------------------------
 # shorthand scenarios used by the CLI subcommands
 
 
+def _spelled_out(value):
+    """A checked section as a scenario spells it: keys without a value left out."""
+    if isinstance(value, dict):
+        return {key: _spelled_out(v) for key, v in value.items() if v is not None}
+    return value
+
+
 def default_scenario(task_name: str) -> dict:
     """The documented default scenario for each shorthand subcommand.
 
-    Its task section spells out the listed parameters at their defaults,
-    so that reports echo them.
+    Its sections are spelled out with their defaults, and its task section
+    with the listed parameters at their defaults, so that reports echo them.
     """
     base = {
         "seed": 20260810,
         "grid": {"n": 1, "L": 8.0, "N": 4096},
-        "weight": {"kind": "power", "alpha": [0.5, 1.0 / 3.0],
-                   "rotation": {"kind": "linear", "rate": 1.0}},
-        "measure": {"kind": "lebesgue"},
-        "exponent": {"kind": "constant", "p": 2.0},
-        "family": {"kind": "gaussian_bumps", "count": 40, "d": 2,
-                   "center_range": [-1.0, 1.0], "width_range": [0.5, 1.0],
-                   "amplitude_range": [0.3, 1.0]},
+        "weight": {"kind": "power", "alpha": [0.5, 1.0 / 3.0], "rotation": {"kind": "linear"}},
+        "measure": None, "exponent": None,  # the table's defaults, spelled out below
+        "family": {"kind": "gaussian_bumps", "count": 40, "d": 2},
     }
     tasks = {
         "ap-constant": ({"seed": 20260810, "grid": {"n": 1, "L": 1.0, "N": 4096},
@@ -442,4 +417,4 @@ def default_scenario(task_name: str) -> dict:
     sections, shown = tasks[task_name]
     sc = validate(dict(sections, task={"name": task_name}))
     sc.task.update({key: sc.param(key) for key in shown})
-    return sc.raw
+    return {key: _spelled_out(getattr(sc, key)) for key in [*sections, "task"]}

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mwlp import cli, fieldio
+from mwlp import cli, fieldio, report
 from mwlp.cli import main
 from mwlp.errors import SchemaError
 from mwlp.grids import Grid
-from mwlp.scenario import default_scenario, from_file, validate
+from mwlp.scenario import (SECTION_PARAMS, build_family, build_grid, default_scenario, from_file,
+                           validate)
 from mwlp.spaces import ExponentField, SampledVectorField
-from mwlp.weight_fields import MeasureDensity
+from mwlp.weight_fields import MatrixWeightField, MeasureDensity
 
 
 SHORTHANDS = ("ap-constant", "john", "norm", "moduli", "net", "certify", "necessity",
@@ -80,6 +81,58 @@ class TestSchema:
             "necessity": {"name": "necessity", "epsilons": [0.2, 0.1, 0.05]},
             "verify-lemmas": {"name": "verify-lemmas", "count": 25},
         }
+
+    def test_default_sections(self):
+        # the other sections each shorthand's report echoes, and its provenance grid;
+        # JSON text tells 8.0 from 8
+        base = {"seed": 20260810, "grid": {"n": 1, "L": 8.0, "N": 4096},
+                "weight": {"kind": "power", "alpha": [0.5, 0.3333333333333333],
+                           "rotation": {"kind": "linear", "rate": 1.0}},
+                "measure": {"kind": "lebesgue"}, "exponent": {"kind": "constant", "p": 2.0},
+                "family": {"kind": "gaussian_bumps", "count": 40, "d": 2,
+                           "center_range": [-1.0, 1.0], "width_range": [0.5, 1.0],
+                           "amplitude_range": [0.3, 1.0]}}
+        expected = dict.fromkeys(("norm", "moduli", "net", "certify", "necessity"), base)
+        expected.update({"john": {"seed": 20260810}, "verify-lemmas": {"seed": 20260810},
+                         "ap-constant": {"seed": 20260810, "grid": {"n": 1, "L": 1.0, "N": 4096},
+                                         "weight": {"kind": "power", "alpha": [0.5]}}})
+        for name in SHORTHANDS:
+            raw = default_scenario(name)
+            echo = {key: value for key, value in raw.items() if key != "task"}
+            assert json.dumps(echo, sort_keys=True) == json.dumps(expected[name], sort_keys=True)
+            grid = report.assemble(validate(raw), {}, "v")["provenance"]["grid"]
+            assert json.dumps(grid) == json.dumps(expected[name].get("grid"))
+
+    def test_provenance_grid_length_is_a_float(self):
+        raw = dict(default_scenario("norm"), grid={"n": 1, "L": 8, "N": 4096})
+        rep = report.assemble(validate(raw), {}, "v")
+        assert json.dumps(rep["provenance"]["grid"], sort_keys=True) == \
+            '{"L": 8.0, "N": 4096, "n": 1}'
+        assert json.dumps(rep["scenario"]["grid"]) == '{"n": 1, "L": 8, "N": 4096}'
+
+    def test_integer_family_ranges_keep_their_metadata(self):
+        raw = dict(default_scenario("norm"), grid={"n": 1, "L": 2.0, "N": 64},
+                   family={"kind": "gaussian_bumps", "count": 2, "d": 1,
+                           "center_range": [-1, 1], "width_range": [1, 2]})
+        sc = validate(raw)
+        family = build_family(sc, build_grid(sc), np.random.default_rng(0))
+        assert family.metadata == ("Gaussian bumps, 2 members, d=1, centers in [-1, 1], "
+                                   "widths in [1, 2], amplitudes in [0.3, 1.0]")
+
+    def test_readme_section_table_names_every_key(self):
+        # rows of README's section table: (section, kind, key), blank cells continuing
+        # the row above; a kind without keys has one row with no key
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("## Scenario schema")[1].split("| section |")[1].split("\n\n")[0]
+        named, section, kind = set(), None, None
+        for line in table.splitlines()[2:]:
+            cells = [cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            if cells[0]:
+                section, kind = cells[0], None
+            kind = cells[1] or kind
+            named.add((section, kind, cells[2] or None))
+        assert named == {(section, kind, key) for section, kinds in SECTION_PARAMS.items()
+                         for kind, params in kinds.items() for key in params or [None]}
 
     @pytest.mark.parametrize("task, field", [
         ({"name": "net", "route": "average", "notion": "bogus"}, "task.notion"),
@@ -431,6 +484,9 @@ task: {name: necessity, epsilons: [0.2]}
         assert rep["left_ratio_min"] < 1.0
 
     TASK = "{name: necessity, epsilons: [0.2]}"
+    WEIGHT = "{kind: power, alpha: [0.5], rotation: {kind: none}}"
+    FAMILY = """{kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}"""
 
     @pytest.mark.parametrize("old, new, field", [
         (TASK, "{name: net, notion: bogus}", "task.notion"),
@@ -449,15 +505,47 @@ task: {name: necessity, epsilons: [0.2]}
         (TASK, "{name: verify-lemmas, count: -1}", "task.count"),
         (TASK, "{name: moduli, extra: 1}", "task.extra"),
         (TASK, "{name: certify, centers: c0.txt}", "task.centers"),
+        (WEIGHT, "{kind: identity, d: 0}", "weight.d"),
+        (WEIGHT, "{kind: constant, entries: [[1, 2], [3]]}", "weight.entries"),
+        (WEIGHT, "{kind: power, alpha: [0.5], invertible: maybe}", "weight.invertible"),
+        (WEIGHT, "{kind: file, path: 3}", "weight.path"),
+        (WEIGHT, "{kind: power, alpha: [0.5], rotaton: {kind: none}}", "weight.rotaton"),
+        ("width_range: [0.2, 0.4]", "width_range: abc", "family.width_range"),
+        ("center_range: [-0.4, 0.4]", "center_range: [1.0, -1.0]", "family.center_range"),
+        ("center_range: [-0.4, 0.4]", "center_range: [1.0]", "family.center_range"),
+        ("width_range: [0.2, 0.4]", "widht_range: [0.2, 0.4]", "family.widht_range"),
+        (FAMILY, "{kind: files, paths: [1]}", "family.paths[0]"),
+        ("seed: 11", "seed: 11\nmeasure: {kind: file, path: 2}", "measure.path"),
+        ("N: 256}", "N: 256, M: 3}", "grid.M"),
+        ("L: 2.0", "L: .inf", "grid.L"),
+        ("seed: 11", "seed: -1", "seed"),
+        (WEIGHT, "{kind: identity, d: 9}", "weight.d"),
+        (WEIGHT, "{kind: constant, entries: [[.inf]]}", "weight.entries[0][0]"),
+        (WEIGHT, "{kind: power, alpha: [0.5], rotation: {kind: linear}}", "weight.rotation"),
     ], ids=["net-notion", "moduli-notion", "net-route", "family-count", "net-unknown-key",
             "net-epsilon-text", "necessity-epsilons-scalar", "necessity-epsilons-empty",
             "ap-cubes", "ap-p-zero", "john-d-zero", "john-test-vectors-zero", "john-q-zero",
-            "verify-lemmas-count-negative", "moduli-unknown-key", "certify-centers-text"])
+            "verify-lemmas-count-negative", "moduli-unknown-key", "certify-centers-text",
+            "identity-d-zero", "constant-entries-ragged", "invertible-text", "weight-path-number",
+            "weight-rotation-misspelled", "width-range-text", "center-range-reversed",
+            "center-range-one-number", "width-range-misspelled", "family-paths-number",
+            "measure-path-number", "grid-unknown-key", "grid-length-infinite", "seed-negative",
+            "identity-d-above-max", "constant-entries-infinite", "rotation-one-exponent"])
     def test_invalid_scenario_value_exits_one(self, tmp_path, capsys, old, new, field):
         path = write_scenario(tmp_path, self.NECESSITY.replace(old, new))
         assert main(["run", str(path)]) == 1
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: ") and f"{field}:" in err
+
+    @pytest.mark.parametrize("task", ["{name: ap-constant}", "{name: norm}"])
+    def test_weight_file_on_another_grid_exits_one(self, tmp_path, capsys, task):
+        weight = tmp_path / "weight.txt"
+        field = MatrixWeightField.constant(Grid(1, 2.0, 64), [[1.0]], invertible=True)
+        fieldio.save_field(weight, field)
+        text = self.NECESSITY.replace(self.WEIGHT, f"{{kind: file, path: '{weight}'}}")
+        assert main(["run", str(write_scenario(tmp_path, text.replace(self.TASK, task)))]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: weight.path: the grid of ")
 
     @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
                                          (1.0, "{name: necessity}")])

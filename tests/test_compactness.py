@@ -106,7 +106,7 @@ class TestModuli:
         fam = FunctionFamily([f])
         v1 = translation_modulus(fam, grid.h, unweighted)
         # ratio to h is stable under refinement
-        g2 = grid.refine()
+        g2 = Grid(grid.n, grid.L, 2 * grid.N)
         x2 = g2.points[:, 0]
         f2 = SampledVectorField(g2, np.exp(-4 * x2 ** 2).astype(complex))
         w2 = MatrixWeightField.constant(g2, [[1.0]], invertible=True)
