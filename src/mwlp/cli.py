@@ -213,6 +213,10 @@ def _setup(sc, rng, constant_exponent: bool = True):
     w = scenario.build_weight(sc, grid)
     mu = scenario.build_measure(sc, grid)
     family = scenario.build_family(sc, grid, rng)
+    if family.d != w.d:
+        key = "family.paths" if sc.family["kind"] == "files" else "family.d"
+        raise SchemaError(f"{key}: the family has dimension {family.d} "
+                          f"but the weight has dimension {w.d}")
     if p is None:
         pf = scenario.build_exponent(sc, grid)
         return Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf), family

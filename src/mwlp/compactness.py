@@ -34,7 +34,7 @@ from .operators import (
     shift_values,
 )
 from .spaces import SampledVectorField, Space, lp_w_norm
-from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
+from .weight_fields import MatrixWeightField, MeasureDensity, eigen_fields
 
 
 @dataclass
@@ -323,11 +323,7 @@ def translation_modulus(family: FunctionFamily, r: float, space: Space) -> float
 def _diagonalized(family: FunctionFamily, w: MatrixWeightField):
     """Pointwise diagonalization: D(x) = diag(eigenvalues), f~ = U^H f."""
     lam, u = w.eig()
-    m, d = lam.shape
-    diag = np.zeros((m, d, d), dtype=np.complex128)
-    idx = np.arange(d)
-    diag[:, idx, idx] = np.maximum(lam, 0.0)
-    d_field = MatrixWeightField(w.grid, diag, invertible=w.invertible)
+    d_field = MatrixWeightField.diagonal(w.grid, lam, invertible=w.invertible)
     tilted = [
         SampledVectorField(f.grid, np.einsum("mji,mj->mi", u.conj(), f.values))
         for f in family
@@ -822,10 +818,9 @@ def componentwise_reduction(family: FunctionFamily, w: MatrixWeightField,
     for members with a nonzero component-norm sum.
     """
     d_field, tilted = _diagonalized(family, w)
-    lam, _u = w.eig()
     grid = family.grid
     d = family.d
-    weights = [ScalarWeightField(grid, np.maximum(lam[:, i], 0.0)) for i in range(d)]
+    weights = eigen_fields(w)
     comp_fields = [
         [SampledVectorField(grid, tf.values[:, i:i + 1]) for tf in tilted]
         for i in range(d)

@@ -119,11 +119,6 @@ class Grid:
         inside &= np.sum(shifts * shifts, axis=1) * self.h ** 2 <= r * r * (1 + 1e-12)
         return inside & np.any(shifts != 0, axis=1)
 
-    def lattice_shifts(self, r: float) -> list[tuple[int, ...]]:
-        """All nonzero integer shifts k with |k * h| <= r, in a fixed order."""
-        window = self.shift_window(self.max_shift(r))
-        return [tuple(int(x) for x in k) for k in window[self.shifts_within(window, r)]]
-
     def index_of_point(self, coords) -> int:
         """Flat index of the cell whose center is coords (must lie on the grid)."""
         c = np.atleast_1d(np.asarray(coords, dtype=np.float64))

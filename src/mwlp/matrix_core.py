@@ -5,8 +5,10 @@ complex Hermitian matrices (d <= 8).  Positive-semidefiniteness is handled
 with a relative clamp band so that matrices produced by grid sampling,
 which are PSD only up to round-off, are accepted deterministically.
 
-Batched variants operate on arrays of shape (M, d, d) and are the
-workhorses for weight fields sampled on grids.
+The batched functions operate on stacks of shape (M, d, d) and are the one
+spectral path: weight fields sampled on grids run them, and the
+single-matrix functions (`spectral_decompose`, `mat_power`, `op_norm`,
+`spectral_norm`) are the batched ones applied to a stack of one.
 """
 
 from __future__ import annotations
@@ -25,28 +27,6 @@ TOL_PSD_REL = 1e-10
 TOL_PD_REL = 1e-14
 #: largest supported matrix dimension
 MAX_DIM = 8
-
-
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}")
-    return m
-
-
-def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate conjugate symmetry and return the (d, d) complex array.
-
-    Raises NotHermitian when ||A - A^H|| exceeds tol relative to ||A||
-    (with an absolute floor so the zero matrix passes).
-    """
-    m = _as_matrix(a)
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    if float(np.max(np.abs(m - m.conj().T))) > tol * scale:
-        raise NotHermitian("matrix is not conjugate-symmetric within tolerance")
-    return m
 
 
 @dataclass(frozen=True)
@@ -80,55 +60,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.conj()[..., None, :]
 
 
-def spectral_decompose(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
-    m = check_hermitian(a)
-    lam, u = np.linalg.eigh(m)
-    u = _fix_phases(u)
-    return SpectralDecomposition(eigenvalues=lam, vectors=u)
-
-
-def _clamp_psd(lam: np.ndarray) -> np.ndarray:
-    """Clamp the round-off band [-tol, 0] to zero; reject anything below it."""
-    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
-    tol = TOL_PSD_REL * scale
-    if np.any(lam < -tol):
-        worst = float(np.min(lam))
-        raise NotPSD(f"eigenvalue {worst:.3e} below the PSD clamp band")
-    return np.maximum(lam, 0.0)
-
-
-def mat_power(a, s: float) -> np.ndarray:
-    """Fractional power A^s of a PSD Hermitian matrix via its eigensystem.
-
-    For s < 0 the matrix must be positive-definite; otherwise
-    SingularMatrix is raised.  The result is Hermitian PSD.
-    """
-    dec = spectral_decompose(a)
-    lam = _clamp_psd(dec.eigenvalues)
-    if s < 0:
-        tol_pd = TOL_PD_REL * float(np.max(lam))
-        if float(np.min(lam)) <= tol_pd:
-            raise SingularMatrix("negative power of a singular (or near-singular) matrix")
-    lam_s = np.power(lam, s)
-    u = dec.vectors
-    out = (u * lam_s) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def op_norm(a) -> float:
-    """Operator norm of a PSD Hermitian matrix: its largest eigenvalue."""
-    dec = spectral_decompose(a)
-    lam = _clamp_psd(dec.eigenvalues)
-    return float(lam[-1])
-
-
-def spectral_norm(a) -> float:
-    """Spectral (2-)norm of a general matrix, i.e. its largest singular value."""
-    m = np.asarray(a, dtype=np.complex128)
-    return float(np.linalg.norm(m, 2))
-
-
 # ---------------------------------------------------------------------------
 # batched helpers for (M, d, d) stacks
 
@@ -153,6 +84,17 @@ def batched_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = batched_check_hermitian(mats)
     lam, u = np.linalg.eigh(m)
     return lam, _fix_phases(u)
+
+
+def _clamp_psd(lam: np.ndarray) -> np.ndarray:
+    """Clamp the round-off band [-tol, 0] to zero; reject anything below it."""
+    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+    tol = TOL_PSD_REL * scale
+    below = lam < -tol
+    if np.any(below):
+        worst = float(np.min(lam[below]))
+        raise NotPSD(f"eigenvalue {worst:.3e} below the PSD clamp band")
+    return np.maximum(lam, 0.0)
 
 
 def batched_power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
@@ -198,3 +140,46 @@ def pairwise_op_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         gram = np.einsum("kixy,kjxy->xyij", prod.conj(), prod, optimize=False)
         lam = np.linalg.eigvalsh(gram)[..., -1]
     return np.sqrt(lam)
+
+
+# ---------------------------------------------------------------------------
+# single matrices: the batched functions on a stack of one
+
+
+def _stack_of_one(a) -> np.ndarray:
+    """A square matrix of dimension 1..MAX_DIM as a (1, d, d) complex stack."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
+        raise ValueError(f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}")
+    return m[None]
+
+
+def spectral_decompose(a) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
+    lam, u = batched_eigh(_stack_of_one(a))
+    return SpectralDecomposition(eigenvalues=lam[0], vectors=u[0])
+
+
+def mat_power(a, s: float) -> np.ndarray:
+    """Fractional power A^s of a PSD Hermitian matrix via its eigensystem.
+
+    For s < 0 the matrix must be positive-definite; otherwise
+    SingularMatrix is raised.  The result is Hermitian PSD.
+    """
+    return batched_power_from_eig(*batched_eigh(_stack_of_one(a)), s)[0]
+
+
+def op_norm(a) -> float:
+    """Operator norm of a PSD Hermitian matrix: its largest eigenvalue."""
+    lam, _ = batched_eigh(_stack_of_one(a))
+    return float(_clamp_psd(lam)[0, -1])
+
+
+def spectral_norm(a) -> float:
+    """Spectral (2-)norm of a general matrix, i.e. its largest singular value."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    return float(batched_spectral_norm(m[None])[0])

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .errors import SchemaError
+from .errors import MwlpError, SchemaError
 from .matrix_core import MAX_DIM
 
 
@@ -326,7 +326,10 @@ def build_weight(sc: Scenario, grid):
     if spec["kind"] == "identity":
         return MatrixWeightField.constant(grid, np.eye(spec["d"]), invertible=True)
     if spec["kind"] == "constant":
-        return MatrixWeightField.constant(grid, spec["entries"], invertible=spec["invertible"])
+        try:
+            return MatrixWeightField.constant(grid, spec["entries"], invertible=spec["invertible"])
+        except MwlpError as exc:  # not Hermitian, not PSD, or singular though invertible
+            _fail("weight.entries", str(exc))
     rotation = None
     if spec["rotation"] is not None and spec["rotation"]["kind"] == "linear":
         if len(spec["alpha"]) < 2:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matrix_core as mc
 from .errors import (
     DegenerateNorm,
     NonFinite,
@@ -433,13 +434,6 @@ def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
     return a / float(np.max(vals))
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    lam, u = np.linalg.eigh(a)
-    lam = np.maximum(lam, 0.0)
-    out = (u * np.sqrt(lam)) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
 def _eval_norm(rho, vecs: np.ndarray) -> np.ndarray:
     """Evaluate a single norm on a (K, d) batch, accepting scalar callables."""
     try:
@@ -496,7 +490,7 @@ def john_ellipsoid(rho, d: int, sphere_samples: int | None = None,
     for _round in range(max(refinement_rounds, 1)):
         symmetrized = np.concatenate([sample, -sample], axis=0)
         a = _mvee_centered(symmetrized)
-        w_raw = _psd_sqrt(a)
+        w_raw = mc.batched_power_from_eig(*mc.batched_eigh(a[None]), 0.5)[0]
         if _round == refinement_rounds - 1:
             break
         probe = unit_sphere(4 * sphere_samples)

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import EmptyCubeFamily, NotInvertible, NotPSD, OutOfRange
+from .errors import EmptyCubeFamily, NotInvertible, OutOfRange
 from .grids import Grid
 
 
@@ -73,7 +73,8 @@ class MatrixWeightField:
     """PSD matrix weight sampled at cell centers, values of shape (M, d, d).
 
     With invertible=True every sampled matrix must be positive-definite;
-    negative fractional powers are then available.
+    negative fractional powers are then available.  The eigensystems are
+    computed once, on construction, unless `_eig` supplies them.
     """
 
     grid: Grid
@@ -91,15 +92,10 @@ class MatrixWeightField:
             raise ValueError("matrix weight has non-finite entries")
         v.setflags(write=False)
         self.values = v
-        lam, u = mc.batched_eigh(v)
-        scale = np.max(np.abs(lam), axis=1)
-        if np.any(lam[:, 0] < -mc.TOL_PSD_REL * scale):
-            raise NotPSD("matrix weight has an eigenvalue below the PSD clamp band")
-        lam = np.maximum(lam, 0.0)
-        if self.invertible:
-            tol_pd = mc.TOL_PD_REL * scale
-            if np.any(lam[:, 0] <= tol_pd):
-                raise NotInvertible("invertible flag set but some sampled matrix is singular")
+        lam, u = mc.batched_eigh(v) if self._eig is None else self._eig
+        lam = mc._clamp_psd(lam)
+        if self.invertible and np.any(lam[:, 0] <= mc.TOL_PD_REL * lam[:, -1]):
+            raise NotInvertible("invertible flag set but some sampled matrix is singular")
         lam.setflags(write=False)
         u.setflags(write=False)
         self._eig = (lam, u)
@@ -135,14 +131,26 @@ class MatrixWeightField:
 
     @classmethod
     def from_scalar(cls, w: ScalarWeightField, invertible: bool = False) -> "MatrixWeightField":
-        vals = w.values.astype(np.complex128).reshape(-1, 1, 1)
-        return cls(w.grid, vals, invertible=invertible)
+        return cls.diagonal(w.grid, w.values[:, None], invertible=invertible)
+
+    @classmethod
+    def diagonal(cls, grid: Grid, lam, invertible: bool = False) -> "MatrixWeightField":
+        """D(x) = diag(lam(x)) for ascending rows lam of shape (M, d), with the
+        eigensystem (lam, I) taken as given; the clamp and invertibility
+        checks still run."""
+        lam = np.asarray(lam, dtype=np.float64)
+        m, d = lam.shape
+        idx = np.arange(d)
+        vals = np.zeros((m, d, d), dtype=np.complex128)
+        vals[:, idx, idx] = lam
+        eye = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, d, d))
+        return cls(grid, vals, invertible=invertible, _eig=(lam, eye))
 
 
 def eigen_fields(w: MatrixWeightField) -> list[ScalarWeightField]:
     """Pointwise eigenvalue functions lambda_1(x) <= ... <= lambda_d(x)."""
     lam, _ = w.eig()
-    return [ScalarWeightField(w.grid, np.maximum(lam[:, i], 0.0)) for i in range(w.d)]
+    return [ScalarWeightField(w.grid, lam[:, i].copy()) for i in range(w.d)]
 
 
 def make_power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None = None) -> MatrixWeightField:
@@ -251,14 +259,6 @@ class CubeFamily:
         whose centers lie in the cube, clipped to the grid."""
         edges = np.stack([self.corners, self.corners + self.sides[:, None]], axis=-1)
         return np.clip(np.ceil((edges + grid.L) / grid.h - 0.5 - 1e-9).astype(int), 0, grid.N)
-
-    def cube_cells(self, grid: Grid, k: int) -> np.ndarray:
-        """Flat indices of cells whose centers lie in cube k."""
-        return grid.box_cells(self.boxes(grid)[k])
-
-    def axis_ranges(self, grid: Grid, k: int) -> tuple[tuple[int, int], ...]:
-        """Per-axis index range [i0, i1) of the cells inside cube k."""
-        return tuple(map(tuple, self.boxes(grid)[k].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
     wp = w.power(1.0 / p)
     wm = w.power(-1.0 / p)
     best = -np.inf
-    for k in range(len(cubes)):
-        cells = cubes.cube_cells(grid, k)
+    for box in cubes.boxes(grid):
+        cells = grid.box_cells(box)
         m = cells.shape[0]
         if m == 0:
             continue

@@ -159,6 +159,14 @@ class TestCliRuns:
         assert report["outputs"]["value"] > 1.0
         assert "cube_family" in report["outputs"]
 
+    def test_john_above_the_matrix_dimension_limit(self, tmp_path):
+        # the fit takes its square root from the batched kernel, which has no
+        # MAX_DIM check, so d = 9 runs like any other dimension
+        out = tmp_path / "john.json"
+        assert main(["john", "--d", "9", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())["outputs"]
+        assert rep["d"] == 9 and rep["passed"] is True
+
     def test_reports_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, SMALL_SCENARIO)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -522,6 +530,10 @@ task: {name: necessity, epsilons: [0.2]}
         (WEIGHT, "{kind: identity, d: 9}", "weight.d"),
         (WEIGHT, "{kind: constant, entries: [[.inf]]}", "weight.entries[0][0]"),
         (WEIGHT, "{kind: power, alpha: [0.5], rotation: {kind: linear}}", "weight.rotation"),
+        (WEIGHT, "{kind: constant, entries: [[1, 2], [0, 1]]}", "weight.entries"),
+        (WEIGHT, "{kind: constant, entries: [[1, 0], [0, -1]]}", "weight.entries"),
+        (WEIGHT, "{kind: constant, entries: [[1, 0], [0, 0]]}", "weight.entries"),
+        ("count: 4, d: 1", "count: 4, d: 3", "family.d"),
     ], ids=["net-notion", "moduli-notion", "net-route", "family-count", "net-unknown-key",
             "net-epsilon-text", "necessity-epsilons-scalar", "necessity-epsilons-empty",
             "ap-cubes", "ap-p-zero", "john-d-zero", "john-test-vectors-zero", "john-q-zero",
@@ -530,12 +542,30 @@ task: {name: necessity, epsilons: [0.2]}
             "weight-rotation-misspelled", "width-range-text", "center-range-reversed",
             "center-range-one-number", "width-range-misspelled", "family-paths-number",
             "measure-path-number", "grid-unknown-key", "grid-length-infinite", "seed-negative",
-            "identity-d-above-max", "constant-entries-infinite", "rotation-one-exponent"])
+            "identity-d-above-max", "constant-entries-infinite", "rotation-one-exponent",
+            "constant-entries-not-hermitian", "constant-entries-not-psd",
+            "constant-entries-singular", "family-d-not-weight-d"])
     def test_invalid_scenario_value_exits_one(self, tmp_path, capsys, old, new, field):
         path = write_scenario(tmp_path, self.NECESSITY.replace(old, new))
         assert main(["run", str(path)]) == 1
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: ") and f"{field}:" in err
+
+    @pytest.mark.parametrize("task", ["{name: necessity}", "{name: moduli}", "{name: net}"])
+    @pytest.mark.parametrize("files", [False, True], ids=["bumps", "files"])
+    def test_family_dimension_not_the_weights_exits_one(self, tmp_path, capsys, task, files):
+        family = "{kind: gaussian_bumps, count: 4, d: 3}"
+        if files:
+            member = tmp_path / "member.txt"
+            fieldio.save_field(member, SampledVectorField(Grid(1, 2.0, 256), np.ones((256, 1))))
+            family = f"{{kind: files, paths: ['{member}']}}"
+        text = (self.NECESSITY.replace(self.TASK, task)
+                .replace(self.WEIGHT, "{kind: power, alpha: [0.5, 0.25]}")
+                .replace(self.FAMILY, family))
+        assert main(["run", str(write_scenario(tmp_path, text))]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        key = "family.paths" if files else "family.d"
+        assert err.startswith(f"error: {key}: ")
 
     @pytest.mark.parametrize("task", ["{name: ap-constant}", "{name: norm}"])
     def test_weight_file_on_another_grid_exits_one(self, tmp_path, capsys, task):

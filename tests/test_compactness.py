@@ -19,6 +19,7 @@ from mwlp.compactness import (
     phi_error_constant,
     tail_modulus,
     translation_modulus,
+    twisted_curve,
     twisted_modulus,
 )
 from mwlp.errors import (
@@ -174,6 +175,22 @@ class TestTwisted:
         tr = translation_modulus(fam, r, sp)
         assert np.isfinite(tw) and np.isfinite(tr)
         assert tw != pytest.approx(tr, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_no_second_eigendecomposition(self, grid, rng, monkeypatch, p):
+        # D = diag(lambda) comes from the eigensystem the weight already holds
+        from mwlp import matrix_core
+
+        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: 3 * p[:, 0],
+                              invertible=True)
+        fam = small_family(grid, rng, d=2)
+        calls = []
+        original = matrix_core.batched_eigh
+        monkeypatch.setattr(matrix_core, "batched_eigh",
+                            lambda mats: calls.append(np.shape(mats)) or original(mats))
+        twisted_curve(fam, w, p, [2 * grid.h, 4 * grid.h])
+        componentwise_reduction(fam, w, p)
+        assert calls == []
 
 
 class TestDyadicNet:

@@ -7,6 +7,7 @@ from mwlp.errors import NotHermitian, NotPSD, SingularMatrix
 from mwlp.matrix_core import (
     batched_eigh,
     batched_power_from_eig,
+    batched_spectral_norm,
     mat_power,
     op_norm,
     spectral_decompose,
@@ -165,3 +166,28 @@ class TestBatched:
         # non-Hermitian: largest singular value
         a = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert spectral_norm(a) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestOnePath:
+    """The single-matrix functions are the batched ones on a stack of one."""
+
+    def test_bitwise_equal_to_the_batched_kernel(self, rng):
+        for k in range(200):
+            d = 1 + k % 6
+            a = random_psd(rng, d, definite=True)
+            lam, u = batched_eigh(a[None])
+            dec = spectral_decompose(a)
+            assert np.array_equal(dec.eigenvalues, lam[0])
+            assert np.array_equal(dec.vectors, u[0])
+            for s in (1.0 / 3.0, 0.5, 2.0, -0.5):
+                assert np.array_equal(mat_power(a, s), batched_power_from_eig(lam, u, s)[0])
+            assert op_norm(a) == lam[0, -1]
+            assert spectral_norm(a) == batched_spectral_norm(a[None])[0]
+            b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            assert spectral_norm(b) == batched_spectral_norm(b[None])[0]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2), (0, 0), (9, 9)])
+    def test_shape_checked_before_the_kernel(self, shape):
+        for fn in (spectral_decompose, op_norm, lambda a: mat_power(a, 0.5)):
+            with pytest.raises(ValueError):
+                fn(np.zeros(shape))

@@ -34,8 +34,9 @@ def exhaustive_curve(family, scales, space):
     out = []
     for r in scales:
         worst = 0.0
+        window = grid.shift_window(grid.max_shift(r))
         for f in family:
-            for k in grid.lattice_shifts(r):
+            for k in window[grid.shifts_within(window, r)]:
                 diff = SampledVectorField(grid, shift_values(f.values, grid, k) - f.values)
                 worst = max(worst, space.size(diff))
         out.append(worst)
@@ -179,6 +180,7 @@ class TestDirectConfirmation:
             twisted_curve(fam, w, 2.0, scales)
         else:
             translation_curve(fam, scales, Space.matrix_weight(w, 2.0))
-        pairs = count * sum(len(grid.lattice_shifts(r)) for r in scales)
+        window = grid.shift_window(grid.max_shift(max(scales)))
+        pairs = count * sum(int(np.sum(grid.shifts_within(window, r))) for r in scales)
         assert 0 < len(calls) <= 2 * len(scales)
         assert len(calls) * 100 < pairs

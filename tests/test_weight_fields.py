@@ -27,6 +27,15 @@ class TestFields:
         with pytest.raises(NotPSD):
             MatrixWeightField(g, bad)
 
+    def test_psd_error_names_the_eigenvalue_below_its_band(self):
+        # -1e-3 lies inside the band of diag(-1e-3, 1e9); -1e-5 is below the
+        # band of diag(-1e-5, 1), and the message names that one
+        g = Grid(1, 1.0, 8)
+        vals = np.tile(np.diag([-1e-3, 1e9]).astype(complex), (8, 1, 1))
+        vals[3] = np.diag([-1e-5, 1.0])
+        with pytest.raises(NotPSD, match="eigenvalue -1.000e-05 below"):
+            MatrixWeightField(g, vals)
+
     def test_invertible_flag_validation(self):
         g = Grid(1, 1.0, 8)
         vals = np.tile(np.diag([1.0, 0.0]).astype(complex), (8, 1, 1))
@@ -76,6 +85,29 @@ class TestFields:
         expected = np.sort(np.stack([r ** 0.5, r ** -0.5], axis=1), axis=1)
         assert np.max(np.abs(fields[0].values - expected[:, 0])) < 1e-10
         assert np.max(np.abs(fields[1].values - expected[:, 1])) < 1e-10
+
+    def test_diagonal_takes_its_eigensystem_as_given(self):
+        g = Grid(1, 1.0, 16)
+        x = g.points[:, 0]
+        lam = np.stack([np.abs(x), 1.0 + x ** 2], axis=1)
+        w = MatrixWeightField.diagonal(g, lam, invertible=True)
+        assert np.array_equal(w.eig()[0], lam)
+        assert np.array_equal(w.eig()[1], np.broadcast_to(np.eye(2), (16, 2, 2)))
+        for s in (0.5, -0.5):
+            expected = np.zeros((16, 2, 2), dtype=complex)
+            expected[:, [0, 1], [0, 1]] = lam ** s
+            assert np.array_equal(w.power(s), expected)
+        full = MatrixWeightField(g, w.values, invertible=True)
+        assert np.allclose(full.power(-0.5), w.power(-0.5), rtol=1e-14, atol=0)
+
+    def test_diagonal_runs_the_clamp_and_invertibility_checks(self):
+        g = Grid(1, 1.0, 8)
+        with pytest.raises(NotPSD):
+            MatrixWeightField.diagonal(g, np.tile([-0.5, 1.0], (8, 1)))
+        assert MatrixWeightField.diagonal(g, np.tile([-1e-12, 1.0], (8, 1))).eig()[0][0, 0] == 0.0
+        MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1)))  # PSD is fine
+        with pytest.raises(NotInvertible):
+            MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1)), invertible=True)
 
     def test_power_weight_identity(self):
         g = Grid(1, 1.0, 16)
@@ -200,8 +232,8 @@ class TestApConstant:
             val = ap_constant(w, 1.0, fam)
             cells = wv.reshape(grid.shape)
             best = 0.0
-            for k in range(len(fam)):
-                cube = cells[tuple(slice(i0, i1) for i0, i1 in fam.axis_ranges(grid, k))]
+            for box in fam.boxes(grid).tolist():
+                cube = cells[tuple(slice(i0, i1) for i0, i1 in box)]
                 if cube.size:
                     best = max(best, cube.mean() / cube.min())
             assert val == pytest.approx(best, rel=1e-12), grid
