@@ -130,13 +130,18 @@ class Grid:
             raise ValueError(f"{c.tolist()} is not a cell center of this grid")
         return int(np.ravel_multi_index(tuple(k.astype(int)), self.shape))
 
-    def box_cells(self, box) -> np.ndarray:
-        """Flat indices, ascending, of the cells in an index box: rows (lo, hi)
-        per axis, cell index lo <= i < hi."""
-        cells = np.zeros((), dtype=np.intp)
-        for lo, hi in np.asarray(box).tolist():
-            cells = np.add.outer(cells * self.N, np.arange(lo, hi))
-        return cells.ravel()
+    def box_cells(self, boxes) -> np.ndarray:
+        """Flat indices, ascending, of the cells in index boxes of one shape:
+        rows (lo, hi) per axis, cell index lo <= i < hi.  One box (n, 2) gives
+        shape (m,), a stack (K, n, 2) of boxes with equal widths (K, m)."""
+        b = np.asarray(boxes)
+        stack = b.reshape(-1, self.n, 2)
+        k = len(stack)
+        cells = np.zeros((k, 1), dtype=np.intp)
+        for ax, (lo, hi) in enumerate(stack[0].tolist()):
+            axis = stack[:, ax, :1] + np.arange(hi - lo)
+            cells = (cells[:, :, None] * self.N + axis[:, None, :]).reshape(k, -1)
+        return cells.reshape(b.shape[:-2] + (-1,))
 
 
 def _mesh(axis_values: np.ndarray, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .errors import MwlpError, SchemaError
+from .errors import MalformedField, MwlpError, SchemaError
 from .matrix_core import MAX_DIM
 
 
@@ -303,7 +303,12 @@ def _field_file(path: str, file: str, kind: type, grid):
     """The `kind` field in `file`, given at scenario path `path`, on `grid`."""
     from . import fieldio
 
-    field = fieldio.load_field(file)
+    try:
+        field = fieldio.load_field(file)
+    except MalformedField as exc:  # its message names the file
+        _fail(path, str(exc))
+    except MwlpError as exc:  # the field's constructor rejected the samples
+        _fail(path, f"{file}: {exc}")
     if not isinstance(field, kind):
         _fail(path, f"{file} does not contain a {kind.__name__}")
     if field.grid != grid:

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import EmptyCubeFamily, NotInvertible, OutOfRange
+from .errors import EmptyCubeFamily, NonFinite, NotInvertible, OutOfRange
 from .grids import Grid
 
 
@@ -125,9 +125,14 @@ class MatrixWeightField:
 
     @classmethod
     def constant(cls, grid: Grid, mat, invertible: bool = False) -> "MatrixWeightField":
+        """W(x) = mat at every point; the one matrix is decomposed once and its
+        eigensystem broadcast, and the clamp and invertibility checks still run."""
         m = np.asarray(mat, dtype=np.complex128)
+        lam, u = mc.batched_eigh(m[None])
         vals = np.broadcast_to(m, (grid.num_points,) + m.shape).copy()
-        return cls(grid, vals, invertible=invertible)
+        eig = (np.broadcast_to(lam, (grid.num_points,) + lam.shape[1:]),
+               np.broadcast_to(u, vals.shape))
+        return cls(grid, vals, invertible=invertible, _eig=eig)
 
     @classmethod
     def from_scalar(cls, w: ScalarWeightField, invertible: bool = False) -> "MatrixWeightField":
@@ -284,12 +289,26 @@ def _box_means(grid: Grid, values: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return total / np.prod(boxes[:, :, 1] - boxes[:, :, 0], axis=1)
 
 
-def _scalar_ap(grid: Grid, w: np.ndarray, p: float, cubes: CubeFamily) -> float:
-    """Muckenhoupt expression maximum for a positive scalar weight."""
+def _distinct_boxes(grid: Grid, cubes: CubeFamily) -> np.ndarray:
+    """The distinct nonempty index boxes of a family, shape (K, n, 2).  Both
+    A_p passes read them, so a cube listed twice (every origin-anchored cube
+    of `CubeFamily.default` is also a dyadic cube) is evaluated once."""
     if len(cubes) == 0:
         raise EmptyCubeFamily("no cubes supplied")
-    boxes = cubes.boxes(grid)
+    # sorted rows and a neighbour test: np.unique(axis=0) gives the same rows
+    # but sorts them as records, 8x slower on the default families
+    rows = cubes.boxes(grid).reshape(len(cubes), -1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    boxes = rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]].reshape(-1, grid.n, 2)
     boxes = boxes[np.all(boxes[:, :, 1] > boxes[:, :, 0], axis=1)]
+    if len(boxes) == 0:
+        raise EmptyCubeFamily("cube family contains no cells of the grid")
+    return boxes
+
+
+def _scalar_ap(grid: Grid, w: np.ndarray, p: float, cubes: CubeFamily) -> float:
+    """Muckenhoupt expression maximum for a positive scalar weight."""
+    boxes = _distinct_boxes(grid, cubes)
     mean_w = _box_means(grid, w, boxes)
     # per-cube powers stay scalar: array np.power may differ in the last bit
     if p > 1:
@@ -301,9 +320,9 @@ def _scalar_ap(grid: Grid, w: np.ndarray, p: float, cubes: CubeFamily) -> float:
         wv = w.reshape(grid.shape)
         vals = [mw / float(np.min(wv[tuple(slice(*r) for r in box)]))
                 for mw, box in zip(mean_w, boxes.tolist())]
-    best = max(vals, default=-np.inf)
+    best = float(np.max(vals))  # a NaN value propagates to the check below
     if not np.isfinite(best):
-        raise EmptyCubeFamily("cube family contains no cells of the grid")
+        raise NonFinite("the A_p expression overflows on this weight and cube family")
     return float(best)
 
 
@@ -323,19 +342,23 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
         sup_Q avg_x ( avg_y ||W^{1/p}(x) W^{-1/p}(y)||_op^{p'} )^{p/p'}
     and for p <= 1
         sup_Q max_{x in Q} avg_y ||W^{1/p}(y) W^{-1/p}(x)||_op^p,
-    with averages as midpoint-rule means over the cells of each cube.  The
-    pairwise pass is O(cells^2) per cube, in blocks of about PAIR_BLOCK
-    pairs; d = 1 uses exact scalar formulas.
+    with averages as midpoint-rule means over the cells of each cube; d = 1
+    uses exact scalar formulas.  One pass evaluates every pair of the cells
+    the family covers once (M^2 pairs for the default family, whose largest
+    cube is the box): the rows go in blocks of about PAIR_BLOCK pairs
+    against all covered cells.  Each distinct box takes the row means of its
+    rows in a block by a gather over its own cells in ascending order, the
+    order a per-cube pass sums them in, with one gather per block and group
+    of equally shaped boxes.
     """
     if not w.invertible:
         raise NotInvertible("A_p constant requires an invertible weight")
-    if len(cubes) == 0:
-        raise EmptyCubeFamily("no cubes supplied")
     if not p > 0:
         raise OutOfRange("p must be positive")
     grid = w.grid
     if w.d == 1:
         return _scalar_ap(grid, w.values[:, 0, 0].real, p, cubes)
+    boxes = _distinct_boxes(grid, cubes)
 
     # row x averages ||W^{1/p}(x) W^{-1/p}(y)||^{p'} over y for p > 1, and
     # ||W^{1/p}(y) W^{-1/p}(x)||^p = ||W^{-1/p}(x) W^{1/p}(y)||^p for p <= 1
@@ -346,27 +369,44 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
         rows, cols, exponent = wp, wm, pp
     else:
         rows, cols, exponent = wm, wp, p
-    best = -np.inf
-    for box in cubes.boxes(grid):
-        cells = grid.box_cells(box)
-        m = cells.shape[0]
-        if m == 0:
-            continue
-        a = rows[cells]
-        b = cols[cells]
-        step = max(1, PAIR_BLOCK // m)
-        row_means = np.empty(m)
-        for start in range(0, m, step):
-            s = mc.pairwise_op_norm(a[start:start + step], b)
-            row_means[start:start + step] = np.mean(np.power(s, exponent), axis=1)
+    shapes, group_of = np.unique(boxes[:, :, 1] - boxes[:, :, 0], axis=0, return_inverse=True)
+    cells = [grid.box_cells(boxes[group_of.ravel() == g]) for g in range(len(shapes))]
+    covered = np.unique(np.concatenate([c.ravel() for c in cells]))
+    rows, cols = rows[covered], cols[covered]
+    # per group: (box, cell) memberships sorted by row, and the row means
+    groups = []
+    for c in cells:
+        c = np.searchsorted(covered, c)
+        order = np.argsort(c, axis=None, kind="stable")
+        groups.append((c, order, c.ravel()[order], np.empty(c.size)))
+    m_all = len(covered)
+    step = max(1, PAIR_BLOCK // m_all)
+    for start in range(0, m_all, step):
+        stop = min(start + step, m_all)
+        # the power goes in place and e lives until the next block's kernel
+        # returns: with a temporary there, the allocator gave the kernel's
+        # freed work arrays back to the system after every block, about 600
+        # page faults per block at N = 1024
+        e = mc.pairwise_op_norm(rows[start:stop], cols)
+        np.power(e, exponent, out=e)
+        for c, order, by_row, means in groups:
+            m = c.shape[1]
+            chunk = max(1, PAIR_BLOCK // m)
+            lo, hi = np.searchsorted(by_row, (start, stop))
+            for c0 in range(lo, hi, chunk):
+                c1 = min(c0 + chunk, hi)
+                sel = order[c0:c1]
+                means[sel] = np.mean(e[by_row[c0:c1, None] - start, c[sel // m]], axis=1)
+    vals = []
+    for c, _, _, means in groups:
+        row_means = means.reshape(c.shape)
         if p > 1:
-            val = float(np.mean(np.power(row_means, p / pp)))
+            vals.append(np.mean(np.power(row_means, p / pp), axis=1))
         else:
-            val = float(np.max(row_means))
-        if val > best:
-            best = val
+            vals.append(np.max(row_means, axis=1))
+    best = float(np.max(np.concatenate(vals)))  # a NaN value propagates to the check below
     if not np.isfinite(best):
-        raise EmptyCubeFamily("cube family contains no cells of the grid")
+        raise NonFinite("the A_p expression overflows on this weight and cube family")
     return float(best)
 
 

@@ -1,13 +1,17 @@
-"""Reference matrix A_p pass: the per-pair product stack and a batched SVD
-of every product, as `weight_fields.ap_constant` computed it before the
-factored pairwise kernel.  Slow and plain, kept as the oracle the kernel
-path must reproduce."""
+"""Reference matrix A_p passes, kept as oracles for `weight_fields.ap_constant`.
+
+`ap_constant` forms the per-pair product stack and takes a batched SVD of
+every product, as the pass did before the factored pairwise kernel; the
+kernel must reproduce it to round-off.  `ap_constant_per_cube` runs the
+factored kernel cube by cube, evaluating the pairs of every listed cube
+afresh, as the pass did before it evaluated each cell pair once per call;
+the one-pass version must reproduce it exactly.  Slow and plain."""
 
 import numpy as np
 
 from mwlp import matrix_core as mc
 from mwlp.errors import EmptyCubeFamily, NotInvertible
-from mwlp.weight_fields import CubeFamily, MatrixWeightField, _scalar_ap
+from mwlp.weight_fields import PAIR_BLOCK, CubeFamily, MatrixWeightField, _scalar_ap
 
 
 def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
@@ -64,3 +68,46 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily,
         raise EmptyCubeFamily("cube family contains no cells of the grid")
     return float(best)
 
+
+def ap_constant_per_cube(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
+    """The factored pairwise kernel over each cube's own cells, one cube at a
+    time, in blocks of about PAIR_BLOCK pairs."""
+    if not w.invertible:
+        raise NotInvertible("A_p constant requires an invertible weight")
+    if len(cubes) == 0:
+        raise EmptyCubeFamily("no cubes supplied")
+    if not p > 0:
+        raise ValueError("p must be positive")
+    grid = w.grid
+    if w.d == 1:
+        return _scalar_ap(grid, w.values[:, 0, 0].real, p, cubes)
+
+    wp = w.power(1.0 / p)
+    wm = w.power(-1.0 / p)
+    if p > 1:
+        pp = p / (p - 1.0)
+        rows, cols, exponent = wp, wm, pp
+    else:
+        rows, cols, exponent = wm, wp, p
+    best = -np.inf
+    for box in cubes.boxes(grid):
+        cells = grid.box_cells(box)
+        m = cells.shape[0]
+        if m == 0:
+            continue
+        a = rows[cells]
+        b = cols[cells]
+        step = max(1, PAIR_BLOCK // m)
+        row_means = np.empty(m)
+        for start in range(0, m, step):
+            s = mc.pairwise_op_norm(a[start:start + step], b)
+            row_means[start:start + step] = np.mean(np.power(s, exponent), axis=1)
+        if p > 1:
+            val = float(np.mean(np.power(row_means, p / pp)))
+        else:
+            val = float(np.max(row_means))
+        if val > best:
+            best = val
+    if not np.isfinite(best):
+        raise EmptyCubeFamily("cube family contains no cells of the grid")
+    return float(best)

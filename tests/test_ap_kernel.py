@@ -1,9 +1,12 @@
 """The factored pairwise pass behind the matrix A_p constant.
 
 `pairwise_op_norm` must equal the largest singular value of the explicit
-product a_x b_y, and `ap_constant` must reproduce the
-product-stack-and-SVD loop kept in `reference_ap.py`.
+product a_x b_y; `ap_constant` must reproduce the product-stack-and-SVD
+loop kept in `reference_ap.py` to round-off, and the per-cube loop kept
+there exactly, while it evaluates every cell pair once per call.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mwlp import matrix_core as mc
+from mwlp import scenario
 from mwlp.grids import Grid
-from mwlp.weight_fields import CubeFamily, ap_constant, make_power_weight
+from mwlp.weight_fields import PAIR_BLOCK, CubeFamily, ap_constant, make_power_weight
 
 import reference_ap
 
@@ -92,16 +96,91 @@ def test_ap_constant_matches_reference(n, d, p):
         reference_ap.ap_constant(w, p, cubes), rel=1e-13)
 
 
-@pytest.mark.parametrize("p", [0.5, 2.0])
-def test_ap_constant_matches_reference_ill_conditioned(p):
+def ill_conditioned_weight():
     # W(x) = R(x) diag(|x|, 1/|x|) R(x)^H: W^{1/p}(x) W^{-1/p}(y) nearly
     # cancels for neighbouring cells; ||W^{1/p}|| ||W^{-1/p}|| reaches 1.7e7 at p = 0.5
-    grid = Grid(1, 1.0, 64)
-    w = make_power_weight(grid, [1.0, -1.0], rotation=lambda pts: 3.0 * pts[:, 0],
-                          invertible=True)
-    cubes = CubeFamily.default(grid)
+    return make_power_weight(Grid(1, 1.0, 64), [1.0, -1.0],
+                             rotation=lambda pts: 3.0 * pts[:, 0], invertible=True)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_ap_constant_matches_reference_ill_conditioned(p):
+    w = ill_conditioned_weight()
+    cubes = CubeFamily.default(w.grid)
     assert ap_constant(w, p, cubes) == pytest.approx(
         reference_ap.ap_constant(w, p, cubes), rel=1e-13)
+
+
+def scalar_weights_suite_weight(n_pts):
+    """The weight of `verify.suite_scalar_weights` on its grid of n_pts cells."""
+    return make_power_weight(Grid(1, 1.0, n_pts), [0.5, 1.0 / 3.0],
+                             rotation=lambda pts: pts[:, 0], invertible=True)
+
+
+def ap_constant_cli_weight():
+    """The weight of `mwlp ap-constant --alpha 0.5 0.3333333333333333 --N 512`."""
+    raw = scenario.default_scenario("ap-constant")
+    raw["grid"]["N"] = 512
+    raw["weight"]["alpha"] = [0.5, 0.3333333333333333]
+    sc = scenario.validate(raw)
+    return scenario.build_weight(sc, scenario.build_grid(sc))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_one_pass_equals_per_cube_loop(n, d, p):
+    w = weight_for(n, d)
+    cubes = CubeFamily.default(w.grid)
+    assert ap_constant(w, p, cubes) == reference_ap.ap_constant_per_cube(w, p, cubes)
+
+
+def origin_anchored(grid, generations=range(5, 10)):
+    """Origin-anchored cubes of the default family's generations 5..9 only:
+    they cover the cells within 2L / 32 of the origin, not the whole box."""
+    sides = [2.0 * grid.L / 2 ** g for g in generations]
+    return CubeFamily(np.array([[c] for s in sides for c in (0.0, -s)]),
+                      np.repeat(sides, 2), "origin-anchored generations 5..9")
+
+
+NAMED_INPUTS = {
+    "dense-d2-p0.5": (lambda: weight_for(1, 2), CubeFamily.dense_dyadic, 0.5),
+    "dense-d3-p3": (lambda: weight_for(1, 3), CubeFamily.dense_dyadic, 3.0),
+    "ill-conditioned-p0.5": (ill_conditioned_weight, CubeFamily.default, 0.5),
+    "ill-conditioned-p2": (ill_conditioned_weight, CubeFamily.default, 2.0),
+    "scalar-weights-suite-512": (lambda: scalar_weights_suite_weight(512), CubeFamily.default, 2.0),
+    "scalar-weights-suite-1024": (lambda: scalar_weights_suite_weight(1024), CubeFamily.default, 2.0),
+    "ap-constant-cli-512": (ap_constant_cli_weight, CubeFamily.default, 2.0),
+    "origin-anchored-512-p0.5": (lambda: scalar_weights_suite_weight(512), origin_anchored, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_INPUTS))
+def test_one_pass_equals_per_cube_loop_on_named_inputs(case):
+    make_weight, family, p = NAMED_INPUTS[case]
+    w = make_weight()
+    cubes = family(w.grid)
+    assert ap_constant(w, p, cubes) == reference_ap.ap_constant_per_cube(w, p, cubes)
+
+
+def test_each_cell_pair_evaluated_once(monkeypatch):
+    calls = []
+    kernel = mc.pairwise_op_norm
+
+    def counted(a, b):
+        calls.append(a.shape[0] * b.shape[0])
+        return kernel(a, b)
+
+    monkeypatch.setattr(mc, "pairwise_op_norm", counted)
+    w = scalar_weights_suite_weight(1024)
+    ap_constant(w, 2.0, CubeFamily.default(w.grid))
+    m = w.grid.num_points
+    assert sum(calls) == m * m == 1_048_576
+    assert len(calls) <= math.ceil(m / max(1, PAIR_BLOCK // m)) == 64
+    # a family covering part of the box pays only for the pairs of its cells
+    calls.clear()
+    ap_constant(w, 2.0, origin_anchored(w.grid))
+    assert sum(calls) == 64 * 64
 
 
 def test_ap_constant_builds_no_product_stack(monkeypatch):

@@ -577,6 +577,22 @@ task: {name: necessity, epsilons: [0.2]}
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: weight.path: the grid of ")
 
+    @pytest.mark.parametrize("section, kind, samples, message", [
+        ("weight", "matrix", "-1.0 0.0", "eigenvalue -1.000e+00 below the PSD clamp band"),
+        ("measure", "density", "-1.0", "density must be finite and non-negative"),
+        ("weight", "matrix", "1.0 0.0 2.0", "every row must hold 2 numbers")])
+    def test_rejected_field_file_names_its_field_and_file(self, tmp_path, capsys, section,
+                                                          kind, samples, message):
+        path = tmp_path / "field.txt"
+        header = f"mwfield 1\nkind {kind}\nn 1\nL 2.0\nN 256\nd 1\ninvertible 0\n"
+        path.write_text(header + f"{samples}\n" * 256)
+        spec = f"{{kind: file, path: '{path}'}}"
+        text = (self.NECESSITY.replace(self.WEIGHT, spec) if section == "weight"
+                else self.NECESSITY + f"{section}: {spec}\n")
+        assert main(["run", str(write_scenario(tmp_path, text))]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: {section}.path: {path}: {message}"
+
     @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
                                          (1.0, "{name: necessity}")])
     def test_exponent_out_of_range_exits_one(self, tmp_path, capsys, p, task):

@@ -176,6 +176,19 @@ def test_cube_cells_follow_the_float_rule(grid):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_box_cells_of_a_stack_are_the_cells_of_each_box(grid):
+    for fam in _families(grid):
+        boxes = fam.boxes(grid)
+        widths = boxes[:, :, 1] - boxes[:, :, 0]
+        for shape in np.unique(widths, axis=0):
+            same = boxes[np.all(widths == shape, axis=1)]
+            stacked = grid.box_cells(same)
+            assert stacked.shape == (len(same), int(np.prod(shape)))
+            for k, box in enumerate(same):
+                assert np.array_equal(stacked[k], grid.box_cells(box))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 2.5])
 def test_scalar_ap_matches(grid, p):
     w = 0.2 + np.random.default_rng(7).random(grid.num_points) * 3.0

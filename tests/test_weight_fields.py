@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mwlp.errors import EmptyCubeFamily, NotInvertible, NotPSD, OutOfRange
+from mwlp import matrix_core as mc
+from mwlp.errors import EmptyCubeFamily, NonFinite, NotHermitian, NotInvertible, NotPSD, OutOfRange
 from mwlp.grids import Grid
 from mwlp.weight_fields import (
     CubeFamily,
@@ -108,6 +109,32 @@ class TestFields:
         MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1)))  # PSD is fine
         with pytest.raises(NotInvertible):
             MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1)), invertible=True)
+
+    @pytest.mark.parametrize("mat", [np.eye(2), np.diag([1.0, 4.0]),
+                                     [[2.0, 1j], [-1j, 3.0]],
+                                     [[1.0, 0.5, 0.25j], [0.5, 2.0, 0.0], [-0.25j, 0.0, 3.0]]])
+    def test_constant_decomposes_one_matrix(self, monkeypatch, mat):
+        g = Grid(2, 8.0, 16)
+        old = mc.batched_eigh(np.broadcast_to(np.asarray(mat, dtype=complex),
+                                              (g.num_points,) + np.shape(mat)).copy())
+        seen = []
+        eigh = mc.batched_eigh
+        monkeypatch.setattr(mc, "batched_eigh", lambda m: seen.append(m.shape[0]) or eigh(m))
+        w = MatrixWeightField.constant(g, mat, invertible=True)
+        assert seen == [1]
+        assert np.array_equal(w.eig()[0], np.maximum(old[0], 0.0))
+        assert np.array_equal(w.eig()[1], old[1])
+        assert np.array_equal(w.power(-0.5), mc.batched_power_from_eig(*old, -0.5))
+
+    def test_constant_runs_the_hermitian_clamp_and_invertibility_checks(self):
+        g = Grid(1, 1.0, 8)
+        with pytest.raises(NotHermitian):
+            MatrixWeightField.constant(g, [[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(NotPSD):
+            MatrixWeightField.constant(g, np.diag([-0.5, 1.0]))
+        assert MatrixWeightField.constant(g, np.diag([-1e-12, 1.0])).eig()[0][0, 0] == 0.0
+        with pytest.raises(NotInvertible):
+            MatrixWeightField.constant(g, np.diag([0.0, 1.0]), invertible=True)
 
     def test_power_weight_identity(self):
         g = Grid(1, 1.0, 16)
@@ -260,6 +287,24 @@ class TestApConstant:
         empty = CubeFamily(np.zeros((0, 1)), np.zeros(0), "empty")
         with pytest.raises(EmptyCubeFamily):
             ap_constant(w, 2.0, empty)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_family_outside_the_box_holds_no_cells(self, d):
+        g = Grid(1, 1.0, 16)
+        w = MatrixWeightField.constant(g, np.eye(d), invertible=True)
+        outside = CubeFamily(np.array([[2.0], [-3.0]]), np.array([0.5, 1.0]), "outside")
+        with pytest.raises(EmptyCubeFamily, match="no cells of the grid"):
+            ap_constant(w, 2.0, outside)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflow_is_not_reported_as_an_empty_family(self, d):
+        # W = w I with w = 1e-300 in one cell: w^{-p'/p} = 1e600 overflows at p = 1.5
+        g = Grid(1, 1.0, 16)
+        v = np.ones(16)
+        v[3] = 1e-300
+        w = MatrixWeightField.diagonal(g, np.repeat(v[:, None], d, axis=1), invertible=True)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite, match="overflows"):
+            ap_constant(w, 1.5, CubeFamily.default(g))
 
     def test_exponent_out_of_range(self):
         g = Grid(1, 1.0, 16)
