@@ -600,10 +600,10 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     a_const = 3.0 * float(np.sum(op_norms[inside] * dens.values[inside])
                           * grid.h ** grid.n) ** (1.0 / p)
 
-    stacked = np.stack([g.values for g in averaged])
+    stacked = np.stack([g.values for g in averaged])[:, inside]
 
     def dist_uniform(i: int, j: int) -> float:
-        diff = stacked[i][inside] - stacked[j][inside]
+        diff = stacked[i] - stacked[j]
         return float(np.max(np.linalg.norm(diff, axis=1)))
 
     uniform_radius = epsilon / a_const

@@ -67,7 +67,7 @@ def save_field(path, field) -> None:
     else:
         lines.append("d 1")
         rows = field.values[:, None]
-    body = "\n".join(" ".join(repr(float(x)) for x in row) for row in rows)
+    body = "\n".join(" ".join(map(repr, row)) for row in rows.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n" + body + "\n")
 
@@ -107,12 +107,12 @@ def _parse_field(text: str, path):
     grid = Grid(int(header["n"]), float(header["L"]), int(header["N"]))
     d = int(header.get("d", "1"))
     columns = {"matrix": 2 * d * d, "vector": 2 * d}.get(kind, 1)
-    rows = [[float(tok) for tok in line.split()] for line in lines[i:] if line.strip()]
+    rows = [line.split() for line in lines[i:] if line.strip()]
     if len(rows) != grid.num_points:
         raise MalformedField(f"{path}: expected {grid.num_points} rows, found {len(rows)}")
     if any(len(row) != columns for row in rows):
         raise MalformedField(f"{path}: every row must hold {columns} numbers")
-    rows = np.array(rows)
+    rows = np.array(rows, dtype=np.float64)
 
     def complexify(block):
         # componentwise assembly keeps signed zeros intact

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, SingularMatrix
+from .errors import NonFinite, NotHermitian, NotPSD, SingularMatrix
 
 #: relative conjugate-symmetry tolerance
 TOL_HERM = 1e-12
@@ -68,6 +68,8 @@ def batched_check_hermitian(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarr
     m = np.asarray(mats, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected shape (M, d, d), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("matrix stack has non-finite entries")
     scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1.0)
     dev = np.max(np.abs(m - np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
     if np.any(dev > tol * scale):

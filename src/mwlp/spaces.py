@@ -130,7 +130,6 @@ class NormFamily:
     @classmethod
     def from_matrix_weight(cls, w: MatrixWeightField, p: float) -> "NormFamily":
         wp = w.power(1.0 / p)
-        wp.setflags(write=False)
         if w.d == 1:
             scal = wp[:, 0, 0].real.copy()
             scal.setflags(write=False)
@@ -138,9 +137,10 @@ class NormFamily:
             def evaluator(values):
                 return scal * np.abs(values[..., 0])
         else:
+            cols = _entry_columns(wp)
+
             def evaluator(values):
-                return np.linalg.norm(
-                    np.einsum("mij,...mj->...mi", wp, values), axis=-1)
+                return _column_norms(cols, values)
 
         return cls(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
 
@@ -174,6 +174,54 @@ class NormFamily:
                 raise NormAxiomViolation("absolute homogeneity fails on samples")
             if np.any(self.evaluate(v + w) > rv + rw + tol * np.maximum(rv + rw, 1.0)):
                 raise NormAxiomViolation("triangle inequality fails on samples")
+
+
+def _entry_columns(wp: np.ndarray) -> np.ndarray:
+    """Entries w_ij of an (M, d, d) stack as contiguous (M,) columns cols[i, j, k].
+
+    Part k = 0 is Re w_ij; part k = 1, kept only when the stack has a nonzero
+    imaginary part, is i Im w_ij; both are complex.  A product with either
+    part rounds each real product on its own, so Re w_ij v + i Im w_ij v is
+    w_ij v as einsum forms it (a_re b_re - a_im b_im, a_re b_im + a_im b_re).
+    A complex multiply by w_ij itself may fuse a product into the sum and
+    round differently.
+    """
+    cols = wp.transpose(1, 2, 0)
+    parts = [cols.real.astype(np.complex128)]
+    if np.any(cols.imag):
+        parts.append(1j * cols.imag)
+    out = np.ascontiguousarray(np.stack(parts, axis=2))
+    out.setflags(write=False)
+    return out
+
+
+def _column_norms(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """|w(x) v(x)| per point for the columns of `_entry_columns` and values (M, d).
+
+    y_i = w_i0 v_0 + w_i1 v_1 + ... in j order, then sqrt of the sum over i,
+    in i order, of (conj(y_i) y_i).real: the operations and order of
+    np.linalg.norm(np.einsum("mij,mj->mi", w, v), axis=-1), as d^2 multiply-adds
+    over (M,) columns.
+    """
+    total = None
+    for row in cols:
+        y = None
+        for parts, vj in zip(row, values.T):
+            term = parts[0] * vj
+            for part in parts[1:]:
+                term += part * vj
+            if y is None:
+                y = term
+            else:
+                y += term
+        # out of place, as np.linalg.norm forms it: an in-place multiply of
+        # length 1 takes another ufunc loop, which can round differently
+        sq = (y.conj() * y).real
+        if total is None:
+            total = sq
+        else:
+            total += sq
+    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,20 @@ def test_negative_zero_preserved(tmp_path):
     assert np.signbit(back.values[0, 0].real)
 
 
+def test_rows_are_shortest_reprs_and_load_bit_for_bit(tmp_path, rng):
+    g = Grid(1, 1.0, 8)
+    vals = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    vals[0] = [complex(-0.0, 0.0), complex(5e-324, -0.0)]
+    vals[1] = [complex(1e300, -1e-300), complex(0.1, 1.0 / 3.0)]
+    path = tmp_path / "f.txt"
+    fieldio.save_field(path, SampledVectorField(g, vals))
+    rows = np.stack([vals.real, vals.imag], axis=-1).reshape(8, 4)
+    body = path.read_text().splitlines()[6:]
+    assert body == [" ".join(repr(float(x)) for x in row) for row in rows]
+    back = fieldio.load_field(path).values
+    assert np.array_equal(back.view(np.int64), vals.view(np.int64))
+
+
 def test_corrupted_file_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a field\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mwlp.errors import NotHermitian, NotPSD, SingularMatrix
+from mwlp.errors import NonFinite, NotHermitian, NotPSD, SingularMatrix
 from mwlp.matrix_core import (
     batched_eigh,
     batched_power_from_eig,
@@ -191,3 +191,14 @@ class TestOnePath:
         for fn in (spectral_decompose, op_norm, lambda a: mat_power(a, 0.5)):
             with pytest.raises(ValueError):
                 fn(np.zeros(shape))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("fn", [spectral_decompose, op_norm, lambda a: mat_power(a, 0.5)],
+                             ids=["spectral_decompose", "op_norm", "mat_power"])
+    def test_non_finite_matrix_rejected(self, fn, entry):
+        a = np.array([[entry, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonFinite):
+            fn(a)
+        with pytest.raises(NonFinite):
+            batched_eigh(np.stack([np.eye(2), a]))

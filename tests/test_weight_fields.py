@@ -136,6 +136,12 @@ class TestFields:
         with pytest.raises(NotInvertible):
             MatrixWeightField.constant(g, np.diag([0.0, 1.0]), invertible=True)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_constant_rejects_a_non_finite_matrix_without_a_warning(self, entry):
+        with pytest.raises(NonFinite):
+            MatrixWeightField.constant(Grid(1, 1.0, 8), [[entry]])
+
     def test_power_weight_identity(self):
         g = Grid(1, 1.0, 16)
         w = make_power_weight(g, [0.0, 0.0])
