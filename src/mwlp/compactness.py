@@ -331,20 +331,20 @@ def _diagonalized(family: FunctionFamily, w: MatrixWeightField):
     return d_field, FunctionFamily(tilted, metadata=family.metadata + " (diagonalized)")
 
 
-def twisted_curve(family: FunctionFamily, w: MatrixWeightField, p: float,
-                  scales: list[float]) -> list[float]:
+def twisted_curve(family: FunctionFamily, space: Space, scales: list[float]) -> list[float]:
     """Equicontinuity after pointwise diagonalization at every ladder scale:
-    the translation curve of f~ = U^H f in L^p(D), D = diag of the eigenvalue
-    functions of W."""
+    the translation curve of f~ = U^H f in L^p(D, mu), D = diag of the
+    eigenvalue functions of the space's weight W, mu the space's density."""
+    w, p = _weight_and_exponent(space, "the twisted notion")
     if w.grid != family.grid or w.d != family.d:
         raise ShapeMismatch("weight does not match the family")
     d_field, tilted = _diagonalized(family, w)
-    return translation_curve(tilted, scales, Space.matrix_weight(d_field, p))
+    return translation_curve(tilted, scales, Space.matrix_weight(d_field, p, space.mu))
 
 
-def twisted_modulus(family: FunctionFamily, w: MatrixWeightField, p: float, r: float) -> float:
+def twisted_modulus(family: FunctionFamily, space: Space, r: float) -> float:
     """The twisted modulus at one scale (see twisted_curve)."""
-    return twisted_curve(family, w, p, [r])[0]
+    return twisted_curve(family, space, [r])[0]
 
 
 def _ball_density(space: Space) -> MeasureDensity:
@@ -388,14 +388,12 @@ def moduli_report(family: FunctionFamily, space: Space,
     """Measure the boundedness, tail and equicontinuity curves on the default ladders."""
     grid = family.grid
     scales = default_scale_ladder(grid)
-    if notion == "twisted":
-        w, p = _weight_and_exponent(space, "the twisted notion")
     bound = boundedness_modulus(family, space)
     tail = [(R, tail_modulus(family, R, space)) for R in default_radius_ladder(grid)]
     if notion == "translation":
         equi = list(zip(scales, translation_curve(family, scales, space)))
     elif notion == "twisted":
-        equi = list(zip(scales, twisted_curve(family, w, p, scales)))
+        equi = list(zip(scales, twisted_curve(family, space, scales)))
     elif notion == "averaging":
         equi = [(r, averaging_modulus(family, space, r)) for r in scales]
     else:
@@ -459,12 +457,19 @@ def _box_tail(family: FunctionFamily, half: float, space: Space) -> float:
     return max(space.size(f.masked(outside)) for f in family)
 
 
-def _self_certified(family: FunctionFamily, net: EpsilonNet, space: Space) -> EpsilonNet:
-    """Attach the brute-force certificate of a freshly built net, which must pass it."""
+def _self_certified(family: FunctionFamily, space: Space, epsilon: float, centers: list,
+                    assignment: list, route: str, params: dict) -> EpsilonNet:
+    """The net of the given centers and assignment, with each member's measured
+    distance to its center, c_net their max over epsilon, and the brute-force
+    certificate attached, which a freshly built net must pass."""
+    distances = [space.dist(f, centers[a]) for f, a in zip(family, assignment)]
+    net = EpsilonNet(epsilon=epsilon, centers=centers, assignment=assignment,
+                     distances=distances, c_net=max(distances) / epsilon, route=route,
+                     params=params, space_label=space.label)
     cert = certify_net(family, net, space)
     if not cert.passed:
         raise SelfCertificationFailed(
-            f"freshly built {net.route} net failed its own certificate: worst distance "
+            f"freshly built {route} net failed its own certificate: worst distance "
             f"{cert.worst_distance!r} above {cert.threshold!r}")
     net.certificate = cert
     return net
@@ -511,8 +516,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
             "no ladder scale is an exact power of two on this grid; "
             "dyadic nets need L to be a power of two")
     if notion == "twisted":
-        equi_value = twisted_modulus(
-            family, *_weight_and_exponent(space, "the twisted notion"), s)
+        equi_value = twisted_modulus(family, space, s)
     else:
         equi_value = translation_modulus(family, s, space)
     if not equi_value < epsilon:
@@ -524,28 +528,16 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     dist_fn = _pair_memo(lambda i, j: space.dist(projections[i], projections[j]))
     center_idx, assignment, _proj_d = greedy_cover(len(family), dist_fn, epsilon, max_centers)
     centers = [projections[k] for k in center_idx]
-    distances = [space.dist(family[i], centers[assignment[i]]) for i in range(len(family))]
-    worst = max(distances)
-    net = EpsilonNet(
-        epsilon=epsilon,
-        centers=centers,
-        assignment=assignment,
-        distances=distances,
-        c_net=worst / epsilon,
-        route="dyadic",
-        params={
-            "m": chosen_m,
-            "t": chosen_t,
-            "num_cubes": scheme.num_cubes,
-            "notion": notion,
-            "tail_value": tail_value,
-            "equicontinuity_value": equi_value,
-            "projection_error": proj_err,
-            "center_members": [int(k) for k in center_idx],
-        },
-        space_label=space.label,
-    )
-    return _self_certified(family, net, space)
+    return _self_certified(family, space, epsilon, centers, assignment, "dyadic", {
+        "m": chosen_m,
+        "t": chosen_t,
+        "num_cubes": scheme.num_cubes,
+        "notion": notion,
+        "tail_value": tail_value,
+        "equicontinuity_value": equi_value,
+        "projection_error": proj_err,
+        "center_members": [int(k) for k in center_idx],
+    })
 
 
 def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
@@ -610,32 +602,20 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     center_idx, assignment, uniform_d = greedy_cover(
         len(family), dist_uniform, uniform_radius, max_centers)
     centers = [averaged[k].masked(inside) for k in center_idx]
-    distances = [space.dist(family[i], centers[assignment[i]]) for i in range(len(family))]
-    worst = max(distances)
-    net = EpsilonNet(
-        epsilon=epsilon,
-        centers=centers,
-        assignment=assignment,
-        distances=distances,
-        c_net=worst / epsilon,
-        route="average",
-        params={
-            "R": chosen_R,
-            "r": chosen_r,
-            "A": a_const,
-            "budgets": {
-                "tail": epsilon / 3,
-                "averaging": epsilon / 3,
-                "uniform_radius": uniform_radius,
-            },
-            "tail_value": tail_value,
-            "averaging_value": avg_value,
-            "worst_uniform_distance": float(np.max(uniform_d)),
-            "center_members": [int(k) for k in center_idx],
+    return _self_certified(family, space, epsilon, centers, assignment, "average", {
+        "R": chosen_R,
+        "r": chosen_r,
+        "A": a_const,
+        "budgets": {
+            "tail": epsilon / 3,
+            "averaging": epsilon / 3,
+            "uniform_radius": uniform_radius,
         },
-        space_label=space.label,
-    )
-    return _self_certified(family, net, space)
+        "tail_value": tail_value,
+        "averaging_value": avg_value,
+        "worst_uniform_distance": float(np.max(uniform_d)),
+        "center_members": [int(k) for k in center_idx],
+    })
 
 
 def certify_net(family: FunctionFamily, net: EpsilonNet, space: Space) -> Certificate:

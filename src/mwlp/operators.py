@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyBall, NotInvertible, SchemeMismatch, ShapeMismatch
 from .grids import Grid
-from .spaces import NormFamily, SampledVectorField, Space
+from .spaces import NormFamily, SampledVectorField, Space, _column_norms, _entry_columns
 from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
 
 
@@ -310,10 +310,10 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
 
     The family consists of balls centered at grid points with dyadic radii;
     the result is a lower estimate of the all-balls supremum.  Points x go in
-    blocks of about MAXIMAL_BLOCK (cell, point) pairs: one einsum gives
-    phi[y, x] = |W^{1/p}(x) W^{-1/p}(y) f(y)|, one window-sum call for all
-    radii every ball mean, and the balls holding x are those
-    BallScheme.offsets admits.
+    blocks of about MAXIMAL_BLOCK (cell, point) pairs: the column kernel of
+    the norm families gives phi[y, x] = |W^{1/p}(x) W^{-1/p}(y) f(y)|, one
+    window-sum call for all radii every ball mean, and the balls holding x
+    are those BallScheme.offsets admits.
     """
     if not w.invertible:
         raise NotInvertible("maximal operator requires an invertible weight")
@@ -322,9 +322,8 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     grid = f.grid
     if radii is None:
         radii = dyadic_radii(grid)
-    wp = w.power(1.0 / p)
-    wm = w.power(-1.0 / p)
-    g = np.einsum("mij,mj->mi", wm, f.values)
+    entries = _entry_columns(w.power(1.0 / p))
+    g = np.einsum("mij,mj->mi", w.power(-1.0 / p), f.values)
     m_points = grid.num_points
     lebesgue = MeasureDensity.lebesgue(grid)
     schemes = [BallScheme(grid, r, lebesgue) for r in radii]
@@ -334,7 +333,7 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     step = max(1, MAXIMAL_BLOCK // m_points)
     for x0 in range(0, m_points, step):
         xs = slice(x0, x0 + step)
-        phi = np.linalg.norm(np.einsum("xij,yj->yxi", wp[xs], g), axis=-1)
+        phi = _column_norms(entries[..., xs], g[:, None, :])
         cols = np.arange(phi.shape[1])[:, None]
         for s, cnt, sums in zip(schemes, counts, _window_sum(grid, phi, schemes)):
             means = sums / cnt

@@ -118,14 +118,11 @@ class NormFamily:
     the triangle inequality on random samples at construction.
     """
 
-    def __init__(self, grid: Grid, d: int, evaluator, description: str = "",
-                 validate: bool = False, rng: np.random.Generator | None = None):
+    def __init__(self, grid: Grid, d: int, evaluator, description: str = ""):
         self.grid = grid
         self.d = d
         self._evaluator = evaluator
         self.description = description
-        if validate:
-            self._spot_check(rng or np.random.default_rng(0))
 
     @classmethod
     def from_matrix_weight(cls, w: MatrixWeightField, p: float) -> "NormFamily":
@@ -150,7 +147,9 @@ class NormFamily:
         def evaluator(values):
             return np.asarray(fn(grid.points, values), dtype=np.float64)
 
-        return cls(grid, d, evaluator, description=description, validate=True, rng=rng)
+        family = cls(grid, d, evaluator, description=description)
+        family._spot_check(rng or np.random.default_rng(0))
+        return family
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Per-point norms rho_x(values[x]), shape (M,)."""
@@ -196,17 +195,20 @@ def _entry_columns(wp: np.ndarray) -> np.ndarray:
 
 
 def _column_norms(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """|w(x) v(x)| per point for the columns of `_entry_columns` and values (M, d).
+    """|w(x) v| for the columns of `_entry_columns` and values (..., d) that
+    broadcast against them.
 
     y_i = w_i0 v_0 + w_i1 v_1 + ... in j order, then sqrt of the sum over i,
     in i order, of (conj(y_i) y_i).real: the operations and order of
-    np.linalg.norm(np.einsum("mij,mj->mi", w, v), axis=-1), as d^2 multiply-adds
-    over (M,) columns.
+    np.linalg.norm(np.einsum("mij,...mj->...mi", w, v), axis=-1), as d^2
+    multiply-adds over the broadcast columns.
     """
+    # values[..., j] are views; np.moveaxis would cost more than a short column
+    components = [values[..., j] for j in range(values.shape[-1])]
     total = None
     for row in cols:
         y = None
-        for parts, vj in zip(row, values.T):
+        for parts, vj in zip(row, components):
             term = parts[0] * vj
             for part in parts[1:]:
                 term += part * vj
@@ -230,21 +232,9 @@ def _column_norms(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def lp_w_norm(f: SampledVectorField, w: MatrixWeightField, p: float,
               mu: MeasureDensity | None = None) -> float:
-    """|| f ||_{L^p(W)} = ( integral |W^{1/p}(x) f(x)|^p dmu )^{1/p}.
-
-    mu defaults to Lebesgue measure.  For d = 1 this reduces to the scalar
-    weighted norm ( integral w |f|^p dmu )^{1/p} computed directly.
-    """
-    if f.grid != w.grid or f.d != w.d:
-        raise ShapeMismatch("field and weight do not match")
-    if w.d > 1:
-        return Space.matrix_weight(w, p, mu).norm(f)
-    dens = w.values[:, 0, 0].real * np.abs(f.values[:, 0]) ** p
-    if mu is not None:
-        if mu.grid != f.grid:
-            raise ShapeMismatch("density grid mismatch")
-        dens = dens * mu.values
-    return float(f.grid.quadrature(dens) ** (1.0 / p))
+    """|| f ||_{L^p(W)} = ( integral |W^{1/p}(x) f(x)|^p dmu )^{1/p}, mu defaulting
+    to Lebesgue measure: the norm of Space.matrix_weight(w, p, mu) for every d."""
+    return Space.matrix_weight(w, p, mu).norm(f)
 
 
 def lp_rho_norm(f: SampledVectorField, rho: NormFamily, p: float,
@@ -254,6 +244,8 @@ def lp_rho_norm(f: SampledVectorField, rho: NormFamily, p: float,
         raise ShapeMismatch("field and norm family do not match")
     dens = rho.evaluate(f.values) ** p
     if mu is not None:
+        if mu.grid != f.grid:
+            raise ShapeMismatch("density grid mismatch")
         dens = dens * mu.values
     return float(f.grid.quadrature(dens) ** (1.0 / p))
 

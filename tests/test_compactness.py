@@ -141,7 +141,7 @@ class TestTwisted:
         w = make_power_weight(grid, [0.5], invertible=True)
         sp = Space.matrix_weight(w, 2.0)
         r = 4 * grid.h
-        assert twisted_modulus(fam, w, 2.0, r) == translation_modulus(fam, r, sp)
+        assert twisted_modulus(fam, sp, r) == translation_modulus(fam, r, sp)
 
     def test_constant_eigenvectors_match_diagonal_translation(self, grid, rng):
         # fixed rotation angle: U(x) constant, so the twisted modulus equals
@@ -158,7 +158,7 @@ class TestTwisted:
                               invertible=True)
         fam = small_family(grid, rng, d=2)
         r = 4 * grid.h
-        tw = twisted_modulus(fam, w, 2.0, r)
+        tw = twisted_modulus(fam, Space.matrix_weight(w, 2.0), r)
         d_field = MatrixWeightField(grid, diag.astype(complex), invertible=True)
         tilted = FunctionFamily([
             SampledVectorField(grid, f.values @ rot) for f in fam])
@@ -171,10 +171,24 @@ class TestTwisted:
         fam = small_family(grid, rng, d=2)
         sp = Space.matrix_weight(w, 2.0)
         r = 8 * grid.h
-        tw = twisted_modulus(fam, w, 2.0, r)
+        tw = twisted_modulus(fam, sp, r)
         tr = translation_modulus(fam, r, sp)
         assert np.isfinite(tw) and np.isfinite(tr)
         assert tw != pytest.approx(tr, rel=1e-6)
+
+    def test_measures_with_the_space_density(self):
+        # a constant density 4 multiplies every L^2 size by exactly 2,
+        # the twisted curve's among them
+        grid = Grid(1, 8.0, 256)
+        w = make_power_weight(grid, [0.5, 1.0 / 3.0], rotation=lambda pts: pts[:, 0])
+        fam = gaussian_bumps(grid, 2, 5, np.random.default_rng(20260810))
+        plain = moduli_report(fam, Space.matrix_weight(w, 2.0), "twisted")
+        mu = MeasureDensity(grid, np.full(grid.num_points, 4.0))
+        dense = moduli_report(fam, Space.matrix_weight(w, 2.0, mu), "twisted")
+        assert dense.bound == 2.0 * plain.bound
+        for got, base in ((dense.tail_curve, plain.tail_curve),
+                          (dense.equi_curve, plain.equi_curve)):
+            assert [v for _, v in got] == [2.0 * v for _, v in base]
 
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_no_second_eigendecomposition(self, grid, rng, monkeypatch, p):
@@ -188,7 +202,7 @@ class TestTwisted:
         original = matrix_core.batched_eigh
         monkeypatch.setattr(matrix_core, "batched_eigh",
                             lambda mats: calls.append(np.shape(mats)) or original(mats))
-        twisted_curve(fam, w, p, [2 * grid.h, 4 * grid.h])
+        twisted_curve(fam, Space.matrix_weight(w, p), [2 * grid.h, 4 * grid.h])
         componentwise_reduction(fam, w, p)
         assert calls == []
 

@@ -98,10 +98,10 @@ def test_screen_within_stated_margin(problem):
 @PROPERTY
 @given(problems())
 def test_twisted_curve_equals_exhaustive_scan(problem):
-    family, w, _mu, scales = problem
+    family, w, mu, scales = problem
     d_field, tilted = _diagonalized(family, w)
-    reference = exhaustive_curve(tilted, scales, Space.matrix_weight(d_field, 2.0))
-    assert twisted_curve(family, w, 2.0, scales) == reference
+    reference = exhaustive_curve(tilted, scales, Space.matrix_weight(d_field, 2.0, mu))
+    assert twisted_curve(family, Space.matrix_weight(w, 2.0, mu), scales) == reference
 
 
 @PROPERTY
@@ -177,7 +177,7 @@ class TestDirectConfirmation:
 
         monkeypatch.setattr(Space, "size", counting)
         if notion == "twisted":
-            twisted_curve(fam, w, 2.0, scales)
+            twisted_curve(fam, Space.matrix_weight(w, 2.0), scales)
         else:
             translation_curve(fam, scales, Space.matrix_weight(w, 2.0))
         window = grid.shift_window(grid.max_shift(max(scales)))

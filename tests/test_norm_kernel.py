@@ -6,6 +6,9 @@ over (M,) columns; it must equal the einsum evaluator kept in
 distance built on it, for real and complex weights alike.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +20,8 @@ from mwlp.spaces import NormFamily, SampledVectorField, Space, lp_rho_norm, lp_w
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity, make_power_weight
 
 import reference_norm
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mwlp"
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -82,8 +87,7 @@ def test_norms_and_distances_equal_einsum(problem):
     assert space.norm(f) == ref.norm(f)
     assert space.size(f) == ref.size(f)
     assert space.dist(f, g) == ref.dist(f, g)
-    if w.d > 1:  # for d = 1, lp_w_norm integrates w |f|^p directly
-        assert lp_w_norm(f, w, p, mu) == ref.norm(f)
+    assert lp_w_norm(f, w, p, mu) == ref.norm(f)
 
 
 @pytest.mark.parametrize("m", [1, 3, 13, 1000])
@@ -96,6 +100,10 @@ def test_kernel_equals_einsum_on_any_point_count(m, d, complex_entries):
     v = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     expected = np.linalg.norm(np.einsum("mij,...mj->...mi", wp, v), axis=-1)
     assert np.array_equal(spaces._column_norms(spaces._entry_columns(wp), v), expected)
+    # Y vectors against every point's matrix at once, as the maximal operator asks
+    vy = v[:7, None, :]
+    expected = np.linalg.norm(np.einsum("xij,yj->yxi", wp, v[:7]), axis=-1)
+    assert np.array_equal(spaces._column_norms(spaces._entry_columns(wp), vy), expected)
 
 
 def test_real_weight_keeps_one_part_per_entry():
@@ -119,3 +127,26 @@ def test_default_net_distances_equal_einsum():
         assert net.distances[i] == ref.dist(f, net.centers[net.assignment[i]])
         for c in net.centers:
             assert space.dist(f, c) == ref.dist(f, c)
+
+
+def _is_call_of(node, attr: str, owner: str | None = None) -> bool:
+    """Whether node calls `*.attr`, through `*.owner.attr` when owner is given."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr):
+        return False
+    return owner is None or (isinstance(node.func.value, ast.Attribute)
+                             and node.func.value.attr == owner)
+
+
+def test_no_norm_of_an_einsum_in_the_package():
+    """|W v| has one kernel: no `linalg.norm` call in src/mwlp takes an einsum call,
+    at any depth, as an argument.  The source text is read, the way
+    tests/test_spectral_path.py locates the eigenvalue calls."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _is_call_of(node, "norm", "linalg"):
+                args = [*node.args, *(k.value for k in node.keywords)]
+                if any(_is_call_of(sub, "einsum") for arg in args for sub in ast.walk(arg)):
+                    found.append((path.stem, node.lineno))
+    assert found == []

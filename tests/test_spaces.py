@@ -54,7 +54,9 @@ class TestLpWNorm:
         f_vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = SampledVectorField(g, f_vals)
         direct = (np.sum(wv * np.abs(f_vals) ** 2) * g.h) ** 0.5
-        assert lp_w_norm(f, w, 2.0) == direct
+        # the Space path forms (w^{1/2} |f|)^2, a few ulp from w |f|^2
+        assert lp_w_norm(f, w, 2.0) == Space.matrix_weight(w, 2.0).norm(f)
+        assert lp_w_norm(f, w, 2.0) == pytest.approx(direct, rel=1e-14)
 
     def test_matches_rho_norm_when_derived(self, rng):
         g = Grid(1, 1.0, 32)
@@ -80,6 +82,15 @@ class TestLpWNorm:
         w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
         with pytest.raises(ShapeMismatch):
             lp_w_norm(SampledVectorField.zero(g, 3), w, 2.0)
+
+    @pytest.mark.parametrize("density_grid", [Grid(1, 2.0, 64), Grid(1, 1.0, 32)])
+    def test_rho_norm_rejects_a_density_on_another_grid(self, density_grid):
+        g = Grid(1, 1.0, 64)
+        rho = NormFamily.from_matrix_weight(
+            MatrixWeightField.constant(g, [[1.0]], invertible=True), 2.0)
+        f = SampledVectorField(g, np.ones(64, dtype=complex))
+        with pytest.raises(ShapeMismatch):
+            lp_rho_norm(f, rho, 2.0, MeasureDensity.lebesgue(density_grid))
 
 
 class TestModular:
