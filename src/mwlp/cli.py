@@ -185,12 +185,7 @@ def _task_john(sc, rng) -> tuple[dict, int]:
         rho = lambda v: np.sum(np.abs(v) ** q, axis=1) ** (1 / q)
         label = f"l{q}"
     w = spaces.john_ellipsoid(rho, d, rng=rng)
-    vt = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-    rv = rho(vt)
-    wv = np.linalg.norm(vt @ w.T, axis=1)
-    left = float(np.min(wv / rv))
-    right = float(np.max(wv / (np.sqrt(d) * rv)))
-    passed = left >= 1.0 - 1e-9 and right <= 1.05 * (1 + 1e-9)
+    left, right, passed = spaces.john_sandwich(rho, d, w, count, rng)
     return {"norm": label, "d": d, "matrix": w,
             "left_ratio_min": left, "right_ratio_max": right,
             "target": "rho(v) <= |Wv| <= sqrt(d)*1.05*rho(v)",
@@ -266,9 +261,8 @@ def _task_net(sc, rng) -> tuple[dict, int]:
 def _task_certify(sc, rng) -> tuple[dict, int]:
     """Recheck loaded centers from scratch, or report a rebuilt net's certificate."""
     space, family = _setup(sc, rng)
-    center_paths = sc.param("centers")
-    if center_paths:
-        centers = [fieldio.load_field(cp) for cp in center_paths]
+    if sc.param("centers"):
+        centers = scenario.build_centers(sc, space.grid, family.d)
         net = EpsilonNet(epsilon=sc.param("epsilon"), centers=centers,
                          assignment=[0] * len(family), distances=[],
                          c_net=sc.param("c_net"), route="external", space_label=space.label)

@@ -9,7 +9,7 @@ net carries a brute-force certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .operators import (
     BallScheme,
     DyadicScheme,
     ball_average,
+    ball_average_values,
     dyadic_average,
+    dyadic_radii,
     shift_values,
 )
 from .spaces import SampledVectorField, Space, lp_w_norm
@@ -126,13 +128,9 @@ class Certificate:
     distances: list
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_member": self.worst_member,
-            "worst_distance": self.worst_distance,
-            "threshold": self.threshold,
-            "per_member_distance": list(self.distances),
-        }
+        out = asdict(self)
+        out["per_member_distance"] = out.pop("distances")
+        return out
 
 
 def default_radius_ladder(grid: Grid) -> list[float]:
@@ -142,16 +140,21 @@ def default_radius_ladder(grid: Grid) -> list[float]:
 
 def default_scale_ladder(grid: Grid) -> list[float]:
     """Dyadic scales 2h, 4h, ... up to L/4."""
-    out = []
-    s = 2.0 * grid.h
-    while s <= grid.L / 4 * (1 + 1e-12):
-        out.append(s)
-        s *= 2.0
-    return out
+    return [s for s in dyadic_radii(grid) if s <= grid.L / 4 * (1 + 1e-12)]
 
 
 # ---------------------------------------------------------------------------
 # moduli
+
+
+def _restricted(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Values (M, d) on the cells of a mask, zero elsewhere."""
+    return np.where(mask[:, None], values, 0.0)
+
+
+def _tail(family: FunctionFamily, mask: np.ndarray, space: Space) -> float:
+    """sup over members of the size of f restricted to the cells of mask."""
+    return max(space.size_values(_restricted(f.values, mask)) for f in family)
 
 
 def boundedness_modulus(family: FunctionFamily, space: Space) -> float:
@@ -166,8 +169,8 @@ def tail_modulus(family: FunctionFamily, R: float, space: Space) -> float:
         raise RadiusExceedsBox(f"tail radius {R} must be below L={grid.L}")
     if R < 0:
         raise ValueError("tail radius must be non-negative")
-    mask = grid.outside_ball(R)
-    return max(space.size(f.masked(mask)) for f in family)
+    space.check(family)
+    return _tail(family, grid.outside_ball(R), space)
 
 
 #: safety factor on the stated FFT screening error bound (see _l2_screen)
@@ -188,6 +191,7 @@ def translation_curve(family: FunctionFamily, scales: list[float], space: Space)
     ladder sorted by scale.
     """
     grid = family.grid
+    space.check(family)
     scales = [float(r) for r in scales]
     if not scales:
         return []
@@ -202,7 +206,7 @@ def translation_curve(family: FunctionFamily, scales: list[float], space: Space)
     def direct(m: int, s: int) -> float:
         f = members[m]
         k = tuple(int(x) for x in shifts[s])
-        return space.size(SampledVectorField(grid, shift_values(f.values, grid, k) - f.values))
+        return space.size_values(shift_values(f.values, grid, k) - f.values)
 
     screen = _l2_screen(members, shifts, space)
     curve = [0.0] * len(scales)
@@ -269,8 +273,6 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
     if w is None or space.p != 2.0:
         return None
     grid = w.grid
-    if members[0].grid != grid or members[0].d != w.d:
-        raise ShapeMismatch("field and norm family do not match")
     n, big_n, d = grid.n, grid.N, w.d
     # a correlation over [0, N) wraps onto shifts |k_i| <= K only if the
     # padded length is below N + K
@@ -336,8 +338,7 @@ def twisted_curve(family: FunctionFamily, space: Space, scales: list[float]) -> 
     the translation curve of f~ = U^H f in L^p(D, mu), D = diag of the
     eigenvalue functions of the space's weight W, mu the space's density."""
     w, p = _weight_and_exponent(space, "the twisted notion")
-    if w.grid != family.grid or w.d != family.d:
-        raise ShapeMismatch("weight does not match the family")
+    space.check(family)
     d_field, tilted = _diagonalized(family, w)
     return translation_curve(tilted, scales, Space.matrix_weight(d_field, p, space.mu))
 
@@ -355,7 +356,7 @@ def _ball_density(space: Space) -> MeasureDensity:
 def _averaging_residual(f: SampledVectorField, space: Space, scheme: BallScheme,
                         mask: np.ndarray) -> float:
     """The size of (S_r f - f) chi_mask, S_r averaging against the scheme's measure."""
-    return space.size((ball_average(f, scheme) - f).masked(mask))
+    return space.size_values(_restricted(ball_average(f, scheme).values - f.values, mask))
 
 
 def averaging_modulus(family: FunctionFamily, space: Space, r: float) -> float:
@@ -367,6 +368,7 @@ def averaging_modulus(family: FunctionFamily, space: Space, r: float) -> float:
     grid = family.grid
     if r >= grid.L:
         raise RadiusExceedsBox(f"scale r={r} leaves no unclipped ball in the box")
+    space.check(family)
     scheme = BallScheme(grid, r, _ball_density(space))
     mask = grid.inside_ball(grid.L - r)
     return max(_averaging_residual(f, space, scheme, mask) for f in family)
@@ -451,12 +453,6 @@ def _pair_memo(dist):
 # net builders
 
 
-def _box_tail(family: FunctionFamily, half: float, space: Space) -> float:
-    """sup over members of the size of f outside the box [-half, half)^n."""
-    outside = family.grid.outside_box(half)
-    return max(space.size(f.masked(outside)) for f in family)
-
-
 def _self_certified(family: FunctionFamily, space: Space, epsilon: float, centers: list,
                     assignment: list, route: str, params: dict) -> EpsilonNet:
     """The net of the given centers and assignment, with each member's measured
@@ -488,6 +484,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     ambient space against the piecewise-constant centers.
     """
     grid = family.grid
+    space.check(family)
     # outer generation: dyadic half-widths up to L
     m_candidates = []
     mm = int(np.ceil(np.log2(max(4 * grid.h, 1e-12))))
@@ -497,7 +494,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     chosen_m = None
     tail_value = None
     for m in m_candidates:
-        v = _box_tail(family, 2.0 ** m, space)
+        v = _tail(family, grid.outside_box(2.0 ** m), space)
         if v < epsilon:
             chosen_m = m
             tail_value = v
@@ -557,6 +554,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     if p == 1.0 and not w.invertible:
         raise NotInvertible("p = 1 needs an invertible weight with bounded inverse")
     grid = family.grid
+    space.check(family)
     dens = _ball_density(space)
 
     chosen_R = None
@@ -580,7 +578,8 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
             continue
         scheme = BallScheme(grid, r, dens)
         averaged = [ball_average(f, scheme) for f in family]
-        v = max(space.size((g - f).masked(inside)) for f, g in zip(family, averaged))
+        v = max(space.size_values(_restricted(g.values - f.values, inside))
+                for f, g in zip(family, averaged))
         if v < epsilon / 3:
             chosen_r = r
             avg_value = v
@@ -601,7 +600,8 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     uniform_radius = epsilon / a_const
     center_idx, assignment, uniform_d = greedy_cover(
         len(family), dist_uniform, uniform_radius, max_centers)
-    centers = [averaged[k].masked(inside) for k in center_idx]
+    centers = [SampledVectorField(grid, _restricted(averaged[k].values, inside))
+               for k in center_idx]
     return _self_certified(family, space, epsilon, centers, assignment, "average", {
         "R": chosen_R,
         "r": chosen_r,
@@ -655,18 +655,9 @@ class NecessityRow:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "net_size": self.net_size,
-            "R": self.R,
-            "r": self.r,
-            "tail_value": self.tail_value,
-            "tail_bound": self.tail_bound,
-            "averaging_value": self.averaging_value,
-            "averaging_bound": self.averaging_bound,
-            "measured_s_r_constant": self.s_r_constant,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        out["measured_s_r_constant"] = out.pop("s_r_constant")
+        return out
 
 
 @dataclass
@@ -703,11 +694,13 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
     if not p > 1:
         raise OutOfRange("the necessity characterization needs p > 1")
     grid = family.grid
+    space.check(family)
     radii = default_radius_ladder(grid)
     scales = default_scale_ladder(grid)
     dens = _ball_density(space)
     outside = [grid.outside_ball(R) for R in radii]
-    tails = [[space.size(f.masked(mask)) for mask in outside] for f in family]
+    tails = [[space.size_values(_restricted(f.values, mask)) for mask in outside]
+             for f in family]
     schemes: dict[float, tuple[BallScheme, np.ndarray]] = {}
     residuals: dict[tuple[int, float], float] = {}
 
@@ -744,11 +737,12 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
         scheme, inside = scheme_at(r_star)
         cs = 0.0
         for i, f in enumerate(family):
-            diff = f - family[center_idx[assignment[i]]]
-            denom = space.norm(diff)
+            diff = f.values - family[center_idx[assignment[i]]].values
+            denom = space.norm_values(diff)
             if denom <= 1e-13:
                 continue
-            cs = max(cs, space.norm(ball_average(diff, scheme).masked(inside)) / denom)
+            averaged = _restricted(ball_average_values(diff, scheme), inside)
+            cs = max(cs, space.norm_values(averaged) / denom)
         avg_val = max(residual(i, r_star) for i in range(len(family)))
         avg_bound = (2.0 + cs) * eps
         passed = tail_val <= tail_bound * (1 + 1e-9) and avg_val <= avg_bound * (1 + 1e-9)
@@ -834,16 +828,16 @@ def phi_error_constant(family: FunctionFamily, scheme: DyadicScheme, space: Spac
     beyond the scheme's outer box and the translation modular at the cube
     scale; the returned constant is the worst ratio over the family.
     """
-    half = scheme.outer_half
-    scale = scheme.side
+    space.check(family)
+    outside = family.grid.outside_box(scheme.outer_half)
     c_worst = 0.0
     detail = []
     for f in family:
-        err = space.modular(f - dyadic_average(f, scheme))
-        tail_m = space.modular(f.masked(family.grid.outside_box(half)))
-        trans_m = translation_modulus(FunctionFamily([f]), scale, space)
-        if not space.is_variable:
-            trans_m = trans_m ** space.p
+        err = space.size_values(f.values - dyadic_average(f, scheme).values)
+        tail_m = space.size_values(_restricted(f.values, outside))
+        trans_m = translation_modulus(FunctionFamily([f]), scheme.side, space)
+        if not space.is_variable:  # the sizes are norms; the modulars are their p-th powers
+            err, tail_m, trans_m = err ** space.p, tail_m ** space.p, trans_m ** space.p
         denom = tail_m + trans_m
         ratio = err / denom if denom > 0 else (0.0 if err == 0 else np.inf)
         c_worst = max(c_worst, ratio)

@@ -28,26 +28,16 @@ from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
 
 _MAGIC = "mwfield 1"
 
-KINDS = ("matrix", "vector", "scalar", "density", "exponent")
-
-
-def _kind_of(field) -> str:
-    if isinstance(field, MatrixWeightField):
-        return "matrix"
-    if isinstance(field, SampledVectorField):
-        return "vector"
-    if isinstance(field, MeasureDensity):
-        return "density"
-    if isinstance(field, ExponentField):
-        return "exponent"
-    if isinstance(field, ScalarWeightField):
-        return "scalar"
-    raise TypeError(f"unsupported field type {type(field)!r}")
+#: the kind each field type is written as
+KINDS = {MatrixWeightField: "matrix", SampledVectorField: "vector", ScalarWeightField: "scalar",
+         MeasureDensity: "density", ExponentField: "exponent"}
 
 
 def save_field(path, field) -> None:
     """Write a field to the column text format (bit-exact round trip)."""
-    kind = _kind_of(field)
+    kind = next((k for cls, k in KINDS.items() if isinstance(field, cls)), None)
+    if kind is None:
+        raise TypeError(f"unsupported field type {type(field)!r}")
     grid = field.grid
     lines = [_MAGIC, f"kind {kind}", f"n {grid.n}", f"L {grid.L!r}", f"N {grid.N}"]
     if kind == "matrix":
@@ -99,7 +89,7 @@ def _parse_field(text: str, path):
         header[key] = val
         i += 1
     kind = header.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS.values():
         raise MalformedField(f"{path}: unknown field kind {kind!r}")
     missing = [key for key in ("n", "L", "N") if key not in header]
     if missing:

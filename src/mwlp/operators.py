@@ -255,17 +255,22 @@ def ball_average(f: SampledVectorField, scheme: BallScheme) -> SampledVectorFiel
     scheme's density."""
     if f.grid != scheme.grid:
         raise ShapeMismatch("field and ball scheme grids differ")
+    return SampledVectorField(f.grid, ball_average_values(f.values, scheme))
+
+
+def ball_average_values(values: np.ndarray, scheme: BallScheme) -> np.ndarray:
+    """S_r of a value array (M, d) on the scheme's grid."""
     meas = scheme.measures
     if np.any(meas <= 0.0):
         raise EmptyBall(f"a ball of radius {scheme.r} has zero measure")
-    weighted = f.values * scheme.mu.values[:, None]
-    sums = _window_sum(f.grid, weighted, [scheme])[0] * f.grid.h ** f.grid.n
+    grid = scheme.grid
+    weighted = values * scheme.mu.values[:, None]
+    sums = _window_sum(grid, weighted, [scheme])[0] * grid.h ** grid.n
     # divide real and imaginary parts separately, so S_r of a constant c is c
     # up to the window sums' error: each sum adds the K terms of its ball, so
     # numerator and denominator each err by at most (K - 1) eps relative, and
     # S_r c is within about 2 K eps |c| of c
-    out = sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
-    return SampledVectorField(f.grid, out)
+    return sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
 
 
 def symdiff_measure(x, y, r: float, mu: MeasureDensity) -> float:

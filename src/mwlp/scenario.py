@@ -385,6 +385,19 @@ def build_family(sc: Scenario, grid, rng):
                           amplitude_range=tuple(spec["amplitude_range"]))
 
 
+def build_centers(sc: Scenario, grid, d: int):
+    """The task's center fields, each on `grid` with the family's dimension d."""
+    from .spaces import SampledVectorField
+
+    centers = []
+    for i, path in enumerate(sc.param("centers")):
+        center = _field_file(f"task.centers[{i}]", path, SampledVectorField, grid)
+        if center.d != d:
+            _fail(f"task.centers[{i}]", f"{path} has dimension {center.d}, the family {d}")
+        centers.append(center)
+    return centers
+
+
 # ---------------------------------------------------------------------------
 # shorthand scenarios used by the CLI subcommands
 

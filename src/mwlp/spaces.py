@@ -63,25 +63,8 @@ class SampledVectorField:
     def zero(cls, grid: Grid, d: int) -> "SampledVectorField":
         return cls(grid, np.zeros((grid.num_points, d), dtype=np.complex128))
 
-    def __sub__(self, other: "SampledVectorField") -> "SampledVectorField":
-        _check_same_shape(self, other)
-        return SampledVectorField(self.grid, self.values - other.values)
-
-    def __add__(self, other: "SampledVectorField") -> "SampledVectorField":
-        _check_same_shape(self, other)
-        return SampledVectorField(self.grid, self.values + other.values)
-
     def scaled(self, c: complex) -> "SampledVectorField":
         return SampledVectorField(self.grid, c * self.values)
-
-    def masked(self, mask: np.ndarray) -> "SampledVectorField":
-        vals = np.where(mask[:, None], self.values, 0.0)
-        return SampledVectorField(self.grid, vals)
-
-
-def _check_same_shape(f: SampledVectorField, g: SampledVectorField):
-    if f.grid != g.grid or f.d != g.d:
-        raise ShapeMismatch("fields live on different grids or dimensions")
 
 
 @dataclass
@@ -126,18 +109,10 @@ class NormFamily:
 
     @classmethod
     def from_matrix_weight(cls, w: MatrixWeightField, p: float) -> "NormFamily":
-        wp = w.power(1.0 / p)
-        if w.d == 1:
-            scal = wp[:, 0, 0].real.copy()
-            scal.setflags(write=False)
+        cols = _entry_columns(w.power(1.0 / p))
 
-            def evaluator(values):
-                return scal * np.abs(values[..., 0])
-        else:
-            cols = _entry_columns(wp)
-
-            def evaluator(values):
-                return _column_norms(cols, values)
+        def evaluator(values):
+            return _column_norms(cols, values)
 
         return cls(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
 
@@ -239,29 +214,33 @@ def lp_w_norm(f: SampledVectorField, w: MatrixWeightField, p: float,
 
 def lp_rho_norm(f: SampledVectorField, rho: NormFamily, p: float,
                 mu: MeasureDensity | None = None) -> float:
-    """|| f ||_{L^p(rho)} for a norm family, with optional density measure."""
-    if f.grid != rho.grid or f.d != rho.d:
-        raise ShapeMismatch("field and norm family do not match")
-    dens = rho.evaluate(f.values) ** p
-    if mu is not None:
-        if mu.grid != f.grid:
-            raise ShapeMismatch("density grid mismatch")
-        dens = dens * mu.values
-    return float(f.grid.quadrature(dens) ** (1.0 / p))
+    """|| f ||_{L^p(rho, mu)}, mu defaulting to Lebesgue measure: Space.norm_family's norm."""
+    return Space.norm_family(rho, p, mu).norm(f)
 
 
 def modular(f: SampledVectorField, rho: NormFamily, pf: ExponentField) -> float:
-    """Variable-exponent modular: integral of rho_x(f(x))^{p(x)} dx."""
-    if f.grid != rho.grid or f.d != rho.d:
-        raise ShapeMismatch("field and norm family do not match")
-    if pf.grid != f.grid:
-        raise ShapeMismatch("exponent field grid mismatch")
-    dens = np.power(rho.evaluate(f.values), pf.values)
-    return float(f.grid.quadrature(dens))
+    """Variable-exponent modular integral of rho_x(f(x))^{p(x)} dx: Space.variable's."""
+    return Space.variable(rho, pf).modular(f)
 
 
 def luxemburg_norm(f: SampledVectorField, rho: NormFamily, pf: ExponentField) -> float:
-    """Luxemburg norm: inf { lam > 0 : modular(f / lam) <= 1 }, by bisection.
+    """Luxemburg norm inf { lam > 0 : modular(f / lam) <= 1 }: Space.variable's norm."""
+    return Space.variable(rho, pf).norm(f)
+
+
+def _exponent_modular(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
+    """integral of r(x)^{p(x)} dx for per-point norms r (M,)."""
+    return grid.quadrature(np.power(r, pf.values))
+
+
+def _finite(value: float) -> float:
+    if not np.isfinite(value):
+        raise NonFinite(f"a measured size is {value}: the values overflow")
+    return value
+
+
+def _luxemburg(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
+    """inf { lam > 0 : integral of (r(x) / lam)^{p(x)} dx <= 1 } for per-point norms r (M,).
 
     The modular of f / lam is strictly decreasing in lam for nonzero f, so
     bisection on the bracket [min, max] of modular^{1/p_-}, modular^{1/p_+}
@@ -269,18 +248,15 @@ def luxemburg_norm(f: SampledVectorField, rho: NormFamily, pf: ExponentField) ->
     1, and NonFinite is raised if LUX_MAX_DOUBLINGS doublings do not close
     the bracket.
     """
-    mu0 = modular(f, rho, pf)
-    if not np.isfinite(mu0):
-        raise NonFinite("modular is not finite")
+    mu0 = _finite(_exponent_modular(r, pf, grid))
     if mu0 == 0.0:
         return 0.0
 
-    rho_vals = rho.evaluate(f.values)
     pv = pf.values
-    hn = f.grid.h ** f.grid.n
+    hn = grid.h ** grid.n
 
     def modular_scaled(lam: float) -> float:
-        return float(np.sum(np.power(rho_vals / lam, pv)) * hn)
+        return float(np.sum(np.power(r / lam, pv)) * hn)
 
     ends = (mu0 ** (1.0 / pf.p_minus), mu0 ** (1.0 / pf.p_plus))
     lo = max(min(ends), 1e-12)
@@ -319,6 +295,11 @@ class Space:
 
     For p < 1 the distance is the p-th power of the quasi-norm, which is
     subadditive and safe for covering arguments.
+
+    The field methods check each field against the space once; every size
+    is then measured on value arrays by `norm_values` and `size_values`,
+    which callers holding checked fields use directly.  A size that is not
+    finite (finite fields can differ by an overflow) raises NonFinite.
     """
 
     def __init__(self, grid: Grid, d: int, rho: NormFamily, *, p: float | None = None,
@@ -330,6 +311,8 @@ class Space:
             raise ValueError("variable-exponent spaces are defined against Lebesgue measure")
         if mu is not None and mu.grid != grid:
             raise ShapeMismatch("density grid mismatch")
+        if exponent is not None and exponent.grid != grid:
+            raise ShapeMismatch("exponent field grid mismatch")
         self.grid = grid
         self.d = d
         self.rho = rho
@@ -360,27 +343,44 @@ class Space:
     def is_variable(self) -> bool:
         return self.exponent is not None
 
-    def norm(self, f: SampledVectorField) -> float:
-        if self.is_variable:
-            return luxemburg_norm(f, self.rho, self.exponent)
-        return lp_rho_norm(f, self.rho, self.p, self.mu)
+    def check(self, f) -> None:
+        """Raise ShapeMismatch unless f (a field or a family) has the space's grid and d."""
+        if f.grid != self.grid or f.d != self.d:
+            raise ShapeMismatch(f"a field with d={f.d} on {f.grid} is not in {self.label}, "
+                                f"which has d={self.d} on {self.grid}")
 
-    def modular(self, f: SampledVectorField) -> float:
+    def norm_values(self, values: np.ndarray) -> float:
+        r = self.rho.evaluate(values)
         if self.is_variable:
-            return modular(f, self.rho, self.exponent)
-        return self.norm(f) ** self.p
+            return _luxemburg(r, self.exponent, self.grid)
+        dens = r ** self.p if self.mu is None else r ** self.p * self.mu.values
+        return _finite(self.grid.quadrature(dens) ** (1.0 / self.p))
+
+    def size_values(self, values: np.ndarray) -> float:
+        """Boundedness functional: the modular for variable exponents, else the norm."""
+        if not self.is_variable:
+            return self.norm_values(values)
+        return _finite(_exponent_modular(self.rho.evaluate(values), self.exponent, self.grid))
+
+    def norm(self, f: SampledVectorField) -> float:
+        self.check(f)
+        return self.norm_values(f.values)
 
     def size(self, f: SampledVectorField) -> float:
-        """Boundedness functional: the modular for variable exponents, else the norm."""
-        return self.modular(f) if self.is_variable else self.norm(f)
+        self.check(f)
+        return self.size_values(f.values)
+
+    def modular(self, f: SampledVectorField) -> float:
+        """The modular for variable exponents, else the p-th power of the norm."""
+        size = self.size(f)
+        return size if self.is_variable else size ** self.p
 
     def dist(self, f: SampledVectorField, g: SampledVectorField) -> float:
         """Covering metric: norm of the difference; modular form for p < 1."""
-        diff = f - g
-        if self.is_variable:
-            return luxemburg_norm(diff, self.rho, self.exponent)
-        nrm = lp_rho_norm(diff, self.rho, self.p, self.mu)
-        return nrm ** self.p if self.p < 1.0 else nrm
+        self.check(f)
+        self.check(g)
+        nrm = self.norm_values(f.values - g.values)
+        return nrm if self.is_variable or self.p >= 1.0 else nrm ** self.p
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +547,19 @@ def john_ellipsoid(rho, d: int, sphere_samples: int | None = None,
     return c * w_raw
 
 
+def john_sandwich(rho, d: int, w: np.ndarray, count: int,
+                  rng: np.random.Generator) -> tuple[float, float, bool]:
+    """Check rho(v) <= |W v| <= sqrt(d) * 1.05 * rho(v) on `count` fresh
+    complex Gaussian test vectors: (min |W v| / rho(v), max |W v| /
+    (sqrt(d) rho(v)), whether both bounds hold to a relative 1e-9)."""
+    vt = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    rv = rho(vt)
+    wv = np.linalg.norm(vt @ w.T, axis=1)
+    left = float(np.min(wv / rv))
+    right = float(np.max(wv / (np.sqrt(d) * rv)))
+    return left, right, left >= 1.0 - 1e-9 and right <= 1.05 * (1 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # degenerate Sobolev norm
 
@@ -559,22 +572,8 @@ def gradient(f: SampledVectorField) -> SampledVectorField:
     if f.d != 1:
         raise ShapeMismatch("gradient is defined for scalar fields")
     grid = f.grid
-    h = grid.h
     vals = f.values[:, 0].reshape(grid.shape)
-    comps = []
-    for ax in range(grid.n):
-        g = np.empty_like(vals)
-        sl = [slice(None)] * grid.n
-
-        def take(i0, i1):
-            s = sl.copy()
-            s[ax] = slice(i0, i1)
-            return tuple(s)
-
-        g[take(1, -1)] = (vals[take(2, None)] - vals[take(None, -2)]) / (2 * h)
-        g[take(0, 1)] = (vals[take(1, 2)] - vals[take(0, 1)]) / h
-        g[take(-1, None)] = (vals[take(-1, None)] - vals[take(-2, -1)]) / h
-        comps.append(g.ravel())
+    comps = [np.gradient(vals, grid.h, axis=ax).ravel() for ax in range(grid.n)]
     return SampledVectorField(grid, np.stack(comps, axis=1))
 
 

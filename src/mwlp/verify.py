@@ -23,6 +23,7 @@ from .spaces import (
     NormFamily,
     SampledVectorField,
     john_ellipsoid,
+    john_sandwich,
     luxemburg_norm,
     modular,
 )
@@ -67,6 +68,7 @@ def suite_john_sandwich(rng, count: int) -> dict:
     """rho(v) <= |W v| <= sqrt(d) * 1.05 * rho(v) on fresh test vectors."""
     worst_left = 1.0
     worst_right = 0.0
+    passed = True
     for k in range(count):
         d = 2 + k % 2
         kind = k % 5
@@ -83,12 +85,10 @@ def suite_john_sandwich(rng, count: int) -> dict:
             a += 0.3 * np.eye(d)
             rho = lambda v, a=a: np.linalg.norm(v @ a.T, axis=1)
         w = john_ellipsoid(rho, d, rng=rng)
-        vt = rng.standard_normal((1000, d)) + 1j * rng.standard_normal((1000, d))
-        rv = rho(vt)
-        wv = np.linalg.norm(vt @ w.T, axis=1)
-        worst_left = min(worst_left, float(np.min(wv / rv)))
-        worst_right = max(worst_right, float(np.max(wv / (np.sqrt(d) * rv))))
-    passed = worst_left >= 1.0 - 1e-9 and worst_right <= 1.05 * (1 + 1e-9)
+        left, right, holds = john_sandwich(rho, d, w, 1000, rng)
+        worst_left = min(worst_left, left)
+        worst_right = max(worst_right, right)
+        passed = passed and holds
     return {"name": "john_sandwich", "instances": count,
             "worst_left_ratio": worst_left, "worst_right_ratio": worst_right,
             "passed": bool(passed)}

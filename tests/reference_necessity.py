@@ -3,6 +3,8 @@ center's tail and averaging residual for each epsilon and builds a fresh
 ball scheme per center, per scale and per epsilon.  Slow and plain, kept as
 the oracle that `necessity_check` must reproduce row for row."""
 
+import numpy as np
+
 from mwlp.compactness import (
     FunctionFamily,
     NecessityRow,
@@ -13,6 +15,7 @@ from mwlp.compactness import (
     tail_modulus,
 )
 from mwlp.operators import BallScheme, ball_average
+from mwlp.spaces import SampledVectorField
 from mwlp.weight_fields import MeasureDensity
 
 
@@ -62,12 +65,13 @@ def necessity_rows(family, epsilons, space, max_centers=None):
         cs = 0.0
         for i, f in enumerate(family):
             g = centers[assignment[i]]
-            diff = f - g
+            diff = SampledVectorField(grid, f.values - g.values)
             denom = space.norm(diff)
             if denom <= 1e-13:
                 continue
-            num = space.norm(ball_average(diff, scheme).masked(
-                grid.inside_ball(grid.L - r_star)))
+            inside = grid.inside_ball(grid.L - r_star)[:, None]
+            num = space.norm(SampledVectorField(
+                grid, np.where(inside, ball_average(diff, scheme).values, 0.0)))
             cs = max(cs, num / denom)
         avg_val = averaging_modulus(family, space, r_star)
         avg_bound = (2.0 + cs) * eps

@@ -1,7 +1,7 @@
 """Reference |W^{1/p}(x) v| evaluator, kept as the oracle for `NormFamily.from_matrix_weight`.
 
-This is `from_matrix_weight` as it was before the multiply-add kernel: for
-d >= 2 one einsum forms W^{1/p}(x) v(x) and `np.linalg.norm` takes the
+This is `from_matrix_weight` as it was before the multiply-add kernel, for
+every d: one einsum forms W^{1/p}(x) v(x) and `np.linalg.norm` takes the
 Euclidean norm of each row.  The kernel must reproduce it exactly.  Slow
 and plain."""
 
@@ -12,19 +12,12 @@ from mwlp.weight_fields import MatrixWeightField, MeasureDensity
 
 
 def norm_family(w: MatrixWeightField, p: float) -> NormFamily:
-    """rho_x(v) = |W^{1/p}(x) v|, by einsum for d >= 2."""
+    """rho_x(v) = |W^{1/p}(x) v|, by einsum."""
     wp = w.power(1.0 / p)
     wp.setflags(write=False)
-    if w.d == 1:
-        scal = wp[:, 0, 0].real.copy()
-        scal.setflags(write=False)
 
-        def evaluator(values):
-            return scal * np.abs(values[..., 0])
-    else:
-        def evaluator(values):
-            return np.linalg.norm(
-                np.einsum("mij,...mj->...mi", wp, values), axis=-1)
+    def evaluator(values):
+        return np.linalg.norm(np.einsum("mij,...mj->...mi", wp, values), axis=-1)
 
     return NormFamily(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
 

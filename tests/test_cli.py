@@ -368,7 +368,25 @@ task: {task}
         path.write_text("\n".join(path.read_text().splitlines()[:-5]) + "\n")
         assert main(["certify", "--centers", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {path}: expected 64 rows, found 59"]
+        assert err == [f"error: task.centers[0]: {path}: expected 64 rows, found 59"]
+
+    @pytest.mark.parametrize("field, message", [
+        (MatrixWeightField.constant(Grid(1, 8.0, 4096), np.eye(2), invertible=True),
+         "{path} does not contain a SampledVectorField"),
+        (MeasureDensity.lebesgue(Grid(1, 8.0, 4096)),
+         "{path} does not contain a SampledVectorField"),
+        (SampledVectorField.zero(Grid(1, 8.0, 64), 2),
+         "the grid of {path} does not match the scenario grid"),
+        (SampledVectorField.zero(Grid(1, 8.0, 4096), 3),
+         "{path} has dimension 3, the family 2"),
+    ], ids=["matrix", "density", "another-grid", "another-d"])
+    def test_center_file_of_another_kind_exits_one(self, tmp_path, capsys, field, message):
+        """Each center file is checked where it enters: one error line naming it."""
+        path = tmp_path / "center.txt"
+        fieldio.save_field(path, field)
+        assert main(["certify", "--centers", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: task.centers[0]: {message.format(path=path)}"]
 
     def test_verify_lemmas_count_zero_empty_pass(self, tmp_path):
         out = tmp_path / "vl.json"

@@ -29,6 +29,7 @@ from mwlp.errors import (
     NotTotallyBoundedInput,
     OutOfRange,
     RadiusExceedsBox,
+    ShapeMismatch,
 )
 from mwlp.families import gaussian_bumps, indicator_field
 from mwlp.grids import Grid
@@ -133,6 +134,35 @@ class TestModuli:
         vals = [averaging_modulus(fam, unweighted, r)
                 for r in (grid.L / 4, grid.L / 8, grid.L / 16)]
         assert vals[2] < vals[1] < vals[0]
+
+
+    @pytest.mark.parametrize("p", [2.0, 3.0], ids=["screened", "direct"])
+    def test_moduli_build_no_field(self, grid, rng, monkeypatch, p):
+        """Tails, translation differences and averaging residuals are measured
+        as value arrays of the family's checked members."""
+        space = Space.matrix_weight(make_power_weight(grid, [0.5, 0.25]), p)
+        fam = small_family(grid, rng, d=2, count=3)
+        built = []
+        original = SampledVectorField.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(SampledVectorField, "__post_init__", counting)
+        assert tail_modulus(fam, 0.5, space) > 0.0
+        assert translation_modulus(fam, 4 * grid.h, space) > 0.0
+        assert built == []
+        averaging_modulus(fam, space, 4 * grid.h)
+        assert len(built) == len(fam)  # the averages S_r f, built by ball_average
+
+    def test_family_on_another_grid_rejected(self, grid, unweighted, rng):
+        other = small_family(Grid(1, 1.0, 256), rng)
+        for measure in (lambda: tail_modulus(other, 0.5, unweighted),
+                        lambda: translation_modulus(other, 4 * grid.h, unweighted),
+                        lambda: averaging_modulus(other, unweighted, 4 * grid.h)):
+            with pytest.raises(ShapeMismatch):
+                measure()
 
 
 class TestTwisted:

@@ -169,13 +169,13 @@ class TestDirectConfirmation:
         fam = gaussian_bumps(grid, 2, count, np.random.default_rng(20260810))
         scales = default_scale_ladder(grid)
         calls = []
-        original = Space.size
+        original = Space.size_values
 
-        def counting(self, f):
+        def counting(self, values):
             calls.append(1)
-            return original(self, f)
+            return original(self, values)
 
-        monkeypatch.setattr(Space, "size", counting)
+        monkeypatch.setattr(Space, "size_values", counting)
         if notion == "twisted":
             twisted_curve(fam, Space.matrix_weight(w, 2.0), scales)
         else:

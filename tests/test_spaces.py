@@ -169,7 +169,7 @@ class TestLuxemburg:
         # about 2; 60 doublings cannot reach the norm of a field of size 1e25
         import mwlp.spaces
 
-        monkeypatch.setattr(mwlp.spaces, "modular", lambda f, rho, pf: 1.0)
+        monkeypatch.setattr(mwlp.spaces, "_exponent_modular", lambda r, pf, grid: 1.0)
         g = Grid(1, 1.0, 64)
         w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
         rho = NormFamily.from_matrix_weight(w, 2.0)
@@ -178,6 +178,17 @@ class TestLuxemburg:
         with pytest.raises(NonFinite) as exc:
             luxemburg_norm(f, rho, pf)
         assert "\n" not in str(exc.value)
+
+    def test_norms_evaluated_once(self, rng, monkeypatch):
+        g = Grid(1, 1.0, 32)
+        rho = NormFamily.from_matrix_weight(random_weight_field(rng, g, 2), 2.0)
+        pf = ExponentField(g, 1.0 + 2.0 * rng.random(32))
+        f = SampledVectorField(g, rng.standard_normal((32, 2)) + 0j)
+        calls = []
+        evaluate = rho.evaluate
+        monkeypatch.setattr(rho, "evaluate", lambda values: calls.append(1) or evaluate(values))
+        assert luxemburg_norm(f, rho, pf) > 0.0
+        assert len(calls) == 1
 
     def test_homogeneity(self, rng):
         g = Grid(1, 1.0, 32)
@@ -314,3 +325,44 @@ class TestSpace:
         mu = MeasureDensity(density_grid, 1.0 + density_grid.radii)
         with pytest.raises(ShapeMismatch):
             Space.matrix_weight(w, 2.0, mu)
+
+    @staticmethod
+    def _spaces(g):
+        w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
+        pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
+        return [Space.matrix_weight(w, 2.0),
+                Space.variable(NormFamily.from_matrix_weight(w, 2.0), pf)]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["constant", "variable"])
+    def test_overflowing_difference_raises(self, which):
+        # both fields are finite; their difference overflows to inf
+        g = Grid(1, 1.0, 16)
+        space = self._spaces(g)[which]
+        f = SampledVectorField(g, np.full((16, 2), 1e308, dtype=complex))
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as exc:
+            space.dist(f, f.scaled(-1.0))
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["constant", "variable"])
+    def test_dist_builds_no_field(self, which, rng, monkeypatch):
+        g = Grid(1, 1.0, 64)
+        space = self._spaces(g)[which]
+        f, h = (SampledVectorField(g, rng.standard_normal((64, 2)) + 0j) for _ in range(2))
+        built = []
+        original = SampledVectorField.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(SampledVectorField, "__post_init__", counting)
+        assert space.dist(f, h) > 0.0
+        assert built == []
+
+    def test_dist_checks_both_fields(self):
+        g = Grid(1, 1.0, 16)
+        space = self._spaces(g)[0]
+        with pytest.raises(ShapeMismatch):
+            space.dist(SampledVectorField.zero(g, 2), SampledVectorField.zero(g, 3))
+        with pytest.raises(ShapeMismatch):
+            space.dist(SampledVectorField.zero(Grid(1, 2.0, 16), 2), SampledVectorField.zero(g, 2))
