@@ -350,17 +350,24 @@ class Space:
                                 f"which has d={self.d} on {self.grid}")
 
     def norm_values(self, values: np.ndarray) -> float:
+        return self._measure(values, modular_form=False)
+
+    def size_values(self, values: np.ndarray) -> float:
+        """Boundedness functional: the modular for variable exponents, else the norm."""
+        return self._measure(values, modular_form=self.is_variable)
+
+    # values that overflow turn into inf or nan, which _finite reports as one
+    # NonFinite; numpy's warnings on the way would only repeat it.  (As a
+    # decorator np.errstate costs less than half of a `with` block.)
+    @np.errstate(over="ignore", invalid="ignore")
+    def _measure(self, values: np.ndarray, modular_form: bool) -> float:
         r = self.rho.evaluate(values)
+        if modular_form:
+            return _finite(_exponent_modular(r, self.exponent, self.grid))
         if self.is_variable:
             return _luxemburg(r, self.exponent, self.grid)
         dens = r ** self.p if self.mu is None else r ** self.p * self.mu.values
         return _finite(self.grid.quadrature(dens) ** (1.0 / self.p))
-
-    def size_values(self, values: np.ndarray) -> float:
-        """Boundedness functional: the modular for variable exponents, else the norm."""
-        if not self.is_variable:
-            return self.norm_values(values)
-        return _finite(_exponent_modular(self.rho.evaluate(values), self.exponent, self.grid))
 
     def norm(self, f: SampledVectorField) -> float:
         self.check(f)
@@ -375,6 +382,7 @@ class Space:
         size = self.size(f)
         return size if self.is_variable else size ** self.p
 
+    @np.errstate(over="ignore")  # an overflowing difference is reported by _measure
     def dist(self, f: SampledVectorField, g: SampledVectorField) -> float:
         """Covering metric: norm of the difference; modular form for p < 1."""
         self.check(f)

@@ -22,6 +22,7 @@ from .spaces import (
     ExponentField,
     NormFamily,
     SampledVectorField,
+    Space,
     john_ellipsoid,
     john_sandwich,
     luxemburg_norm,
@@ -127,10 +128,12 @@ def suite_luxemburg(rng, count: int) -> dict:
         worst = max(worst, nrm - mod - 1.0)
         lam = 1.0 if k % 5 == 0 else float(rng.uniform(0.05, 1.0))
         target = lam ** pf.p_plus
+        # the bisection measures mid * f directly in the instance's space
+        space = Space.variable(rho, pf)
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if modular(f.scaled(mid), rho, pf) <= target:
+            if space.size_values(mid * f.values) <= target:
                 lo = mid
             else:
                 hi = mid

@@ -364,6 +364,9 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
     # ||W^{1/p}(y) W^{-1/p}(x)||^p = ||W^{-1/p}(x) W^{1/p}(y)||^p for p <= 1
     wp = w.power(1.0 / p)
     wm = w.power(-1.0 / p)
+    # a real weight has real powers: the kernel then runs in float64
+    if not (np.any(wp.imag) or np.any(wm.imag)):
+        wp, wm = wp.real, wm.real
     if p > 1:
         pp = p / (p - 1.0)
         rows, cols, exponent = wp, wm, pp

@@ -5,7 +5,10 @@ every product, as the pass did before the factored pairwise kernel; the
 kernel must reproduce it to round-off.  `ap_constant_per_cube` runs the
 factored kernel cube by cube, evaluating the pairs of every listed cube
 afresh, as the pass did before it evaluated each cell pair once per call;
-the one-pass version must reproduce it exactly.  Slow and plain."""
+the one-pass version must reproduce it exactly.  `pairwise_op_norm` is the
+factored kernel as it was before it computed in the dtype it is given: it
+runs complex arithmetic on every stack and eigvalsh for every d >= 3; on a
+real d = 2 stack the kernel must reproduce it exactly.  Slow and plain."""
 
 import numpy as np
 
@@ -111,3 +114,20 @@ def ap_constant_per_cube(w: MatrixWeightField, p: float, cubes: CubeFamily) -> f
     if not np.isfinite(best):
         raise EmptyCubeFamily("cube family contains no cells of the grid")
     return float(best)
+
+
+def pairwise_op_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_x b_y||_op for every pair of two complex stacks, in complex arithmetic."""
+    at = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    bt = np.ascontiguousarray(np.moveaxis(b, 0, -1))
+    prod = np.einsum("ikx,kjy->ijxy", at, bt, optimize=False)
+    if prod.shape[0] == 2:
+        sq = prod.real ** 2 + prod.imag ** 2
+        c11 = sq[0, 0] + sq[1, 0]
+        c22 = sq[0, 1] + sq[1, 1]
+        c12 = prod[0, 0].conj() * prod[0, 1] + prod[1, 0].conj() * prod[1, 1]
+        lam = 0.5 * (c11 + c22) + np.hypot(0.5 * (c11 - c22), np.abs(c12))
+    else:
+        gram = np.einsum("kixy,kjxy->xyij", prod.conj(), prod, optimize=False)
+        lam = np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(lam)

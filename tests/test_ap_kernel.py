@@ -1,9 +1,12 @@
 """The factored pairwise pass behind the matrix A_p constant.
 
 `pairwise_op_norm` must equal the largest singular value of the explicit
-product a_x b_y; `ap_constant` must reproduce the product-stack-and-SVD
-loop kept in `reference_ap.py` to round-off, and the per-cube loop kept
-there exactly, while it evaluates every cell pair once per call.
+product a_x b_y for real and complex stacks, and on a real d = 2 stack it
+must equal the complex-arithmetic kernel kept in `reference_ap.py` exactly;
+`ap_constant` must hand it real stacks for a real weight, reproduce the
+product-stack-and-SVD loop kept in `reference_ap.py` to round-off, and the
+per-cube loop kept there exactly, while it evaluates every cell pair once
+per call.
 """
 
 import math
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 from mwlp import matrix_core as mc
 from mwlp import scenario
 from mwlp.grids import Grid
-from mwlp.weight_fields import PAIR_BLOCK, CubeFamily, ap_constant, make_power_weight
+from mwlp.weight_fields import (PAIR_BLOCK, CubeFamily, MatrixWeightField, ap_constant,
+                                make_power_weight)
 
 import reference_ap
 
@@ -24,8 +28,11 @@ PROPERTY = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def random_unitary(rng, count, d):
-    z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+def random_unitary(rng, count, d, real=False):
+    """Haar-like unitary matrices, or orthogonal ones when real."""
+    z = rng.standard_normal((count, d, d))
+    if not real:
+        z = z + 1j * rng.standard_normal((count, d, d))
     q, _ = np.linalg.qr(z)
     return q
 
@@ -38,19 +45,27 @@ def pd_stack(u, lam):
 
 @st.composite
 def pair_stacks(draw):
-    """Two stacks of complex PD matrices with eigenvalue spreads up to 1e6.
+    """Two stacks of PD matrices with eigenvalue spreads up to 1e6, both
+    complex or both real (float64, from orthogonal eigenvectors).
 
     "independent" draws both stacks at random; "inverse" makes b_y the
     inverse of a_y, so the diagonal pairs nearly cancel to the identity;
     "near_scalar" puts both stacks within 1e-9 of multiples of I, so
-    c11 ~ c22 and c12 ~ 0 for every pair.
+    c11 ~ c22 and c12 ~ 0 for every pair; "repeated_top" gives every a_x
+    two equal largest eigenvalues and makes b_y a multiple of I up to
+    round-off, so the two largest eigenvalues of every C coincide, where
+    the d = 3 closed form hands the pair to eigvalsh.
     """
     d = draw(st.sampled_from([2, 3, 4]))
+    real = draw(st.booleans())
     ma = draw(st.integers(1, 9))
     mb = draw(st.integers(1, 9))
-    kind = draw(st.sampled_from(["independent", "inverse", "near_scalar"]))
+    kind = draw(st.sampled_from(["independent", "inverse", "near_scalar", "repeated_top"]))
     spread = 10.0 ** draw(st.floats(0.0, 6.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def unitary(count):
+        return random_unitary(rng, count, d, real)
 
     def spectrum(count):
         lam = np.exp(rng.uniform(0.0, np.log(spread), size=(count, d)))
@@ -58,15 +73,18 @@ def pair_stacks(draw):
         return lam * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1))
 
     if kind == "near_scalar":
-        a = pd_stack(random_unitary(rng, ma, d), 1.0 + 1e-9 * rng.random((ma, d)))
-        b = pd_stack(random_unitary(rng, mb, d), 1.0 + 1e-9 * rng.random((mb, d)))
-        return a * spread, b
-    ua = random_unitary(rng, ma, d)
+        a = pd_stack(unitary(ma), 1.0 + 1e-9 * rng.random((ma, d))) * spread
+        return a, pd_stack(unitary(mb), 1.0 + 1e-9 * rng.random((mb, d)))
+    ua = unitary(ma)
     lam_a = spectrum(ma)
+    if kind == "repeated_top":
+        lam_a[:, -2] = lam_a[:, -1]
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(mb, 1))
+        return pd_stack(ua, lam_a), pd_stack(unitary(mb), np.repeat(scales, d, axis=1))
     a = pd_stack(ua, lam_a)
     if kind == "inverse":
         return a, pd_stack(ua, 1.0 / lam_a)
-    return a, pd_stack(random_unitary(rng, mb, d), spectrum(mb))
+    return a, pd_stack(unitary(mb), spectrum(mb))
 
 
 @PROPERTY
@@ -192,3 +210,73 @@ def test_ap_constant_builds_no_product_stack(monkeypatch):
         w = weight_for(n, d)
         for p in (0.5, 2.0):
             assert np.isfinite(ap_constant(w, p, CubeFamily.default(w.grid)))
+
+
+@st.composite
+def real_pairs(draw):
+    """Two real d = 2 stacks of general matrices: random signs, entries of
+    magnitude spread over e^-7..e^7."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def stack(count):
+        signs = rng.choice([-1.0, 1.0], size=(count, 2, 2))
+        return signs * np.exp(rng.uniform(-7.0, 7.0, size=(count, 2, 2)))
+
+    return stack(draw(st.integers(1, 40))), stack(draw(st.integers(1, 40)))
+
+
+@PROPERTY
+@given(real_pairs())
+def test_real_kernel_equals_complex_kernel_for_d2(stacks):
+    a, b = stacks
+    got = mc.pairwise_op_norm(a, b)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(
+        got, reference_ap.pairwise_op_norm(a.astype(np.complex128), b.astype(np.complex128)))
+
+
+def overflow_weight():
+    """W = w I with w = 1e-300 in one cell: w^{-p'/p} = 1e600 overflows at p = 1.5,
+    where `ap_constant` raises NonFinite (tests/test_weight_fields.py)."""
+    g = Grid(1, 1.0, 16)
+    v = np.ones(16)
+    v[3] = 1e-300
+    return MatrixWeightField.diagonal(g, np.repeat(v[:, None], 2, axis=1), invertible=True)
+
+
+@pytest.mark.parametrize("make_weight, p", [
+    (lambda: weight_for(1, 2), 0.5), (lambda: weight_for(2, 2), 3.0),
+    (ill_conditioned_weight, 2.0), (lambda: scalar_weights_suite_weight(512), 2.0),
+    (ap_constant_cli_weight, 2.0), (overflow_weight, 1.5),
+], ids=["d2-1d", "d2-2d", "ill-conditioned", "scalar-weights-suite", "cli-512", "overflow"])
+def test_real_kernel_equals_complex_kernel_on_weight_powers(make_weight, p):
+    w = make_weight()
+    wp, wm = w.power(1.0 / p), w.power(-1.0 / p)
+    assert not (np.any(wp.imag) or np.any(wm.imag))
+    with np.errstate(all="ignore"):
+        for rows, cols in ((wp, wm), (wm, wp)):
+            np.testing.assert_array_equal(mc.pairwise_op_norm(rows.real, cols.real),
+                                          reference_ap.pairwise_op_norm(rows, cols))
+
+
+def test_real_weight_reaches_the_kernel_as_float64(monkeypatch):
+    seen = []
+    kernel = mc.pairwise_op_norm
+
+    def recorded(a, b):
+        seen.append((a.dtype, b.dtype))
+        return kernel(a, b)
+
+    monkeypatch.setattr(mc, "pairwise_op_norm", recorded)
+    for d in (2, 3):
+        w = weight_for(1, d)
+        ap_constant(w, 2.0, CubeFamily.default(w.grid))
+    assert seen and set(seen) == {(np.dtype(np.float64), np.dtype(np.float64))}
+    seen.clear()
+    # a weight whose powers have nonzero imaginary parts stays complex
+    w = MatrixWeightField.constant(Grid(1, 1.0, 16), [[2.0, 0.5j], [-0.5j, 1.0]],
+                                   invertible=True)
+    assert np.any(w.power(0.5).imag)
+    ap_constant(w, 2.0, CubeFamily.default(w.grid))
+    assert seen and set(seen) == {(np.dtype(np.complex128), np.dtype(np.complex128))}
+

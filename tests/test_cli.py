@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from mwlp.scenario import (SECTION_PARAMS, build_family, build_grid, default_sce
 from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity
 
+ROOT = Path(__file__).resolve().parents[1]
 
 SHORTHANDS = ("ap-constant", "john", "norm", "moduli", "net", "certify", "necessity",
               "verify-lemmas")
@@ -387,6 +391,28 @@ task: {task}
         assert main(["certify", "--centers", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: task.centers[0]: {message.format(path=path)}"]
+
+    def test_overflowing_distance_writes_one_error_line(self, tmp_path):
+        """Finite member and center files whose difference overflows: stderr
+        holds the one error line and no numpy warning.  Run in a fresh
+        interpreter, since pytest records warnings instead of printing them."""
+        g = Grid(1, 2.0, 64)
+        member, center = tmp_path / "member.txt", tmp_path / "center.txt"
+        fieldio.save_field(member, SampledVectorField(g, np.full((64, 2), 1e308)))
+        fieldio.save_field(center, SampledVectorField(g, np.full((64, 2), -1e308)))
+        path = write_scenario(tmp_path, f"""\
+seed: 1
+grid: {{n: 1, L: 2.0, N: 64}}
+weight: {{kind: power, alpha: [0.5, 0.25]}}
+family: {{kind: files, paths: ['{member}']}}
+task: {{name: certify, epsilon: 0.2, centers: ['{center}']}}
+""")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONWARNINGS", None)
+        run = subprocess.run([sys.executable, "-m", "mwlp.cli", "run", str(path)],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == ["error: a measured size is nan: the values overflow"]
 
     def test_verify_lemmas_count_zero_empty_pass(self, tmp_path):
         out = tmp_path / "vl.json"

@@ -1,8 +1,11 @@
 """Norms, modulars, the Luxemburg construction and the Sobolev norm."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from mwlp import verify
 from mwlp.errors import NonFinite, NormAxiomViolation, ShapeMismatch
 from mwlp.grids import Grid
 from mwlp.spaces import (
@@ -190,6 +193,21 @@ class TestLuxemburg:
         assert luxemburg_norm(f, rho, pf) > 0.0
         assert len(calls) == 1
 
+    def test_verify_suite_bisects_on_values(self, monkeypatch):
+        # one drawn field, its scaled copy and the bisection's end per
+        # instance; the 80 bisection steps measure arrays
+        built = []
+        original = SampledVectorField.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(SampledVectorField, "__post_init__", counting)
+        report = verify.suite_luxemburg(np.random.default_rng(0), 5)
+        assert report["passed"]
+        assert len(built) == 3 * 5
+
     def test_homogeneity(self, rng):
         g = Grid(1, 1.0, 32)
         w = random_weight_field(rng, g, 2)
@@ -342,6 +360,16 @@ class TestSpace:
         with np.errstate(all="ignore"), pytest.raises(NonFinite) as exc:
             space.dist(f, f.scaled(-1.0))
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["constant", "variable"])
+    def test_overflowing_difference_warns_nothing(self, which):
+        g = Grid(1, 1.0, 16)
+        space = self._spaces(g)[which]
+        f = SampledVectorField(g, np.full((16, 2), 1e308, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                space.dist(f, f.scaled(-1.0))
 
     @pytest.mark.parametrize("which", [0, 1], ids=["constant", "variable"])
     def test_dist_builds_no_field(self, which, rng, monkeypatch):

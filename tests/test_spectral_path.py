@@ -5,8 +5,10 @@ stacks; the clamp and the powers that use it live next to it.  The source
 text of `src/mwlp/*.py` is read, the way tests/test_tracer_contract.py reads
 the tracer, and every `np.linalg` call is located by the function that makes
 it.  The only other eigenvalue calls are the largest eigenvalue of the Gram
-stacks in `pairwise_op_norm`, the rank check of the John fit's sample and the
-independent oracle of the spectral-identities suite.
+stacks in `pairwise_op_norm` (every pair for d >= 4; for d = 3 only the pairs
+whose two largest eigenvalues nearly coincide, the rest take a closed form),
+the rank check of the John fit's sample and the independent oracle of the
+spectral-identities suite.
 """
 
 import ast
