@@ -17,6 +17,7 @@ Exit codes: 0 pass, 2 certificate or verification failure, 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -39,7 +40,9 @@ def _lq_exponent(text: str) -> float:
     return float("inf") if q < 0 else q
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     def one_of(task, key):
         return {"help": " | ".join(scenario.TASK_PARAMS[task][key].choices)}
 

@@ -14,7 +14,7 @@ Format (one file per field):
 Rows carry d*d complex entries for matrices and d complex entries for
 vectors, written as real/imag pairs; scalar kinds carry one real value.
 Floats are written with Python's shortest round-trip repr, so a save/load
-cycle is bit-exact.
+cycle is bit-exact; the writer formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -57,9 +57,22 @@ def save_field(path, field) -> None:
     else:
         lines.append("d 1")
         rows = field.values[:, None]
-    body = "\n".join(" ".join(map(repr, row)) for row in rows.tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n" + body + "\n")
+        fh.write("\n".join(lines) + "\n" + _body(rows))
+
+
+def _body(rows: np.ndarray) -> str:
+    """The sample lines: the repr of every float, columns joined by spaces.
+
+    Each distinct value is formatted once, keyed by its int64 bit pattern so
+    that -0.0 keeps its sign, and one %-formatting pass lays out the lines;
+    sampled fields repeat values (zero imaginary parts, symmetric entries).
+    """
+    n, columns = rows.shape
+    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    line = " ".join(["%s"] * columns) + "\n"
+    return (line * n) % tuple(text[inverse.ravel()].tolist())
 
 
 def load_field(path):

@@ -106,8 +106,42 @@ def batched_power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarr
         tol_pd = TOL_PD_REL * np.max(lam_c, axis=1)
         if np.any(np.min(lam_c, axis=1) <= tol_pd):
             raise SingularMatrix("negative power of a singular matrix in the stack")
-    lam_s = np.power(lam_c, s)
-    out = np.einsum("mik,mk,mjk->mij", u, lam_s, u.conj())
+    return batched_sandwich(u, np.power(lam_c, s))
+
+
+def batched_sandwich(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """U diag(lam) U^H for every matrix of an (M, d, d) stack u and real
+    (M, d) lam, made exactly Hermitian as 0.5 (A + A^H).
+
+    Explicit real multiply-adds in the arithmetic of
+    np.einsum("mik,mk,mjk->mij", u, lam, u.conj()), so that for finite u the
+    two agree bit for bit, signed zeros included: term k of entry (i, j) is
+    the complex product (u_ik lam_k) conj(u_jk), each product formed as
+    re = a_re b_re - a_im b_im, im = a_re b_im + a_im b_re with no fused
+    multiply-add, and the terms are summed in k order starting from +0.0.
+    The einsum multiplies by lam_k + 0i; the products with that zero
+    imaginary part are signed zeros for finite u, and a signed zero changes
+    no bit of a sum that starts from +0.0, so they are left out.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    m, d, _ = u.shape
+    # (i, k, M) layouts, so that every operation runs along the M points
+    ur = np.ascontiguousarray(np.moveaxis(u.real, 0, -1))
+    ui = np.ascontiguousarray(np.moveaxis(u.imag, 0, -1))
+    lt = np.ascontiguousarray(np.transpose(lam))
+    re = np.zeros((d, d, m))
+    im = np.zeros((d, d, m))
+    for k in range(d):
+        xr, xi, lk = ur[:, k], ui[:, k], lt[k]
+        # a = u_ik lam_k along i, then b = conj(u_jk) along j
+        ar = (xr * lk)[:, None]
+        ai = (xi * lk)[:, None]
+        br, bi = xr[None], -xi[None]
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    out = np.empty(u.shape, dtype=np.complex128)
+    out.real = np.moveaxis(re, -1, 0)
+    out.imag = np.moveaxis(im, -1, 0)
     return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
 
 
@@ -158,7 +192,12 @@ def pairwise_op_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.any(refine):
             sel = prod[:, :, refine]
             gram = np.einsum("kin,kjn->nij", sel.conj(), sel, optimize=False)
-            lam[refine] = np.linalg.eigvalsh(gram)[:, -1]
+            # eigvalsh does not converge on a Gram holding inf or nan (an
+            # overflowing weight): such a pair gets a NaN lambda instead
+            finite = np.all(np.isfinite(gram), axis=(1, 2))
+            top = np.full(len(gram), np.nan)
+            top[finite] = np.linalg.eigvalsh(gram[finite])[:, -1]
+            lam[refine] = top
     return np.sqrt(lam)
 
 

@@ -269,12 +269,17 @@ def validate(raw: dict, source: str = "<dict>") -> Scenario:
     return Scenario(raw=raw, source=source, **_section("scenario")(raw, ""))
 
 
+#: libyaml's parser when PyYAML was built with it: the same constructor and
+#: resolver as SafeLoader, so the same mappings, parsed in C
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load(path) -> dict:
     """The scenario mapping of a YAML file, not yet validated."""
     with open(path) as fh:
         text = fh.read()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -163,18 +163,20 @@ def make_power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None
 
     rotation, if given, is a callable mapping the (M, n) point array to an
     (M,) array of angles; the rotation acts as a Givens rotation in the
-    first two coordinates (d >= 2).  Cell centers of an even grid never hit
-    the origin, so the samples are finite for any real exponents.
+    first two coordinates (d >= 2), and `matrix_core.batched_sandwich` forms
+    R D R^H.  Cell centers of an even grid never hit the origin, so the
+    samples are finite for any real exponents.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     d = alphas.shape[0]
     r = grid.radii
     diag = np.power(r[:, None], alphas[None, :])
     m = grid.num_points
-    vals = np.zeros((m, d, d), dtype=np.complex128)
     idx = np.arange(d)
-    vals[:, idx, idx] = diag
-    if rotation is not None:
+    if rotation is None:
+        vals = np.zeros((m, d, d), dtype=np.complex128)
+        vals[:, idx, idx] = diag
+    else:
         if d < 2:
             raise ValueError("rotation requires d >= 2")
         theta = np.asarray(rotation(grid.points), dtype=np.float64)
@@ -185,8 +187,7 @@ def make_power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None
         rot[:, 0, 1] = -s
         rot[:, 1, 0] = s
         rot[:, 1, 1] = c
-        vals = np.einsum("mij,mjk,mlk->mil", rot, vals, rot.conj())
-        vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
+        vals = mc.batched_sandwich(rot, diag)
     if invertible is None:
         invertible = bool(np.all(alphas == 0) or np.all(np.min(diag, axis=1) > 0))
     return MatrixWeightField(grid, vals, invertible=invertible)

@@ -1,0 +1,56 @@
+"""Reference U diag(lam) U^H sandwiches, kept as the oracles for
+`matrix_core.batched_sandwich`.
+
+These are the two three-operand einsums the package used before the
+multiply-add kernel: the power of a stack from its eigensystem
+(`batched_power_from_eig`) and the rotated power weight R D R^H
+(`make_power_weight`).  The kernel must reproduce both bit for bit.  Slow
+and plain."""
+
+import numpy as np
+
+from mwlp import matrix_core as mc
+from mwlp.errors import SingularMatrix
+from mwlp.grids import Grid
+from mwlp.weight_fields import MatrixWeightField
+
+
+def sandwich(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """U diag(lam) U^H by einsum, made exactly Hermitian."""
+    out = np.einsum("mik,mk,mjk->mij", u, lam, u.conj())
+    return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
+
+
+def power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
+    """A^s from an eigensystem, with the clamp and singularity checks of the package."""
+    lam_c = mc._clamp_psd(lam)
+    if s < 0:
+        tol_pd = mc.TOL_PD_REL * np.max(lam_c, axis=1)
+        if np.any(np.min(lam_c, axis=1) <= tol_pd):
+            raise SingularMatrix("negative power of a singular matrix in the stack")
+    return sandwich(u, np.power(lam_c, s))
+
+
+def power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None = None) -> MatrixWeightField:
+    """`make_power_weight` with R D R^H as one einsum over the full diagonal stack D."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    d = alphas.shape[0]
+    diag = np.power(grid.radii[:, None], alphas[None, :])
+    m = grid.num_points
+    vals = np.zeros((m, d, d), dtype=np.complex128)
+    idx = np.arange(d)
+    vals[:, idx, idx] = diag
+    if rotation is not None:
+        theta = np.asarray(rotation(grid.points), dtype=np.float64)
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.zeros((m, d, d), dtype=np.complex128)
+        rot[:, idx, idx] = 1.0
+        rot[:, 0, 0] = c
+        rot[:, 0, 1] = -s
+        rot[:, 1, 0] = s
+        rot[:, 1, 1] = c
+        vals = np.einsum("mij,mjk,mlk->mil", rot, vals, rot.conj())
+        vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
+    if invertible is None:
+        invertible = bool(np.all(alphas == 0) or np.all(np.min(diag, axis=1) > 0))
+    return MatrixWeightField(grid, vals, invertible=invertible)

@@ -280,3 +280,20 @@ def test_real_weight_reaches_the_kernel_as_float64(monkeypatch):
     ap_constant(w, 2.0, CubeFamily.default(w.grid))
     assert seen and set(seen) == {(np.dtype(np.complex128), np.dtype(np.complex128))}
 
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_overflowing_pairs_get_nan_for_d_at_least_4(d):
+    """A Gram matrix holding inf goes to no eigvalsh call: its pair reads NaN,
+    and every other pair keeps the value it has on its own."""
+    rng = np.random.default_rng(d)
+    a = random_unitary(rng, 3, d, real=True)
+    b = random_unitary(rng, 4, d, real=True)
+    # a_1 b_2 is about 1e200, so its Gram overflows; no other pair's does
+    a[1] *= 1e100
+    b[2] *= 1e100
+    with np.errstate(all="ignore"):
+        got = mc.pairwise_op_norm(a, b)
+    assert np.isnan(got[1, 2])
+    for i, j in np.ndindex(got.shape):
+        if (i, j) != (1, 2):
+            assert got[i, j] == mc.pairwise_op_norm(a[i:i + 1], b[j:j + 1])[0, 0]

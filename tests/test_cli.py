@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mwlp import cli, fieldio, report
 from mwlp.cli import main
@@ -30,6 +31,26 @@ seed: 7
 grid: {n: 1, L: 1.0, N: 256}
 weight: {kind: power, alpha: [0.5]}
 task: {name: ap-constant, p: 2.0, cubes: default}
+"""
+
+
+# anchors, aliases, a merge key and flow collections (not a valid scenario:
+# extra_grid is not a section)
+ANCHORED_SCENARIO = """\
+seed: 11
+grid: &grid {n: 1, L: 2.0, N: 64}
+weight:
+  kind: power
+  alpha: [0.5, 0.25]
+  rotation: {kind: linear, rate: 0.5}
+family:
+  kind: gaussian_bumps
+  count: 3
+  d: 2
+  center_range: &range [0.5, 1.0]
+  width_range: *range
+task: {name: net, epsilon: 0.3}
+extra_grid: {<<: *grid, N: 128}
 """
 
 
@@ -66,6 +87,21 @@ class TestSchema:
         path = write_scenario(tmp_path, "task: {name: norm\n  oops")
         with pytest.raises(SchemaError, match="line"):
             from_file(path)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_c_and_python_loaders_give_equal_mappings(self, tmp_path):
+        assert cli.scenario._LOADER is yaml.CSafeLoader
+        texts = [yaml.safe_dump(default_scenario(name)) for name in SHORTHANDS]
+        texts.append(ANCHORED_SCENARIO)
+        for i, text in enumerate(texts):
+            loaded = cli.scenario.load(write_scenario(tmp_path, text, f"s{i}.yaml"))
+            assert loaded == yaml.load(text, Loader=yaml.CSafeLoader)
+            assert loaded == yaml.load(text, Loader=yaml.SafeLoader)
+            if i < len(SHORTHANDS):
+                assert loaded == default_scenario(SHORTHANDS[i])
+        # the anchored scenario, loaded last
+        assert loaded["family"]["width_range"] == loaded["family"]["center_range"] == [0.5, 1.0]
+        assert loaded["extra_grid"] == {"n": 1, "L": 2.0, "N": 128}
 
     def test_defaults_exist_for_all_shorthands(self):
         for name in SHORTHANDS:
@@ -719,6 +755,22 @@ class TestShorthandFlags:
             paths = {a.dest for a in sub.choices[command]._actions
                      if a.option_strings and a.dest not in ("help", "out", "timings")}
             assert paths == {path for _, path, _ in self.FLAGS[command]} | {"seed"}
+
+    def test_reused_parser_keeps_no_state(self, tmp_path):
+        """The parser is built once per process; a second in-process run sees
+        none of the first run's flags, and --help still exits 0."""
+        assert cli._build_parser() is cli._build_parser()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["moduli", "--notion", "twisted", "--seed", "3", "--out", str(first)]) == 0
+        assert main(["moduli", "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["scenario"]["task"]["notion"] == "twisted"
+        echo = json.loads(second.read_text())["scenario"]
+        assert echo["seed"] == default_scenario("moduli")["seed"] == 20260810
+        assert echo["task"] == {"name": "moduli", "notion": "translation"}
+        for argv in (["--help"], ["moduli", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
 
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mwlp import fieldio
 from mwlp.errors import MalformedField, MwlpError
@@ -10,6 +12,8 @@ from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
 
 from conftest import random_psd
+
+import reference_fieldio
 
 
 def test_matrix_round_trip(tmp_path, rng):
@@ -98,3 +102,71 @@ def test_malformed_file_raises_toolkit_error(tmp_path, edit, message):
     with pytest.raises(MalformedField, match=message) as info:
         fieldio.load_field(path)
     assert isinstance(info.value, MwlpError)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1, 1.0 / 3.0]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def samples(draw, count):
+    """count floats, either from a small pool that edge values may join, so
+    that values repeat, or all distinct."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from(EDGE_VALUES) | FLOATS, min_size=1, max_size=6))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count)))
+    return np.array(draw(st.lists(FLOATS, min_size=count, max_size=count, unique=True)))
+
+
+def nonnegative(values):
+    """|values|, with the sign of each zero kept (-0.0 is not negative)."""
+    return np.where(values == 0.0, values, np.abs(values))
+
+
+@st.composite
+def fields(draw):
+    """A field of any of the five kinds with drawn samples."""
+    grid = draw(st.sampled_from([Grid(1, 1.0, 8), Grid(1, 0.7, 16), Grid(2, 1.0, 8)]))
+    m = grid.num_points
+    kind = draw(st.sampled_from(sorted(fieldio.KINDS.values())))
+    if kind == "vector":
+        d = draw(st.integers(1, 2))
+        values = np.empty((m, d), dtype=np.complex128)
+        values.real = draw(samples(m * d)).reshape(m, d)
+        values.imag = draw(samples(m * d)).reshape(m, d)
+        return SampledVectorField(grid, values)
+    if kind == "matrix":
+        # diagonal samples with signed-zero off-diagonal entries, or random
+        # positive-definite matrices with all-distinct entries
+        d = draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            values = np.zeros((m, d, d), dtype=np.complex128)
+            idx = np.arange(d)
+            values[:, idx, idx] = nonnegative(draw(samples(m * d))).reshape(m, d)
+            if d == 2:
+                zeros = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                               min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+                values[:, 0, 1].real, values[:, 0, 1].imag = zeros[:, 0], zeros[:, 1]
+                values[:, 1, 0] = np.conj(values[:, 0, 1])
+            return MatrixWeightField(grid, values)
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = np.stack([random_psd(rng, d, definite=True) for _ in range(m)])
+        return MatrixWeightField(grid, values, invertible=True)
+    values = nonnegative(draw(samples(m)))
+    if kind == "scalar":
+        return ScalarWeightField(grid, values)
+    if kind == "density":
+        values[0] = max(values[0], 1.0)
+        with np.errstate(over="ignore"):  # the total of huge samples overflows
+            return MeasureDensity(grid, values)
+    return ExponentField(grid, 1.0 + values)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fields())
+def test_writer_bytes_equal_the_one_repr_per_float_writer(tmp_path_factory, field):
+    """Formatting each distinct value once writes the bytes of formatting every float."""
+    folder = tmp_path_factory.mktemp("fields")
+    fieldio.save_field(folder / "new.txt", field)
+    reference_fieldio.save_field(folder / "reference.txt", field)
+    assert (folder / "new.txt").read_bytes() == (folder / "reference.txt").read_bytes()

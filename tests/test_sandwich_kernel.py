@@ -1,0 +1,141 @@
+"""The one U diag(lam) U^H kernel behind matrix powers and rotated power weights.
+
+`matrix_core.batched_sandwich` forms the sandwich with explicit real
+multiply-adds; it must equal, bit for bit and signed zeros included, the two
+three-operand einsums kept in `reference_sandwich.py`: the power of a stack
+from its eigensystem and the rotation sandwich R D R^H of `make_power_weight`.
+Bits are compared as int64 views of contiguous copies, so -0.0 differs from
+0.0 and every NaN payload counts.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mwlp import matrix_core as mc
+from mwlp.grids import Grid
+from mwlp.weight_fields import make_power_weight
+
+import reference_sandwich
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mwlp"
+EXPONENTS = (0.5, 1.0, 2.0, 1.0 / 3.0, -0.5)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def hermitian_stack(rng, m, d):
+    """Random complex Hermitian matrices, with zero and identity matrices and
+    a negated identity among them."""
+    a = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    h = a + np.conj(np.swapaxes(a, 1, 2))
+    h[:3] = 0.0
+    h[3:6] = np.eye(d)
+    h[6] = -np.eye(d)
+    return h
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sandwich_equals_einsum_on_random_stacks(d):
+    rng = np.random.default_rng(d)
+    lam, u = mc.batched_eigh(hermitian_stack(rng, 40, d))
+    for s in EXPONENTS:
+        weights = np.abs(lam) ** s if s > 0 else (np.abs(lam) + 1.0) ** s
+        for vectors in (u, -u, u.conj(), np.zeros_like(u),
+                        np.broadcast_to(np.eye(d, dtype=complex), u.shape)):
+            assert_same_bits(mc.batched_sandwich(vectors, weights),
+                             reference_sandwich.sandwich(vectors, weights))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_powers_equal_einsum_on_random_stacks(d):
+    """A^s of PSD stacks, zero matrices included for s > 0; positive-definite
+    stacks (identities included) for s < 0."""
+    rng = np.random.default_rng(10 + d)
+    h = hermitian_stack(rng, 40, d)
+    psd = np.einsum("mik,mjk->mij", h, h.conj())
+    definite = psd[3:] + np.eye(d)
+    for s in EXPONENTS:
+        stack = psd if s > 0 else definite
+        lam, u = mc.batched_eigh(stack)
+        assert_same_bits(mc.batched_power_from_eig(lam, u, s),
+                         reference_sandwich.power_from_eig(lam, u, s))
+
+
+def test_sandwich_equals_einsum_on_edge_values():
+    """Signed zeros, subnormals, huge and overflowing values, negative weights."""
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 3.0,
+                       1e300, -1e300, 1.7e308, 1e-200, -1e-200])
+    rng = np.random.default_rng(7)
+    with np.errstate(all="ignore"):
+        for d in (1, 2, 3, 4):
+            u = rng.choice(values, (60, d, d)) + 1j * rng.choice(values, (60, d, d))
+            lam = rng.choice(values, (60, d))
+            assert_same_bits(mc.batched_sandwich(u, lam), reference_sandwich.sandwich(u, lam))
+
+
+def linear(rate):
+    return lambda pts: rate * pts[:, 0]
+
+
+# the CLI's power weights: default net/moduli grids, the 2-D benchmark grid,
+# the ap-constant grid, d = 2 and 3, with and without rotation, negative alpha
+@pytest.mark.parametrize("grid, alphas, rotation", [
+    ((1, 8.0, 4096), [0.5, 1.0 / 3.0], linear(1.0)),
+    ((1, 8.0, 2048), [0.5, 1.0 / 3.0], linear(1.0)),
+    ((2, 8.0, 128), [0.5, 1.0 / 3.0], linear(1.0)),
+    ((1, 8.0, 1024), [0.5, 1.0 / 3.0], None),
+    ((1, 1.0, 512), [0.5, 0.3333333333333333, 0.25], linear(1.0)),
+    ((1, 1.0, 512), [0.5, 0.3333333333333333, 0.25], None),
+    ((2, 8.0, 64), [-0.5, 0.25], linear(-2.0)),
+    ((1, 8.0, 256), [-0.3, 0.2, 0.7], linear(0.3)),
+    ((1, 1.0, 4096), [0.5], None),
+], ids=["net-4096", "net-2048", "2d-128", "no-rotation", "d3", "d3-no-rotation",
+        "2d-negative", "d3-negative", "ap-constant-d1"])
+def test_power_weights_equal_einsum(grid, alphas, rotation):
+    g = Grid(*grid)
+    got = make_power_weight(g, alphas, rotation=rotation)
+    want = reference_sandwich.power_weight(g, alphas, rotation=rotation)
+    assert got.invertible == want.invertible
+    assert_same_bits(got.values, want.values)
+    for a, b in zip(got.eig(), want.eig()):
+        assert_same_bits(a, b)
+    lam, u = got.eig()
+    for s in (0.5, -0.5, 1.0 / 1.5, -1.0 / 1.5):
+        assert_same_bits(got.power(s), reference_sandwich.power_from_eig(lam, u, s))
+
+
+def _einsum_operand_counts():
+    """(module, top-level function or Class.method, operand count) per `*.einsum` call."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owners = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                owners += [(f"{node.name}.{item.name}", item) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            else:
+                owners.append(("<module>", node))
+        for owner, root in owners:
+            for sub in ast.walk(root):
+                if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == "einsum"):
+                    yield path.stem, owner, len(sub.args) - 1
+
+
+def test_no_three_operand_einsum_in_the_package():
+    """A per-point U diag(lam) U^H has one kernel: the only einsum over three
+    operands is the John fit's containment rescale."""
+    found = {(module, owner) for module, owner, count in _einsum_operand_counts() if count >= 3}
+    assert found == {("spaces", "_mvee_centered")}

@@ -302,7 +302,7 @@ class TestApConstant:
         with pytest.raises(EmptyCubeFamily, match="no cells of the grid"):
             ap_constant(w, 2.0, outside)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_overflow_is_not_reported_as_an_empty_family(self, d):
         # W = w I with w = 1e-300 in one cell: w^{-p'/p} = 1e600 overflows at p = 1.5
         g = Grid(1, 1.0, 16)
