@@ -9,6 +9,8 @@ net carries a brute-force certificate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,7 +20,6 @@ from .errors import (
     MatrixWeightRequired,
     ModuliTooLarge,
     NotInvertible,
-    NotTotallyBoundedInput,
     OutOfRange,
     RadiusExceedsBox,
     SchemeMismatch,
@@ -182,27 +183,27 @@ def translation_curve(family: FunctionFamily, scales: list[float], space: Space)
 
     Entry i is the sup over members f and lattice shifts 0 < |k h| <= scales[i]
     of space.size(tau_k f - f).  Every reported value is one direct
-    evaluation of that expression.  In L^2(W, mu) an FFT screen (_l2_screen)
-    gives every shift's squared size with a per-member error bound; a rung
-    then evaluates directly only the (member, shift) pairs whose screened
-    interval reaches the largest lower end of the rung, which contains the
-    maximizer, and caches them for the nested rungs above.  Every other
-    space scans each shift directly once, taking a running max over the
-    ladder sorted by scale.
+    evaluation of that expression, cached for the nested rungs above.  A
+    rung evaluates its candidate (member, shift) pairs: in L^2(W, mu), where
+    an FFT screen (_l2_screen) gives every shift's squared size with a
+    per-member error bound, those whose screened interval reaches the largest
+    lower end of the rung, which hold the maximizer; in other spaces all of
+    them.  A shift with some |k_i| >= N measures -f, as a shift by N does, so
+    the window stops at N cells per axis.
     """
     grid = family.grid
     space.check(family)
     scales = [float(r) for r in scales]
     if not scales:
         return []
-    shifts = grid.shift_window(max(grid.max_shift(r) for r in scales))
-    rungs = [grid.shifts_within(shifts, r) for r in scales]
+    shifts = grid.shift_window(min(max(grid.max_shift(r) for r in scales), grid.N))
     # a zero member has size exactly 0 at every shift, which the curve's
     # floor of 0.0 already holds
     members = [f for f in family if np.any(f.values)]
     if not members:
         return [0.0] * len(scales)
 
+    @functools.cache
     def direct(m: int, s: int) -> float:
         f = members[m]
         k = tuple(int(x) for x in shifts[s])
@@ -210,30 +211,19 @@ def translation_curve(family: FunctionFamily, scales: list[float], space: Space)
 
     screen = _l2_screen(members, shifts, space)
     curve = [0.0] * len(scales)
-    if screen is None:
-        seen = np.zeros(len(shifts), dtype=bool)
-        worst = 0.0
-        for i in sorted(range(len(scales)), key=scales.__getitem__):
-            for s in np.flatnonzero(rungs[i] & ~seen):
-                worst = max(worst, max(direct(m, s) for m in range(len(members))))
-            seen |= rungs[i]
-            curve[i] = worst
-        return curve
-
-    screened, margin = screen
-    confirmed: dict[tuple[int, int], float] = {}
-    for i, in_rung in enumerate(rungs):
-        cols = np.flatnonzero(in_rung)
+    for i, r in enumerate(scales):
+        cols = np.flatnonzero(grid.shifts_within(shifts, r))
         if cols.size == 0:
             continue
-        block = screened[:, cols]
-        floor = np.max(block - margin[:, None])
+        if screen is None:
+            candidates = np.ones((len(members), cols.size), dtype=bool)
+        else:
+            screened, margin = screen
+            block = screened[:, cols]
+            candidates = block + margin[:, None] >= np.max(block - margin[:, None])
         worst = 0.0
-        for m, j in np.argwhere(block + margin[:, None] >= floor):
-            key = (int(m), int(cols[j]))
-            if key not in confirmed:
-                confirmed[key] = direct(*key)
-            worst = max(worst, confirmed[key])
+        for m, j in np.argwhere(candidates):
+            worst = max(worst, direct(int(m), int(cols[j])))
         curve[i] = worst
     return curve
 
@@ -385,9 +375,16 @@ def _weight_and_exponent(space: Space, purpose: str) -> tuple[MatrixWeightField,
     return w, space.p
 
 
+def _check_notion(notion: str, accepted: tuple[str, ...]) -> None:
+    if notion not in accepted:
+        raise OutOfRange(f"unknown equicontinuity notion {notion!r}; "
+                         f"expected one of {', '.join(accepted)}")
+
+
 def moduli_report(family: FunctionFamily, space: Space,
                   notion: str = "translation") -> ModuliReport:
     """Measure the boundedness, tail and equicontinuity curves on the default ladders."""
+    _check_notion(notion, ("translation", "twisted", "averaging"))
     grid = family.grid
     scales = default_scale_ladder(grid)
     bound = boundedness_modulus(family, space)
@@ -396,10 +393,8 @@ def moduli_report(family: FunctionFamily, space: Space,
         equi = list(zip(scales, translation_curve(family, scales, space)))
     elif notion == "twisted":
         equi = list(zip(scales, twisted_curve(family, space, scales)))
-    elif notion == "averaging":
-        equi = [(r, averaging_modulus(family, space, r)) for r in scales]
     else:
-        raise ValueError(f"unknown equicontinuity notion {notion!r}")
+        equi = [(r, averaging_modulus(family, space, r)) for r in scales]
     return ModuliReport(bound=bound, tail_curve=tail, equi_curve=equi, notion=notion,
                         space_label=space.label, family_metadata=family.metadata)
 
@@ -408,22 +403,18 @@ def moduli_report(family: FunctionFamily, space: Space,
 # greedy covering
 
 
-def greedy_cover(count: int, dist_fn, radius: float, max_centers: int | None = None):
+def greedy_cover(count: int, dist_fn, radius: float):
     """Greedy farthest-point covering with first-index tie-breaking.
 
     dist_fn(i, j) must be a metric between items i and j.  Returns
     (center_item_indices, assignment, distances) with every item within
     radius of its assigned center.
     """
-    cap = count if max_centers is None else max_centers
     centers = [0]
     dists = np.array([dist_fn(i, 0) for i in range(count)])
     assignment = np.zeros(count, dtype=int)
     while float(np.max(dists)) > radius:
         j = int(np.argmax(dists))
-        if len(centers) + 1 > cap:
-            raise NotTotallyBoundedInput(
-                f"covering requires more than {cap} centers at radius {radius}")
         centers.append(j)
         for i in range(count):
             dij = dist_fn(i, j)
@@ -436,17 +427,18 @@ def greedy_cover(count: int, dist_fn, radius: float, max_centers: int | None = N
 def _pair_memo(dist):
     """A symmetric metric dist(i, j) measured at most once per unordered pair,
     with dist(i, i) = 0 never measured."""
-    memo: dict[tuple[int, int], float] = {}
+    measured = functools.cache(dist)
+    return lambda i, j: 0.0 if i == j else measured(min(i, j), max(i, j))
 
-    def dist_fn(i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        if key not in memo:
-            memo[key] = dist(i, j)
-        return memo[key]
 
-    return dist_fn
+def _first_under(ladder, measure, budget: float, what: str) -> tuple:
+    """The first (x, measure(x)) along a ladder with measure(x) < budget; the
+    search is the covering proofs' choice of a tail radius or a scale."""
+    for x in ladder:
+        value = measure(x)
+        if value < budget:
+            return x, value
+    raise ModuliTooLarge(f"{what} under {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +464,7 @@ def _self_certified(family: FunctionFamily, space: Space, epsilon: float, center
 
 
 def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
-                     notion: str = "translation",
-                     max_centers: int | None = None) -> EpsilonNet:
+                     notion: str = "translation") -> EpsilonNet:
     """Constructive net via dyadic averaging.
 
     Picks the smallest outer generation m with the tail beyond the box
@@ -483,24 +474,16 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     greedily at radius epsilon.  Certificate distances are measured in the
     ambient space against the piecewise-constant centers.
     """
+    _check_notion(notion, ("translation", "twisted"))
     grid = family.grid
     space.check(family)
-    # outer generation: dyadic half-widths up to L
-    m_candidates = []
-    mm = int(np.ceil(np.log2(max(4 * grid.h, 1e-12))))
-    while 2.0 ** mm <= grid.L * (1 + 1e-12):
-        m_candidates.append(mm)
-        mm += 1
-    chosen_m = None
-    tail_value = None
-    for m in m_candidates:
-        v = _tail(family, grid.outside_box(2.0 ** m), space)
-        if v < epsilon:
-            chosen_m = m
-            tail_value = v
-            break
-    if chosen_m is None:
-        raise ModuliTooLarge(f"no dyadic box keeps the tail under {epsilon}")
+    # outer generation: dyadic half-widths from 4h up to L
+    m0 = int(np.ceil(np.log2(max(4 * grid.h, 1e-12))))
+    generations = itertools.takewhile(lambda m: 2.0 ** m <= grid.L * (1 + 1e-12),
+                                      itertools.count(m0))
+    chosen_m, tail_value = _first_under(
+        generations, lambda m: _tail(family, grid.outside_box(2.0 ** m), space), epsilon,
+        "no dyadic box keeps the tail")
 
     # the ladder doubles from 2h, so either every scale is a power of two or
     # none is; both moduli are nondecreasing in the scale, so the finest
@@ -523,7 +506,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     projections = [dyadic_average(f, scheme) for f in family]
     proj_err = max(space.dist(f, g) for f, g in zip(family, projections))
     dist_fn = _pair_memo(lambda i, j: space.dist(projections[i], projections[j]))
-    center_idx, assignment, _proj_d = greedy_cover(len(family), dist_fn, epsilon, max_centers)
+    center_idx, assignment, _proj_d = greedy_cover(len(family), dist_fn, epsilon)
     centers = [projections[k] for k in center_idx]
     return _self_certified(family, space, epsilon, centers, assignment, "dyadic", {
         "m": chosen_m,
@@ -537,8 +520,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     })
 
 
-def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
-                      max_centers: int | None = None) -> EpsilonNet:
+def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> EpsilonNet:
     """Constructive net via ball averaging with the epsilon/3 budget split.
 
     Chooses R with tail under epsilon/3 and r with the averaging modulus on
@@ -557,35 +539,26 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
     space.check(family)
     dens = _ball_density(space)
 
-    chosen_R = None
-    tail_value = None
-    for R in default_radius_ladder(grid):
-        v = tail_modulus(family, R, space)
-        if v < epsilon / 3:
-            chosen_R = R
-            tail_value = v
-            break
-    if chosen_R is None:
-        raise ModuliTooLarge(f"no ladder radius keeps the tail under {epsilon / 3}")
+    chosen_R, tail_value = _first_under(
+        default_radius_ladder(grid), lambda R: tail_modulus(family, R, space), epsilon / 3,
+        "no ladder radius keeps the tail")
 
-    # the averaging modulus on B(0, R); the chosen scale's averaged members
-    # are the ones clustered below, so each scale's ball scheme is built once
+    # the averaging modulus on B(0, R); the last scale averaged is the chosen
+    # one, whose averaged members are clustered below
     inside = grid.inside_ball(chosen_R)
-    chosen_r = None
-    avg_value = None
-    for r in default_scale_ladder(grid):
-        if r >= chosen_R or chosen_R + r > grid.L * (1 + 1e-12):
-            continue
+
+    @functools.lru_cache(maxsize=1)
+    def averaged_at(r: float) -> list:
         scheme = BallScheme(grid, r, dens)
-        averaged = [ball_average(f, scheme) for f in family]
-        v = max(space.size_values(_restricted(g.values - f.values, inside))
-                for f, g in zip(family, averaged))
-        if v < epsilon / 3:
-            chosen_r = r
-            avg_value = v
-            break
-    if chosen_r is None:
-        raise ModuliTooLarge(f"no ladder scale keeps the averaging modulus under {epsilon / 3}")
+        return [ball_average(f, scheme) for f in family]
+
+    chosen_r, avg_value = _first_under(
+        [r for r in default_scale_ladder(grid)
+         if r < chosen_R and chosen_R + r <= grid.L * (1 + 1e-12)],
+        lambda r: max(space.size_values(_restricted(g.values - f.values, inside))
+                      for f, g in zip(family, averaged_at(r))),
+        epsilon / 3, "no ladder scale keeps the averaging modulus")
+    averaged = averaged_at(chosen_r)
 
     op_norms = w.op_norm_field().values
     a_const = 3.0 * float(np.sum(op_norms[inside] * dens.values[inside])
@@ -598,8 +571,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space,
         return float(np.max(np.linalg.norm(diff, axis=1)))
 
     uniform_radius = epsilon / a_const
-    center_idx, assignment, uniform_d = greedy_cover(
-        len(family), dist_uniform, uniform_radius, max_centers)
+    center_idx, assignment, uniform_d = greedy_cover(len(family), dist_uniform, uniform_radius)
     centers = [SampledVectorField(grid, _restricted(averaged[k].values, inside))
                for k in center_idx]
     return _self_certified(family, space, epsilon, centers, assignment, "average", {
@@ -677,7 +649,6 @@ class NecessityReport:
 
 
 def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
-                    max_centers: int | None = None,
                     ap_value: float | None = None) -> NecessityReport:
     """Mirror the necessity argument: from an epsilon-net of members, derive a
     tail radius R and an averaging scale r, then verify the family moduli
@@ -701,24 +672,20 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
     outside = [grid.outside_ball(R) for R in radii]
     tails = [[space.size_values(_restricted(f.values, mask)) for mask in outside]
              for f in family]
-    schemes: dict[float, tuple[BallScheme, np.ndarray]] = {}
-    residuals: dict[tuple[int, float], float] = {}
 
+    @functools.cache
     def scheme_at(r: float) -> tuple[BallScheme, np.ndarray]:
         """The ball scheme of scale r and its unclipped region B(0, L - r)."""
-        if r not in schemes:
-            schemes[r] = (BallScheme(grid, r, dens), grid.inside_ball(grid.L - r))
-        return schemes[r]
+        return BallScheme(grid, r, dens), grid.inside_ball(grid.L - r)
 
+    @functools.cache
     def residual(i: int, r: float) -> float:
-        if (i, r) not in residuals:
-            residuals[i, r] = _averaging_residual(family[i], space, *scheme_at(r))
-        return residuals[i, r]
+        return _averaging_residual(family[i], space, *scheme_at(r))
 
     dist_fn = _pair_memo(lambda i, j: space.dist(family[i], family[j]))
     rows = []
     for eps in epsilons:
-        center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps, max_centers)
+        center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps)
 
         # tail radius from the centers: R = max over centers of the smallest
         # ladder radius whose center tail is below eps

@@ -49,10 +49,6 @@ class ModuliTooLarge(MwlpError):
     """No ladder scale satisfies the requested budget."""
 
 
-class NotTotallyBoundedInput(MwlpError):
-    """Greedy covering exceeded the allowed number of centers."""
-
-
 class DegenerateNorm(MwlpError):
     """Sampled unit sphere of the norm does not span the space."""
 

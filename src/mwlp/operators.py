@@ -10,7 +10,7 @@ congruent cubes of side 2^t aligned with the cell lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -308,8 +308,20 @@ def dyadic_radii(grid: Grid) -> list[float]:
     return out
 
 
-def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: float,
-                            radii: list[float] | None = None) -> ScalarWeightField:
+@cache
+def _lebesgue_balls(grid: Grid) -> tuple[tuple[BallScheme, ...], tuple[np.ndarray, ...]]:
+    """The Lebesgue ball schemes of dyadic_radii(grid) and the cell count of every
+    ball, (M, 1) per radius, read-only: built once per grid and shared."""
+    lebesgue = MeasureDensity.lebesgue(grid)
+    schemes = tuple(BallScheme(grid, r, lebesgue) for r in dyadic_radii(grid))
+    counts = tuple(c[:, None] for c in _window_sum(grid, np.ones(grid.num_points), schemes))
+    for c in counts:
+        c.setflags(write=False)
+    return schemes, counts
+
+
+def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField,
+                            p: float) -> ScalarWeightField:
     """Maximal function M_w f(x): the supremum over balls of the family that
     contain x of the Lebesgue-average of |W^{1/p}(x) W^{-1/p}(y) f(y)|.
 
@@ -325,14 +337,10 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     if f.grid != w.grid or f.d != w.d:
         raise ShapeMismatch("field and weight do not match")
     grid = f.grid
-    if radii is None:
-        radii = dyadic_radii(grid)
     entries = _entry_columns(w.power(1.0 / p))
     g = np.einsum("mij,mj->mi", w.power(-1.0 / p), f.values)
     m_points = grid.num_points
-    lebesgue = MeasureDensity.lebesgue(grid)
-    schemes = [BallScheme(grid, r, lebesgue) for r in radii]
-    counts = [c[:, None] for c in _window_sum(grid, np.ones(m_points), schemes)]
+    schemes, counts = _lebesgue_balls(grid)
     cells = np.indices(grid.shape).reshape(grid.n, -1).T
     out = np.zeros(m_points)
     step = max(1, MAXIMAL_BLOCK // m_points)
@@ -351,27 +359,23 @@ def christ_goldberg_maximal(f: SampledVectorField, w: MatrixWeightField, p: floa
     return ScalarWeightField(grid, out)
 
 
-def cg_domination_constant(f: SampledVectorField, w: MatrixWeightField, p: float,
-                           radii: list[float] | None = None) -> float:
+def cg_domination_constant(f: SampledVectorField, w: MatrixWeightField, p: float) -> float:
     """Measured constant C in |W^{1/p}(x) S_r f(x)| <= C * M_w(W^{1/p} f)(x).
 
     The maximum ratio over all grid points and family radii; the ball at x
     itself belongs to the family, so the mathematical value is at most 1.
     """
     grid = f.grid
-    if radii is None:
-        radii = dyadic_radii(grid)
     wp = w.power(1.0 / p)
     wpf = SampledVectorField(grid, np.einsum("mij,mj->mi", wp, f.values))
-    maximal = christ_goldberg_maximal(wpf, w, p, radii).values
+    maximal = christ_goldberg_maximal(wpf, w, p).values
     mask = maximal > 1e-14 * np.max(maximal + 1e-300)
     if not np.any(mask):
         return 0.0
     rho = NormFamily.from_matrix_weight(w, p)
-    lebesgue = MeasureDensity.lebesgue(grid)
     worst = 0.0
-    for r in radii:
-        sr = ball_average(f, BallScheme(grid, r, lebesgue))
+    for scheme in _lebesgue_balls(grid)[0]:
+        sr = ball_average(f, scheme)
         worst = max(worst, float(np.max(rho.evaluate(sr.values)[mask] / maximal[mask])))
     return worst
 

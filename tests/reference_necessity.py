@@ -19,7 +19,7 @@ from mwlp.spaces import SampledVectorField
 from mwlp.weight_fields import MeasureDensity
 
 
-def necessity_rows(family, epsilons, space, max_centers=None):
+def necessity_rows(family, epsilons, space):
     grid = family.grid
     dens = space.mu if space.mu is not None else MeasureDensity.lebesgue(grid)
     radii = default_radius_ladder(grid)
@@ -30,7 +30,7 @@ def necessity_rows(family, epsilons, space, max_centers=None):
         def dist_fn(i, j):
             return space.dist(family[i], family[j])
 
-        center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps, max_centers)
+        center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps)
         centers = [family[k] for k in center_idx]
 
         per_center_R = []

@@ -1,5 +1,7 @@
 """Moduli, net construction, certification and the necessity direction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,8 @@ from mwlp.compactness import (
 from mwlp.errors import (
     ConstantExponentRequired,
     MatrixWeightRequired,
+    ModuliTooLarge,
     MwlpError,
-    NotTotallyBoundedInput,
     OutOfRange,
     RadiusExceedsBox,
     ShapeMismatch,
@@ -256,6 +258,14 @@ class TestDyadicNet:
         net = build_net_dyadic(fam, 0.1, unweighted)
         assert net.size == 5
 
+    @pytest.mark.parametrize("notion", ["averaging", "bogus"])
+    def test_notion_outside_the_route_rejected(self, grid, unweighted, rng, notion):
+        # the dyadic route measures the translation or the twisted modulus only
+        fam = small_family(grid, rng)
+        with pytest.raises(OutOfRange, match="expected one of translation, twisted$") as err:
+            build_net_dyadic(fam, 5.0, unweighted, notion=notion)
+        assert isinstance(err.value, MwlpError) and isinstance(err.value, ValueError)
+
     def test_certificate_always_passes(self, grid, unweighted, rng):
         fam = small_family(grid, rng, count=12)
         net = build_net_dyadic(fam, 0.1, unweighted)
@@ -399,6 +409,32 @@ class TestAverageNet:
         assert certify_net(fam, net, sp).passed
 
 
+class TestLadderSearch:
+    """Each route takes the first ladder entry under its budget; when none
+    is, ModuliTooLarge names the search and the budget."""
+
+    def test_dyadic_box_tail(self, rng):
+        grid = Grid(1, 3.0, 256)  # L is no power of two: no dyadic box reaches it
+        fam = FunctionFamily([indicator_field(grid, 2.25, 2.75)])
+        space = Space.matrix_weight(MatrixWeightField.constant(grid, [[1.0]]), 2.0)
+        with pytest.raises(ModuliTooLarge, match=r"^no dyadic box keeps the tail under 0\.1$"):
+            build_net_dyadic(fam, 0.1, space)
+
+    def test_average_tail_radius(self, grid, unweighted):
+        fam = FunctionFamily([indicator_field(grid, 1.6, 1.9)])
+        with pytest.raises(ModuliTooLarge, match=r"^no ladder radius keeps the tail under "
+                                                 + re.escape(repr(0.3 / 3)) + "$"):
+            build_net_average(fam, 0.3, unweighted)
+
+    def test_average_scale(self, grid, unweighted):
+        # supported inside B(0, L/8): every tail is 0, and no scale averages
+        # the jumps away
+        fam = FunctionFamily([indicator_field(grid, -0.2, 0.2)])
+        with pytest.raises(ModuliTooLarge, match=r"^no ladder scale keeps the averaging "
+                                                 r"modulus under 1e-06$"):
+            build_net_average(fam, 3e-6, unweighted)
+
+
 class TestCertify:
     def test_net_equal_to_family(self, grid, unweighted, rng):
         fam = small_family(grid, rng, count=4)
@@ -439,14 +475,6 @@ class TestNecessity:
         fam = small_family(grid, rng)
         with pytest.raises(OutOfRange):
             necessity_check(fam, [0.1], Space.matrix_weight(w, 1.0))
-
-    def test_center_cap(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
-        members = [translate(small_family(grid, rng)[0], (k * 0.25,))
-                   for k in range(6)]
-        fam = FunctionFamily(members)
-        with pytest.raises(NotTotallyBoundedInput):
-            necessity_check(fam, [0.01], Space.matrix_weight(w, 2.0), max_centers=2)
 
     def test_certified_family_passes_at_4eps(self, grid, rng):
         # sufficiency -> necessity loop: a family with a certified eps-net
@@ -611,3 +639,10 @@ class TestModuliReport:
         assert all(v >= 0 for _r, v in rep.equi_curve)
         rep2 = moduli_report(fam, sp, notion="averaging")
         assert rep2.notion == "averaging"
+
+    def test_unknown_notion_names_the_accepted_ones(self, grid, unweighted, rng):
+        fam = small_family(grid, rng)
+        with pytest.raises(OutOfRange, match="'bogus'; expected one of "
+                                             "translation, twisted, averaging$") as err:
+            moduli_report(fam, unweighted, notion="bogus")
+        assert isinstance(err.value, MwlpError) and isinstance(err.value, ValueError)

@@ -66,7 +66,8 @@ def test_block_size_does_not_change_values(n, N, rng, monkeypatch):
 
 
 def test_one_running_sum_per_block_and_one_for_the_counts(rng, monkeypatch):
-    # one window-sum call (one table for all radii) per block and one for the counts
+    # one window-sum call (one table for all radii) per block, and one for
+    # the counts the first time the grid is seen
     grid = Grid(1, 1.0, 1024)
     w, f = _weight(grid, 1, rng), _field(grid, 1, rng)
     calls = []
@@ -77,9 +78,33 @@ def test_one_running_sum_per_block_and_one_for_the_counts(rng, monkeypatch):
         return window_sum(*args, **kwargs)
 
     monkeypatch.setattr(operators, "_window_sum", counted)
+    operators._lebesgue_balls.cache_clear()
     christ_goldberg_maximal(f, w, 2.0)
     # MAXIMAL_BLOCK = 2^18 (cell, point) pairs: 4 blocks of 256 points
     assert len(calls) == 4 + 1
+    christ_goldberg_maximal(f, w, 2.0)
+    assert len(calls) == 4 + 1 + 4
+
+
+def test_balls_built_once_per_grid(rng, monkeypatch):
+    # the maximal operator and the domination constant share one ball scheme
+    # per radius of the grid, whatever the field and the weight
+    built = []
+
+    class CountedScheme(BallScheme):
+        def __post_init__(self):
+            built.append((self.grid, self.r))
+            super().__post_init__()
+
+    monkeypatch.setattr(operators, "BallScheme", CountedScheme)
+    operators._lebesgue_balls.cache_clear()
+    grids = [Grid(1, 1.0, 64), Grid(2, 1.0, 8)]
+    for grid in grids + grids:
+        for d in (1, 2):
+            w, f = _weight(grid, d, rng), _field(grid, d, rng)
+            christ_goldberg_maximal(f, w, 1.5)
+            operators.cg_domination_constant(f, w, 2.0)
+    assert built == [(g, r) for g in grids for r in dyadic_radii(g)]
 
 
 def test_index_rule_oracle_inexact_h(rng):

@@ -184,3 +184,58 @@ class TestDirectConfirmation:
         pairs = count * sum(int(np.sum(grid.shifts_within(window, r))) for r in scales)
         assert 0 < len(calls) <= 2 * len(scales)
         assert len(calls) * 100 < pairs
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """Every Space.size_values call, as one list entry each."""
+    calls = []
+    original = Space.size_values
+
+    def counting(self, values):
+        calls.append(1)
+        return original(self, values)
+
+    monkeypatch.setattr(Space, "size_values", counting)
+    return calls
+
+
+class TestOneRungLoop:
+    """Outside L^2(W, mu) every (member, shift) pair of a rung is a
+    candidate; nested rungs reuse the pairs already evaluated."""
+
+    @pytest.mark.parametrize("p", [1.5, "variable"])
+    def test_each_pair_evaluated_once(self, p, rng, direct_calls):
+        grid = Grid(1, 2.0, 32)
+        w = make_power_weight(grid, [0.5], invertible=True)
+        if p == "variable":
+            pf = ExponentField(grid, 1.0 + 2.0 * np.abs(np.sin(np.arange(grid.num_points))))
+            space = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
+        else:
+            space = Space.matrix_weight(w, p)
+        bumps = gaussian_bumps(grid, 1, 3, rng)
+        fam = FunctionFamily(list(bumps) + [SampledVectorField.zero(grid, 1)])
+        # an unsorted ladder: the largest rung is neither first nor last
+        scales = [4 * grid.h, grid.h, 9.5 * grid.h, 2 * grid.h]
+        curve = translation_curve(fam, scales, space)
+        window = grid.shift_window(grid.max_shift(max(scales)))
+        largest_rung = int(np.sum(grid.shifts_within(window, max(scales))))
+        assert len(direct_calls) == len(bumps) * largest_rung
+        assert curve == exhaustive_curve(fam, scales, space)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0], ids=["screened", "direct"])
+def test_shift_window_stops_at_n_cells(p, rng, direct_calls):
+    # every shift with some |k_i| >= N measures -f, so a radius far beyond
+    # the box gives the value, and the evaluations, of r = 2L
+    grid = Grid(1, 1.0, 64)
+    space = Space.matrix_weight(make_power_weight(grid, [0.5], invertible=True), p)
+    fam = gaussian_bumps(grid, 1, 4, rng)
+    values, counts = [], []
+    for r in (2 * grid.L, 50.0):
+        del direct_calls[:]
+        values.append(translation_curve(fam, [r], space))
+        counts.append(len(direct_calls))
+    assert values[0] == values[1]
+    assert counts[0] == counts[1] > 0
+    assert values[0] == exhaustive_curve(fam, [2 * grid.L], space)
