@@ -29,7 +29,7 @@ import numpy as np
 # benchmark's tracer can replace them.
 from . import __version__, compactness, fieldio, report, scenario, spaces, verify, weight_fields
 from .compactness import EpsilonNet
-from .errors import MwlpError, SchemaError
+from .errors import MwlpError, OutOfRange, SchemaError
 from .spaces import NormFamily, Space
 from .weight_fields import CubeFamily
 
@@ -173,7 +173,10 @@ def _task_ap_constant(sc, rng) -> tuple[dict, int]:
     w = scenario.build_weight(sc, grid)
     p = sc.param("p")
     dense = sc.param("cubes") == "dense"
-    cubes = CubeFamily.dense_dyadic(grid) if dense else CubeFamily.default(grid)
+    try:
+        cubes = CubeFamily.dense_dyadic(grid) if dense else CubeFamily.default(grid)
+    except OutOfRange as exc:  # the dense scan is defined on n = 1 grids only
+        raise SchemaError(f"task.cubes: {exc}") from exc
     value = weight_fields.ap_constant(w, p, cubes)
     return {"value": value, "p": p, "cube_family": cubes.description,
             "num_cubes": len(cubes)}, 0

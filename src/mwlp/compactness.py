@@ -49,7 +49,7 @@ class FunctionFamily:
 
     def __post_init__(self):
         if len(self.members) == 0:
-            raise ValueError("function family must be nonempty")
+            raise OutOfRange("function family must be nonempty")
         g = self.members[0].grid
         d = self.members[0].d
         for f in self.members:
@@ -169,7 +169,7 @@ def tail_modulus(family: FunctionFamily, R: float, space: Space) -> float:
     if R >= grid.L:
         raise RadiusExceedsBox(f"tail radius {R} must be below L={grid.L}")
     if R < 0:
-        raise ValueError("tail radius must be non-negative")
+        raise OutOfRange("tail radius must be non-negative")
     space.check(family)
     return _tail(family, grid.outside_ball(R), space)
 

@@ -25,7 +25,7 @@ class EmptyCubeFamily(MwlpError):
     """Cube family contains no usable cubes."""
 
 
-class ShapeMismatch(MwlpError):
+class ShapeMismatch(MwlpError, ValueError):
     """Fields do not share a grid or vector dimension."""
 
 
@@ -57,7 +57,7 @@ class NormAxiomViolation(MwlpError):
     """Supplied norm oracle fails homogeneity or the triangle inequality on samples."""
 
 
-class NonFinite(MwlpError):
+class NonFinite(MwlpError, ValueError):
     """Field contains non-finite values."""
 
 

@@ -8,6 +8,9 @@ from .compactness import FunctionFamily
 from .grids import Grid
 from .spaces import SampledVectorField
 
+#: bumps summed in each member of `bump_combinations`
+BUMPS_PER_MEMBER = 4
+
 
 def gaussian_bumps(grid: Grid, d: int, count: int, rng: np.random.Generator,
                    center_range=(-1.0, 1.0), width_range=(0.5, 1.0),
@@ -33,10 +36,9 @@ def gaussian_bumps(grid: Grid, d: int, count: int, rng: np.random.Generator,
     return FunctionFamily(members, metadata=meta)
 
 
-def bump_combinations(grid: Grid, d: int, count: int, rng: np.random.Generator,
-                      bumps_per_member: int = 4, width_range=(0.1, 0.5),
-                      center_scale: float = 0.5) -> FunctionFamily:
-    """Random signed combinations of bumps, for stress-testing operators.
+def bump_combinations(grid: Grid, d: int, count: int, rng: np.random.Generator) -> FunctionFamily:
+    """Random signed combinations of BUMPS_PER_MEMBER bumps, for stress-testing
+    operators: centers in [-L/2, L/2)^n, widths in [0.1 L, 0.5 L).
 
     Parameters are drawn once per member in physical units, so the same
     generator seed yields the same functions on refined grids.
@@ -45,9 +47,9 @@ def bump_combinations(grid: Grid, d: int, count: int, rng: np.random.Generator,
     members = []
     for _ in range(count):
         vals = np.zeros((grid.num_points, d), dtype=np.complex128)
-        for _b in range(bumps_per_member):
-            c = rng.uniform(-center_scale * grid.L, center_scale * grid.L, size=grid.n)
-            sigma = rng.uniform(*width_range) * grid.L
+        for _b in range(BUMPS_PER_MEMBER):
+            c = rng.uniform(-0.5 * grid.L, 0.5 * grid.L, size=grid.n)
+            sigma = rng.uniform(0.1, 0.5) * grid.L
             u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             amp = rng.uniform(-1.0, 1.0)
             r2 = np.sum((pts - c) ** 2, axis=1)
@@ -56,14 +58,9 @@ def bump_combinations(grid: Grid, d: int, count: int, rng: np.random.Generator,
     return FunctionFamily(members, metadata=f"bump combinations, {count} members, d={d}")
 
 
-def indicator_field(grid: Grid, lo, hi, direction=None) -> SampledVectorField:
-    """Characteristic function of the box [lo, hi) times a unit direction."""
+def indicator_field(grid: Grid, lo, hi) -> SampledVectorField:
+    """Characteristic function of the box [lo, hi), a field with d = 1."""
     lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     pts = grid.points
-    mask = np.all((pts >= lo) & (pts < hi), axis=1)
-    if direction is None:
-        direction = np.zeros(1, dtype=np.complex128) + 1.0
-    direction = np.asarray(direction, dtype=np.complex128)
-    vals = mask[:, None].astype(np.complex128) * direction[None, :]
-    return SampledVectorField(grid, vals)
+    return SampledVectorField(grid, np.all((pts >= lo) & (pts < hi), axis=1))

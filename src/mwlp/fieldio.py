@@ -11,8 +11,10 @@ Format (one file per field):
     invertible <0|1>          (matrix kind only)
     <one line per grid point, row-major>
 
-Rows carry d*d complex entries for matrices and d complex entries for
-vectors, written as real/imag pairs; scalar kinds carry one real value.
+Every kind follows one row rule: a row holds the entries of one sample in
+row-major order, a complex entry as its (re, im) pair and a real one as it
+is, so matrices carry d*d pairs, vectors d pairs and the scalar kinds one
+value.  Each field type's SAMPLE (dtype and axes) decides its layout.
 Floats are written with Python's shortest round-trip repr, so a save/load
 cycle is bit-exact; the writer formats each distinct value once.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedField, MwlpError
+from .errors import MalformedField, MwlpError, OutOfRange
 from .grids import Grid
 from .spaces import ExponentField, SampledVectorField
 from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
@@ -38,25 +40,13 @@ def save_field(path, field) -> None:
     kind = next((k for cls, k in KINDS.items() if isinstance(field, cls)), None)
     if kind is None:
         raise TypeError(f"unsupported field type {type(field)!r}")
-    grid = field.grid
-    lines = [_MAGIC, f"kind {kind}", f"n {grid.n}", f"L {grid.L!r}", f"N {grid.N}"]
+    grid, values = field.grid, field.values
+    lines = [_MAGIC, f"kind {kind}", f"n {grid.n}", f"L {grid.L!r}", f"N {grid.N}",
+             f"d {values.shape[1] if values.ndim > 1 else 1}"]
     if kind == "matrix":
-        d = field.d
-        lines.append(f"d {d}")
         lines.append(f"invertible {1 if field.invertible else 0}")
-        flat = field.values.reshape(grid.num_points, d * d)
-        rows = np.empty((grid.num_points, 2 * d * d))
-        rows[:, 0::2] = flat.real
-        rows[:, 1::2] = flat.imag
-    elif kind == "vector":
-        d = field.d
-        lines.append(f"d {d}")
-        rows = np.empty((grid.num_points, 2 * d))
-        rows[:, 0::2] = field.values.real
-        rows[:, 1::2] = field.values.imag
-    else:
-        lines.append("d 1")
-        rows = field.values[:, None]
+    # a complex entry viewed as float64 is its (re, im) pair
+    rows = np.ascontiguousarray(values).reshape(grid.num_points, -1).view(np.float64)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n" + _body(rows))
 
@@ -80,13 +70,12 @@ def load_field(path):
 
     A file that does not parse as the format raises MalformedField.
     """
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return _parse_field(text, path)
+        with open(path) as fh:
+            return _parse_field(fh.read(), path)
     except MwlpError:
         raise
-    except ValueError as exc:
+    except ValueError as exc:  # text or a number that does not decode
         raise MalformedField(f"{path}: {exc}") from exc
 
 
@@ -107,31 +96,21 @@ def _parse_field(text: str, path):
     missing = [key for key in ("n", "L", "N") if key not in header]
     if missing:
         raise MalformedField(f"{path}: missing header line {missing[0]!r}")
-    grid = Grid(int(header["n"]), float(header["L"]), int(header["N"]))
-    d = int(header.get("d", "1"))
-    columns = {"matrix": 2 * d * d, "vector": 2 * d}.get(kind, 1)
+    try:
+        grid = Grid(int(header["n"]), float(header["L"]), int(header["N"]))
+    except OutOfRange as exc:  # the header names no grid
+        raise MalformedField(f"{path}: {exc}") from exc
+    cls = next(c for c, k in KINDS.items() if k == kind)
+    dtype, ndim = cls.SAMPLE
+    shape = (grid.num_points,) + (int(header.get("d", "1")),) * (ndim - 1)
+    columns = int(np.prod(shape[1:])) * np.dtype(dtype).itemsize // 8  # float64s per row
     rows = [line.split() for line in lines[i:] if line.strip()]
     if len(rows) != grid.num_points:
         raise MalformedField(f"{path}: expected {grid.num_points} rows, found {len(rows)}")
     if any(len(row) != columns for row in rows):
         raise MalformedField(f"{path}: every row must hold {columns} numbers")
-    rows = np.array(rows, dtype=np.float64)
-
-    def complexify(block):
-        # componentwise assembly keeps signed zeros intact
-        out = np.empty(block[:, 0::2].shape, dtype=np.complex128)
-        out.real = block[:, 0::2]
-        out.imag = block[:, 1::2]
-        return out
-
+    # the float64 (re, im) pairs viewed as complex keep signed zeros intact
+    values = np.array(rows, dtype=np.float64).view(dtype).reshape(shape)
     if kind == "matrix":
-        vals = complexify(rows).reshape(grid.num_points, d, d)
-        return MatrixWeightField(grid, vals, invertible=header.get("invertible", "0") == "1")
-    if kind == "vector":
-        return SampledVectorField(grid, complexify(rows))
-    vals = rows[:, 0]
-    if kind == "density":
-        return MeasureDensity(grid, vals)
-    if kind == "exponent":
-        return ExponentField(grid, vals)
-    return ScalarWeightField(grid, vals)
+        return cls(grid, values, invertible=header.get("invertible", "0") == "1")
+    return cls(grid, values)

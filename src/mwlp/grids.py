@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OffLattice
+from .errors import NonFinite, OffLattice, OutOfRange, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,11 @@ class Grid:
 
     def __post_init__(self):
         if self.n not in (1, 2):
-            raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
-        if not self.L > 0:
-            raise ValueError("half-width L must be positive")
+            raise OutOfRange(f"dimension n must be 1 or 2, got {self.n}")
+        if not 0 < self.L < np.inf:
+            raise OutOfRange("half-width L must be positive and finite")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 8, got {self.N}")
+            raise OutOfRange(f"N must be a power of two >= 8, got {self.N}")
 
     @property
     def h(self) -> float:
@@ -64,11 +64,25 @@ class Grid:
         r.setflags(write=False)
         return r
 
+    def samples(self, values, dtype, ndim: int, what: str) -> np.ndarray:
+        """The samples of a field, checked the one way every field type checks
+        them: `values` as a read-only `dtype` array of `ndim` axes with one row
+        per grid point and finite entries.  Each field type adds its own rule.
+        Raises ShapeMismatch or NonFinite naming the field as `what`."""
+        v = np.asarray(values, dtype=dtype)
+        if v.ndim != ndim or v.shape[0] != self.num_points:
+            raise ShapeMismatch(f"{what} needs {ndim} axes and {self.num_points} rows, "
+                                f"got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise NonFinite(f"{what} has non-finite values")
+        v.setflags(write=False)
+        return v
+
     def quadrature(self, values: np.ndarray) -> float:
         """Midpoint-rule integral over the box of a per-point sampled function."""
         v = np.asarray(values)
         if v.shape[0] != self.num_points:
-            raise ValueError("values do not match the number of grid points")
+            raise ShapeMismatch("values do not match the number of grid points")
         return float(np.sum(v)) * self.h ** self.n
 
     def inside_ball(self, R: float) -> np.ndarray:
@@ -87,7 +101,7 @@ class Grid:
         """Integer index shift of a lattice vector y (multiples of h per axis)."""
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if y.shape != (self.n,):
-            raise ValueError(f"lattice vector must have {self.n} components")
+            raise ShapeMismatch(f"lattice vector must have {self.n} components")
         ratio = y / self.h
         k = np.rint(ratio)
         if np.any(np.abs(ratio - k) > 1e-9):
@@ -123,11 +137,11 @@ class Grid:
         """Flat index of the cell whose center is coords (must lie on the grid)."""
         c = np.atleast_1d(np.asarray(coords, dtype=np.float64))
         if c.shape != (self.n,):
-            raise ValueError(f"point must have {self.n} components")
+            raise ShapeMismatch(f"point must have {self.n} components")
         idx = (c + self.L) / self.h - 0.5
         k = np.rint(idx)
         if np.any(np.abs(idx - k) > 1e-6) or np.any(k < 0) or np.any(k >= self.N):
-            raise ValueError(f"{c.tolist()} is not a cell center of this grid")
+            raise OutOfRange(f"{c.tolist()} is not a cell center of this grid")
         return int(np.ravel_multi_index(tuple(k.astype(int)), self.shape))
 
     def box_cells(self, boxes) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPSD, SingularMatrix
+from .errors import NonFinite, NotHermitian, NotPSD, OutOfRange, ShapeMismatch, SingularMatrix
 
 #: relative conjugate-symmetry tolerance
 TOL_HERM = 1e-12
@@ -64,15 +64,15 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 # batched helpers for (M, d, d) stacks
 
 
-def batched_check_hermitian(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def batched_check_hermitian(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected shape (M, d, d), got {m.shape}")
+        raise ShapeMismatch(f"expected shape (M, d, d), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix stack has non-finite entries")
     scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1.0)
     dev = np.max(np.abs(m - np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
-    if np.any(dev > tol * scale):
+    if np.any(dev > TOL_HERM * scale):
         raise NotHermitian("matrix stack is not conjugate-symmetric within tolerance")
     return m
 
@@ -262,9 +262,9 @@ def _stack_of_one(a) -> np.ndarray:
     """A square matrix of dimension 1..MAX_DIM as a (1, d, d) complex stack."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}")
+        raise OutOfRange(f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}")
     return m[None]
 
 
@@ -293,5 +293,5 @@ def spectral_norm(a) -> float:
     """Spectral (2-)norm of a general matrix, i.e. its largest singular value."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
+        raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
     return float(batched_spectral_norm(m[None])[0])

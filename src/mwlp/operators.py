@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyBall, NotInvertible, SchemeMismatch, ShapeMismatch
+from .errors import EmptyBall, NotInvertible, OutOfRange, SchemeMismatch, ShapeMismatch
 from .grids import Grid
 from .spaces import NormFamily, SampledVectorField, Space, _column_norms, _entry_columns
 from .weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
@@ -172,7 +172,7 @@ class BallScheme:
         if self.mu.grid != self.grid:
             raise ShapeMismatch("density lives on a different grid")
         if self.r < 2.0 * self.grid.h * (1 - 1e-12):
-            raise ValueError(f"radius {self.r} below the 2h resolution floor")
+            raise OutOfRange(f"radius {self.r} below the 2h resolution floor")
 
     @property
     def reach(self) -> int:
@@ -398,7 +398,7 @@ def differentiation_errors(f: SampledVectorField, mu: MeasureDensity,
         sr = ball_average(f, scheme)
         interior = grid.radii <= grid.L - r
         if not np.any(interior):
-            raise ValueError(f"no interior points for radius {r}")
+            raise OutOfRange(f"no interior points for radius {r}")
         err = np.linalg.norm(sr.values - f.values, axis=1)
         out.append((r, float(np.max(err[interior]))))
     return out

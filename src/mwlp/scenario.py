@@ -101,7 +101,11 @@ class Param:
     naming `path`; `default` (a value, or for a task key a function of the
     Scenario) stands in for an absent key.  Section keys are all checked by
     `validate`; of a task's keys only enumerated `choices` are, the others
-    where the task reads them."""
+    where the task reads them.  That lets a scenario be validated before all
+    of its task values exist: the benchmark harness (perfbench/child.py)
+    validates its `certify-files-1d` scenario while `task.centers` and
+    `task.c_net` still hold the `{centers}` and `{c_net}` placeholders that
+    it fills once an earlier job has written the net."""
 
     check: Callable
     default: object = None

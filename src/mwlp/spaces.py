@@ -15,8 +15,10 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import (
     DegenerateNorm,
+    MwlpError,
     NonFinite,
     NormAxiomViolation,
+    OutOfRange,
     ShapeMismatch,
 )
 from .grids import Grid
@@ -28,10 +30,16 @@ LUX_MAX_ITER = 200
 #: doublings of the upper bracket end before the Luxemburg norm gives up
 LUX_MAX_DOUBLINGS = 60
 
+#: oracle norm families: random sample pairs and tolerance of the axiom spot check
+SPOT_CHECK_SAMPLES = 4
+SPOT_CHECK_TOL = 1e-8
+
 #: ellipsoid fit: duality gap, iteration cap, default samples per dimension
 MVEE_GAP = 1e-7
 MVEE_MAX_ITER = 10_000
 JOHN_SAMPLES_PER_DIM = 200
+#: probe-and-refit rounds of the ellipsoid fit
+JOHN_REFINEMENT_ROUNDS = 3
 #: margin applied to the calibrated rescaling so the lower sandwich bound
 #: survives fresh test directions between calibration samples
 JOHN_SCALE_MARGIN = 1.01
@@ -43,17 +51,13 @@ class SampledVectorField:
 
     grid: Grid
     values: np.ndarray
+    SAMPLE = (np.complex128, 2)  # the samples' dtype and axes, for checks and field files
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.num_points:
-            raise ShapeMismatch(f"expected (M, d) with M={self.grid.num_points}, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFinite("vector field has non-finite values")
-        v.setflags(write=False)
-        self.values = v
+        v = self.values
+        if np.ndim(v) == 1:  # one sample per point: a field with d = 1
+            v = np.reshape(v, (-1, 1))
+        self.values = self.grid.samples(v, *self.SAMPLE, "vector field")
 
     @property
     def d(self) -> int:
@@ -73,17 +77,12 @@ class ExponentField:
 
     grid: Grid
     values: np.ndarray
+    SAMPLE = (np.float64, 1)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.num_points,):
-            raise ShapeMismatch(f"expected ({self.grid.num_points},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFinite("exponent field has non-finite values")
+        v = self.values = self.grid.samples(self.values, *self.SAMPLE, "exponent field")
         if np.any(v < 1.0):
-            raise ValueError("exponents must satisfy p(x) >= 1")
-        v.setflags(write=False)
-        self.values = v
+            raise OutOfRange("exponents must satisfy p(x) >= 1")
         self.p_plus = float(np.max(v))
         self.p_minus = float(np.min(v))
 
@@ -133,12 +132,12 @@ class NormFamily:
             raise ShapeMismatch("norm evaluator returned a wrong shape")
         return out
 
-    def _spot_check(self, rng: np.random.Generator, samples: int = 4, tol: float = 1e-8):
-        m = self.grid.num_points
+    def _spot_check(self, rng: np.random.Generator):
+        m, tol = self.grid.num_points, SPOT_CHECK_TOL
         zero = np.zeros((m, self.d), dtype=np.complex128)
         if np.any(np.abs(self.evaluate(zero)) > tol):
             raise NormAxiomViolation("rho_x(0) != 0")
-        for _ in range(samples):
+        for _ in range(SPOT_CHECK_SAMPLES):
             v = rng.standard_normal((m, self.d)) + 1j * rng.standard_normal((m, self.d))
             w = rng.standard_normal((m, self.d)) + 1j * rng.standard_normal((m, self.d))
             c = complex(rng.standard_normal(), rng.standard_normal())
@@ -306,9 +305,9 @@ class Space:
                  exponent: ExponentField | None = None, mu: MeasureDensity | None = None,
                  weight: MatrixWeightField | None = None, label: str = ""):
         if (p is None) == (exponent is None):
-            raise ValueError("exactly one of p, exponent must be given")
+            raise OutOfRange("exactly one of p, exponent must be given")
         if exponent is not None and mu is not None:
-            raise ValueError("variable-exponent spaces are defined against Lebesgue measure")
+            raise OutOfRange("variable-exponent spaces are defined against Lebesgue measure")
         if mu is not None and mu.grid != grid:
             raise ShapeMismatch("density grid mismatch")
         if exponent is not None and exponent.grid != grid:
@@ -395,8 +394,7 @@ class Space:
 # ellipsoidal fit of a single norm (John ellipsoid)
 
 
-def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
-                   max_iter: int = MVEE_MAX_ITER) -> np.ndarray:
+def _mvee_centered(points: np.ndarray) -> np.ndarray:
     """Minimum-volume origin-centered ellipsoid of a symmetric point cloud.
 
     Khachiyan-style multiplicative updates on the design weights u, with
@@ -434,10 +432,10 @@ def _mvee_centered(points: np.ndarray, gap_tol: float = MVEE_GAP,
 
     minv, w = refresh()
     support = np.flatnonzero(u)
-    for it in range(max_iter):
+    for it in range(MVEE_MAX_ITER):
         r = int(w.argmax())
         wr = float(w[r])
-        if wr <= d * (1.0 + gap_tol):
+        if wr <= d * (1.0 + MVEE_GAP):
             break
         s = int(support[w[support].argmin()])
         ws, us = float(w[s]), float(u[s])
@@ -488,16 +486,16 @@ def _eval_norm(rho, vecs: np.ndarray) -> np.ndarray:
         out = np.asarray(rho(vecs), dtype=np.float64)
         if out.shape == (vecs.shape[0],):
             return out
-    except (TypeError, ValueError):
-        # a scalar callable on a batch; an oracle's own MwlpError propagates
+    except MwlpError:  # the oracle's own error propagates
+        raise
+    except (TypeError, ValueError):  # a scalar callable on a batch
         pass
     return np.array([float(rho(v)) for v in vecs], dtype=np.float64)
 
 
 def john_ellipsoid(rho, d: int, sphere_samples: int | None = None,
                    rng: np.random.Generator | None = None,
-                   calibration_samples: int = 2000,
-                   refinement_rounds: int = 3) -> np.ndarray:
+                   calibration_samples: int = 2000) -> np.ndarray:
     """Fit a positive-definite W with rho(v) <= |W v| <= sqrt(d)(1+delta) rho(v).
 
     Random directions are normalized onto the rho-unit sphere, the sample is
@@ -534,12 +532,11 @@ def john_ellipsoid(rho, d: int, sphere_samples: int | None = None,
     if lam[0] <= 1e-10 * max(lam[-1], 1.0):
         raise DegenerateNorm("sampled sphere points are rank-deficient")
 
-    w_raw = None
-    for _round in range(max(refinement_rounds, 1)):
+    for _round in range(JOHN_REFINEMENT_ROUNDS):
         symmetrized = np.concatenate([sample, -sample], axis=0)
         a = _mvee_centered(symmetrized)
         w_raw = mc.batched_power_from_eig(*mc.batched_eigh(a[None]), 0.5)[0]
-        if _round == refinement_rounds - 1:
+        if _round == JOHN_REFINEMENT_ROUNDS - 1:
             break
         probe = unit_sphere(4 * sphere_samples)
         excess = np.linalg.norm(probe @ w_raw.T, axis=1)  # rho = 1 on the probe

@@ -268,7 +268,7 @@ def verify_lemmas(seed: int, count: int, weight_file: str | None = None) -> dict
             field = fieldio.load_field(weight_file)
             file_check = {"path": str(weight_file), "loaded": True,
                           "kind": type(field).__name__, "error": None}
-        except (MwlpError, ValueError) as exc:
+        except MwlpError as exc:
             file_check = {"path": str(weight_file), "loaded": False,
                           "kind": None, "error": f"{type(exc).__name__}: {exc}"}
     passed = all(s["passed"] for s in suites)

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import EmptyCubeFamily, NonFinite, NotInvertible, OutOfRange
+from .errors import EmptyCubeFamily, NonFinite, NotInvertible, OutOfRange, ShapeMismatch
 from .grids import Grid
 
 
@@ -25,17 +25,12 @@ class ScalarWeightField:
 
     grid: Grid
     values: np.ndarray
+    SAMPLE = (np.float64, 1)  # the samples' dtype and axes, for checks and field files
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.num_points,):
-            raise ValueError(f"expected shape ({self.grid.num_points},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar weight has non-finite values")
-        if np.any(v < 0):
-            raise ValueError("scalar weight has negative values")
-        v.setflags(write=False)
-        self.values = v
+        self.values = self.grid.samples(self.values, *self.SAMPLE, "scalar weight")
+        if np.any(self.values < 0):
+            raise OutOfRange("scalar weight has negative values")
 
 
 @dataclass
@@ -44,17 +39,14 @@ class MeasureDensity:
 
     grid: Grid
     values: np.ndarray
+    SAMPLE = (np.float64, 1)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.num_points,):
-            raise ValueError(f"expected shape ({self.grid.num_points},), got {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("density must be finite and non-negative")
-        v.setflags(write=False)
-        self.values = v
+        self.values = self.grid.samples(self.values, *self.SAMPLE, "density")
+        if np.any(self.values < 0):
+            raise OutOfRange("density must be finite and non-negative")
         if not self.total() > 0:
-            raise ValueError("measure of the box must be positive")
+            raise OutOfRange("measure of the box must be positive")
 
     @classmethod
     def lebesgue(cls, grid: Grid) -> "MeasureDensity":
@@ -81,17 +73,14 @@ class MatrixWeightField:
     values: np.ndarray
     invertible: bool = False
     _eig: tuple | None = field(default=None, repr=False, compare=False)
+    SAMPLE = (np.complex128, 3)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 3 or v.shape[0] != self.grid.num_points or v.shape[1] != v.shape[2]:
-            raise ValueError(f"expected shape (M, d, d) with M={self.grid.num_points}, got {v.shape}")
-        if v.shape[1] > mc.MAX_DIM:
-            raise ValueError(f"matrix dimension {v.shape[1]} exceeds {mc.MAX_DIM}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("matrix weight has non-finite entries")
-        v.setflags(write=False)
-        self.values = v
+        v = self.values = self.grid.samples(self.values, *self.SAMPLE, "matrix weight")
+        if v.shape[1] != v.shape[2]:
+            raise ShapeMismatch(f"matrix weight samples must be square, got shape {v.shape}")
+        if not 1 <= v.shape[1] <= mc.MAX_DIM:
+            raise OutOfRange(f"matrix dimension {v.shape[1]} outside 1..{mc.MAX_DIM}")
         lam, u = mc.batched_eigh(v) if self._eig is None else self._eig
         lam = mc._clamp_psd(lam)
         if self.invertible and np.any(lam[:, 0] <= mc.TOL_PD_REL * lam[:, -1]):
@@ -178,7 +167,7 @@ def make_power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None
         vals[:, idx, idx] = diag
     else:
         if d < 2:
-            raise ValueError("rotation requires d >= 2")
+            raise OutOfRange("rotation requires d >= 2")
         theta = np.asarray(rotation(grid.points), dtype=np.float64)
         c, s = np.cos(theta), np.sin(theta)
         rot = np.zeros((m, d, d), dtype=np.complex128)
@@ -213,7 +202,7 @@ class CubeFamily:
         c = np.atleast_2d(np.asarray(self.corners, dtype=np.float64))
         s = np.asarray(self.sides, dtype=np.float64)
         if c.shape[0] != s.shape[0]:
-            raise ValueError("corners and sides must have matching lengths")
+            raise ShapeMismatch("corners and sides must have matching lengths")
         object.__setattr__(self, "corners", c)
         object.__setattr__(self, "sides", s)
 
@@ -244,7 +233,7 @@ class CubeFamily:
         """Cubes anchored at every cell boundary with sides h * 2^k, k >= 1,
         restricted to cubes contained in the box.  One-dimensional grids only."""
         if grid.n != 1:
-            raise ValueError("dense_dyadic scan is defined for n=1 grids")
+            raise OutOfRange("dense_dyadic scan is defined for n=1 grids")
         h, L, N = grid.h, grid.L, grid.N
         corners: list[list[float]] = []
         sides: list[float] = []

@@ -1,11 +1,11 @@
 """The default reports, pinned byte for byte in tests/golden/.
 
-Each entry of COMMANDS is one default CLI command.  Its report, and the
-curve CSVs written next to it, live in tests/golden/ under the entry's name;
-tests/golden/ENVIRONMENT.json records the Python, numpy and BLAS that wrote
-them.  `test_golden_reports.py` reruns every command in-process and
-compares the bytes.  A change that moves a default report regenerates the
-files with
+Each entry of COMMANDS is one default CLI command.  Its report, the curve
+CSVs written next to it and the digests of the field files it saves live in
+tests/golden/ under the entry's name; tests/golden/ENVIRONMENT.json records
+the Python, numpy and BLAS that wrote them.  `test_golden_reports.py`
+reruns every command in-process and compares the bytes.  A change that
+moves a default report regenerates the files with
 
     PYTHONPATH=src python tests/golden_reports.py
 
@@ -15,6 +15,7 @@ and lists the fields that moved, as the failing test names them.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import platform
@@ -39,6 +40,7 @@ COMMANDS = {
     "moduli-averaging": ["moduli", "--notion", "averaging"],
     "net": ["net"],
     "net-average": ["net", "--route", "average"],
+    "net-save-centers": ["net", "--save-centers", "centers"],
     "certify": ["certify"],
     "necessity": ["necessity"],
     "verify-lemmas": ["verify-lemmas"],
@@ -53,13 +55,26 @@ def environment() -> dict:
             "blas": f"{blas['name']} {blas.get('version', 'unknown')}"}
 
 
+#: directories that a command writes field files into, relative to out_dir;
+#: the golden set holds the sha256 of each file, in `<name>.<directory>.sha256`
+SAVED = {"net-save-centers": "centers"}
+
+
 def run(name: str, out_dir: Path) -> list[Path]:
-    """Run one default command in-process with --out under out_dir; returns
-    the files it wrote (the report and its curve CSVs), sorted by name."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(COMMANDS[name] + ["--out", str(out_dir / f"{name}.json")])
+    """Run one default command in-process in out_dir, with --out there; returns
+    the files it wrote (the report, its curve CSVs and the digests of the
+    files in its SAVED directory), sorted by name.  A relative path that the
+    command writes into its report then reads the same wherever it runs."""
+    with (contextlib.chdir(out_dir), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        code = cli.main(COMMANDS[name] + ["--out", f"{name}.json"])
     if code != 0:
         raise RuntimeError(f"mwlp {' '.join(COMMANDS[name])} exited with {code}")
+    if name in SAVED:
+        saved = out_dir / SAVED[name]
+        (out_dir / f"{name}.{SAVED[name]}.sha256").write_text("".join(
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+            for p in sorted(saved.iterdir())))
     return written(out_dir, name)
 
 
@@ -71,6 +86,8 @@ def written(directory: Path, name: str) -> list[Path]:
 def _parse(path: Path, text: str):
     if path.suffix == ".json":
         return json.loads(text)
+    if path.suffix == ".sha256":
+        return {name: digest for digest, name in (line.split("  ") for line in text.splitlines())}
     return [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
 
 

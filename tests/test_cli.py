@@ -673,6 +673,27 @@ task: {name: necessity, epsilons: [0.2]}
         [err] = capsys.readouterr().err.splitlines()
         assert err == f"error: {section}.path: {path}: {message}"
 
+    def test_dense_cubes_on_a_2d_grid_exits_one(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "{seed: 1, grid: {n: 2, L: 1.0, N: 16}, "
+                                        "weight: {kind: power, alpha: [0.5]}, "
+                                        "task: {name: ap-constant, cubes: dense}}\n")
+        assert main(["run", str(path)]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == "error: task.cubes: dense_dyadic scan is defined for n=1 grids"
+
+    @pytest.mark.parametrize("sample, error", [("nan 0.0", "NonFinite"),
+                                               ("-1.0 0.0", "NotPSD"),
+                                               ("1.0", "MalformedField")])
+    def test_weight_file_check_names_the_rejecting_error(self, tmp_path, sample, error):
+        path = tmp_path / "w.txt"
+        header = "mwfield 1\nkind matrix\nn 1\nL 2.0\nN 8\nd 1\ninvertible 0\n"
+        path.write_text(header + f"{sample}\n" * 8)
+        out = tmp_path / "vl.json"
+        argv = ["verify-lemmas", "--count", "0", "--weight-file", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        check = self._outputs(out)["weight_file_check"]
+        assert not check["loaded"] and check["error"].startswith(f"{error}: ")
+
     @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
                                          (1.0, "{name: necessity}")])
     def test_exponent_out_of_range_exits_one(self, tmp_path, capsys, p, task):

@@ -94,6 +94,7 @@ def test_corrupted_file_rejected(tmp_path):
     (lambda lines: lines[:-1] + ["0.5"], "every row must hold 2 numbers"),
     (lambda lines: lines[:-1] + ["0.5 oops"], "could not convert"),
     (lambda lines: [ln.replace("N 8", "N 7") for ln in lines], "power of two"),
+    (lambda lines: [ln.replace("L 1.0", "L inf") for ln in lines], "positive and finite"),
 ])
 def test_malformed_file_raises_toolkit_error(tmp_path, edit, message):
     path = tmp_path / "f.txt"
@@ -170,3 +171,10 @@ def test_writer_bytes_equal_the_one_repr_per_float_writer(tmp_path_factory, fiel
     fieldio.save_field(folder / "new.txt", field)
     reference_fieldio.save_field(folder / "reference.txt", field)
     assert (folder / "new.txt").read_bytes() == (folder / "reference.txt").read_bytes()
+
+
+def test_undecodable_file_raises_malformed_field(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"mwfield 1\nkind vector\n\xff\n")
+    with pytest.raises(MalformedField, match="can't decode"):
+        fieldio.load_field(path)

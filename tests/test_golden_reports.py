@@ -53,3 +53,11 @@ def test_one_ulp_change_is_named():
     rows[2] = f"{scale},{float(np.nextafter(float(value), 0.0))!r}"
     [line] = moved_fields(Path("curve.csv"), csv, "\n".join(rows) + "\n")
     assert line.startswith(f"curve.csv:[1][1]: {float(value)!r} -> ")
+
+
+def test_changed_saved_file_is_named():
+    path = GOLDEN / "net-save-centers.centers.sha256"
+    text = path.read_text()
+    planted = "0" * 64 + text[64:]
+    [line] = moved_fields(path, text, planted)
+    assert line.startswith(f"{path.name}:center_000.txt: '{text[:64]}' -> '{'0' * 64}'")

@@ -26,6 +26,8 @@ def test_invalid_sizes_rejected():
         Grid(3, 1.0, 16)
     with pytest.raises(ValueError):
         Grid(1, -1.0, 16)
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid(1, np.inf, 16)
 
 
 def test_cell_centers_avoid_origin():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mwlp import matrix_core as mc
-from mwlp.errors import EmptyCubeFamily, NonFinite, NotHermitian, NotInvertible, NotPSD, OutOfRange
+from mwlp.errors import (EmptyCubeFamily, MwlpError, NonFinite, NotHermitian, NotInvertible,
+                         NotPSD, OutOfRange, ShapeMismatch)
 from mwlp.grids import Grid
+from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import (
     CubeFamily,
     MatrixWeightField,
@@ -146,6 +148,27 @@ class TestFields:
         g = Grid(1, 1.0, 16)
         w = make_power_weight(g, [0.0, 0.0])
         assert np.allclose(w.values, np.eye(2)[None], atol=1e-15)
+
+    @pytest.mark.parametrize("cls, values, error", [
+        (SampledVectorField, np.ones((7, 1)), ShapeMismatch),
+        (SampledVectorField, np.full(8, np.nan), NonFinite),
+        (ExponentField, np.ones((8, 1)), ShapeMismatch),
+        (ExponentField, np.full(8, 0.5), OutOfRange),
+        (ScalarWeightField, np.full(8, np.inf), NonFinite),
+        (ScalarWeightField, -np.ones(8), OutOfRange),
+        (MeasureDensity, np.full(8, np.nan), NonFinite),
+        (MeasureDensity, -np.ones(8), OutOfRange),
+        (MeasureDensity, np.zeros(8), OutOfRange),
+        (MatrixWeightField, np.ones((8, 2)), ShapeMismatch),
+        (MatrixWeightField, np.ones((8, 2, 3)), ShapeMismatch),
+        (MatrixWeightField, np.zeros((8, 0, 0)), OutOfRange),
+        (MatrixWeightField, np.zeros((8, 9, 9)), OutOfRange),
+        (MatrixWeightField, np.full((8, 1, 1), np.nan), NonFinite),
+    ])
+    def test_every_rejected_sample_raises_its_toolkit_error(self, cls, values, error):
+        with pytest.raises(MwlpError) as info:
+            cls(Grid(1, 1.0, 8), values)
+        assert type(info.value) is error
 
     def test_measure_density(self):
         g = Grid(1, 1.0, 16)
