@@ -7,7 +7,6 @@ constructive epsilon-net compactness certification.
 
 from .compactness import (
     Certificate,
-    ComponentwiseReduction,
     EpsilonNet,
     FunctionFamily,
     ModuliReport,
@@ -17,7 +16,6 @@ from .compactness import (
     build_net_average,
     build_net_dyadic,
     certify_net,
-    componentwise_reduction,
     moduli_report,
     necessity_check,
     tail_modulus,
@@ -28,13 +26,7 @@ from .compactness import (
 )
 from .errors import MwlpError
 from .grids import Grid
-from .matrix_core import (
-    SpectralDecomposition,
-    mat_power,
-    op_norm,
-    spectral_decompose,
-    spectral_norm,
-)
+from .matrix_core import mat_power, op_norm
 from .operators import (
     BallScheme,
     DyadicScheme,
@@ -49,7 +41,6 @@ from .spaces import (
     NormFamily,
     SampledVectorField,
     Space,
-    degenerate_sobolev_norm,
     john_ellipsoid,
     lp_rho_norm,
     lp_w_norm,
@@ -62,7 +53,6 @@ from .weight_fields import (
     MeasureDensity,
     ScalarWeightField,
     ap_constant,
-    eigen_fields,
     make_power_weight,
     scalar_ap_constant,
 )
@@ -72,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BallScheme",
     "Certificate",
-    "ComponentwiseReduction",
     "CubeFamily",
     "DyadicScheme",
     "EpsilonNet",
@@ -88,7 +77,6 @@ __all__ = [
     "SampledVectorField",
     "ScalarWeightField",
     "Space",
-    "SpectralDecomposition",
     "ap_constant",
     "averaging_modulus",
     "ball_average",
@@ -97,10 +85,7 @@ __all__ = [
     "build_net_dyadic",
     "certify_net",
     "christ_goldberg_maximal",
-    "componentwise_reduction",
-    "degenerate_sobolev_norm",
     "dyadic_average",
-    "eigen_fields",
     "john_ellipsoid",
     "lp_rho_norm",
     "lp_w_norm",
@@ -112,8 +97,6 @@ __all__ = [
     "necessity_check",
     "op_norm",
     "scalar_ap_constant",
-    "spectral_decompose",
-    "spectral_norm",
     "symdiff_measure",
     "tail_modulus",
     "translate",

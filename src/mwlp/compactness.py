@@ -36,8 +36,8 @@ from .operators import (
     dyadic_radii,
     shift_values,
 )
-from .spaces import SampledVectorField, Space, lp_w_norm
-from .weight_fields import MatrixWeightField, MeasureDensity, eigen_fields
+from .spaces import SampledVectorField, Space
+from .weight_fields import MatrixWeightField, MeasureDensity
 
 
 @dataclass
@@ -721,94 +721,3 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
         ))
     return NecessityReport(rows=rows, passed=all(r.passed for r in rows),
                            space_label=space.label, ap_value=ap_value)
-
-
-# ---------------------------------------------------------------------------
-# componentwise reduction
-
-
-@dataclass
-class ComponentwiseReduction:
-    """Scalar-weighted reductions of a vector family after diagonalization.
-
-    Component i carries the family {(U^H f)_i} with the scalar weight
-    lambda_i; the recombination ratios compare the diagonal-weighted norm of
-    f~ with the sum of the component norms.
-    """
-
-    weights: list
-    families: list
-    diag_norms: list
-    component_norms: np.ndarray
-    ratios: np.ndarray
-
-    @property
-    def c_low(self) -> float:
-        return float(np.min(self.ratios))
-
-    @property
-    def c_high(self) -> float:
-        return float(np.max(self.ratios))
-
-
-def componentwise_reduction(family: FunctionFamily, w: MatrixWeightField,
-                            p: float) -> ComponentwiseReduction:
-    """Split a family into d scalar-weighted families via diagonalization.
-
-    Works for PSD weights without invertibility.  Ratios are reported only
-    for members with a nonzero component-norm sum.
-    """
-    d_field, tilted = _diagonalized(family, w)
-    grid = family.grid
-    d = family.d
-    weights = eigen_fields(w)
-    comp_fields = [
-        [SampledVectorField(grid, tf.values[:, i:i + 1]) for tf in tilted]
-        for i in range(d)
-    ]
-    families = [FunctionFamily(fs, metadata=f"component {i}") for i, fs in enumerate(comp_fields)]
-
-    diag_norms = [lp_w_norm(tf, d_field, p) for tf in tilted]
-    k = len(family)
-    comp_norms = np.zeros((k, d))
-    for i in range(d):
-        wfield = MatrixWeightField.from_scalar(weights[i])
-        for j, g in enumerate(comp_fields[i]):
-            comp_norms[j, i] = lp_w_norm(g, wfield, p)
-    sums = comp_norms.sum(axis=1)
-    ratios = np.array([dn / s for dn, s in zip(diag_norms, sums) if s > 1e-300])
-    if ratios.size == 0:
-        ratios = np.array([1.0])
-    return ComponentwiseReduction(weights=weights, families=families,
-                                  diag_norms=diag_norms, component_norms=comp_norms,
-                                  ratios=ratios)
-
-
-# ---------------------------------------------------------------------------
-# dyadic approximation probe
-
-
-def phi_error_constant(family: FunctionFamily, scheme: DyadicScheme, space: Space) -> dict:
-    """Measured constant in the dyadic approximation estimate.
-
-    Compares the modular of f - Phi(f) with the sum of the tail modular
-    beyond the scheme's outer box and the translation modular at the cube
-    scale; the returned constant is the worst ratio over the family.
-    """
-    space.check(family)
-    outside = family.grid.outside_box(scheme.outer_half)
-    c_worst = 0.0
-    detail = []
-    for f in family:
-        err = space.size_values(f.values - dyadic_average(f, scheme).values)
-        tail_m = space.size_values(_restricted(f.values, outside))
-        trans_m = translation_modulus(FunctionFamily([f]), scheme.side, space)
-        if not space.is_variable:  # the sizes are norms; the modulars are their p-th powers
-            err, tail_m, trans_m = err ** space.p, tail_m ** space.p, trans_m ** space.p
-        denom = tail_m + trans_m
-        ratio = err / denom if denom > 0 else (0.0 if err == 0 else np.inf)
-        c_worst = max(c_worst, ratio)
-        detail.append({"error_modular": err, "tail_modular": tail_m,
-                       "translation_modular": trans_m, "ratio": ratio})
-    return {"constant": c_worst, "m": scheme.m, "t": scheme.t, "detail": detail}
-

@@ -53,10 +53,6 @@ class DegenerateNorm(MwlpError):
     """Sampled unit sphere of the norm does not span the space."""
 
 
-class NormAxiomViolation(MwlpError):
-    """Supplied norm oracle fails homogeneity or the triangle inequality on samples."""
-
-
 class NonFinite(MwlpError, ValueError):
     """Field contains non-finite values."""
 

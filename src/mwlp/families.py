@@ -56,11 +56,3 @@ def bump_combinations(grid: Grid, d: int, count: int, rng: np.random.Generator) 
             vals += amp * np.exp(-r2 / (2.0 * sigma ** 2))[:, None] * u[None, :]
         members.append(SampledVectorField(grid, vals))
     return FunctionFamily(members, metadata=f"bump combinations, {count} members, d={d}")
-
-
-def indicator_field(grid: Grid, lo, hi) -> SampledVectorField:
-    """Characteristic function of the box [lo, hi), a field with d = 1."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    pts = grid.points
-    return SampledVectorField(grid, np.all((pts >= lo) & (pts < hi), axis=1))

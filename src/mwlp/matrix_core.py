@@ -7,13 +7,11 @@ which are PSD only up to round-off, are accepted deterministically.
 
 The batched functions operate on stacks of shape (M, d, d) and are the one
 spectral path: weight fields sampled on grids run them, and the
-single-matrix functions (`spectral_decompose`, `mat_power`, `op_norm`,
-`spectral_norm`) are the batched ones applied to a stack of one.
+single-matrix functions `mat_power` and `op_norm` are the batched ones
+applied to a stack of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +25,6 @@ TOL_PSD_REL = 1e-10
 TOL_PD_REL = 1e-14
 #: largest supported matrix dimension
 MAX_DIM = 8
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and a unitary eigenvector matrix.
-
-    Eigenvector phases follow a deterministic orientation: the first
-    component of each column whose modulus is non-negligible is made real
-    and positive.  Within degenerate eigenspaces only this phase rule is
-    pinned; the basis itself is whatever the backend returns.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -268,12 +252,6 @@ def _stack_of_one(a) -> np.ndarray:
     return m[None]
 
 
-def spectral_decompose(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
-    lam, u = batched_eigh(_stack_of_one(a))
-    return SpectralDecomposition(eigenvalues=lam[0], vectors=u[0])
-
-
 def mat_power(a, s: float) -> np.ndarray:
     """Fractional power A^s of a PSD Hermitian matrix via its eigensystem.
 
@@ -287,11 +265,3 @@ def op_norm(a) -> float:
     """Operator norm of a PSD Hermitian matrix: its largest eigenvalue."""
     lam, _ = batched_eigh(_stack_of_one(a))
     return float(_clamp_psd(lam)[0, -1])
-
-
-def spectral_norm(a) -> float:
-    """Spectral (2-)norm of a general matrix, i.e. its largest singular value."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
-    return float(batched_spectral_norm(m[None])[0])

@@ -1,8 +1,8 @@
 """Norms and modulars on sampled vector fields.
 
 Covers the constant-exponent matrix-weighted norm, norm families with a
-per-point evaluator, variable-exponent modulars with the Luxemburg norm,
-ellipsoidal fitting of a single norm, and the degenerate Sobolev norm.
+per-point evaluator, variable-exponent modulars with the Luxemburg norm and
+ellipsoidal fitting of a single norm.
 All integrals are midpoint-rule quadratures on the field's grid.
 """
 
@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import (
-    DegenerateNorm,
-    MwlpError,
-    NonFinite,
-    NormAxiomViolation,
-    OutOfRange,
-    ShapeMismatch,
-)
+from .errors import DegenerateNorm, NonFinite, OutOfRange, ShapeMismatch
 from .grids import Grid
 from .weight_fields import MatrixWeightField, MeasureDensity
 
@@ -30,14 +23,12 @@ LUX_MAX_ITER = 200
 #: doublings of the upper bracket end before the Luxemburg norm gives up
 LUX_MAX_DOUBLINGS = 60
 
-#: oracle norm families: random sample pairs and tolerance of the axiom spot check
-SPOT_CHECK_SAMPLES = 4
-SPOT_CHECK_TOL = 1e-8
-
-#: ellipsoid fit: duality gap, iteration cap, default samples per dimension
+#: ellipsoid fit: duality gap, iteration cap, sphere samples per dimension
 MVEE_GAP = 1e-7
 MVEE_MAX_ITER = 10_000
 JOHN_SAMPLES_PER_DIM = 200
+#: fresh unit-sphere directions on which the fitted W is calibrated
+JOHN_CALIBRATION_SAMPLES = 2000
 #: probe-and-refit rounds of the ellipsoid fit
 JOHN_REFINEMENT_ROUNDS = 3
 #: margin applied to the calibrated rescaling so the lower sandwich bound
@@ -62,10 +53,6 @@ class SampledVectorField:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def zero(cls, grid: Grid, d: int) -> "SampledVectorField":
-        return cls(grid, np.zeros((grid.num_points, d), dtype=np.complex128))
 
     def scaled(self, c: complex) -> "SampledVectorField":
         return SampledVectorField(self.grid, c * self.values)
@@ -94,10 +81,9 @@ class ExponentField:
 class NormFamily:
     """Family of norms rho_x on C^d, one per grid point.
 
-    Either derived from a matrix weight as rho_x(v) = |W^{1/p}(x) v|, or
-    supplied as a vectorized oracle (points, values) -> per-point norms.
-    Oracle-backed families are spot-checked for absolute homogeneity and
-    the triangle inequality on random samples at construction.
+    `from_matrix_weight` derives it from a matrix weight as
+    rho_x(v) = |W^{1/p}(x) v|; the evaluator maps an (M, d) value array to
+    the M per-point norms.
     """
 
     def __init__(self, grid: Grid, d: int, evaluator, description: str = ""):
@@ -115,38 +101,12 @@ class NormFamily:
 
         return cls(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
 
-    @classmethod
-    def from_oracle(cls, grid: Grid, d: int, fn, description: str = "oracle norm family",
-                    rng: np.random.Generator | None = None) -> "NormFamily":
-        def evaluator(values):
-            return np.asarray(fn(grid.points, values), dtype=np.float64)
-
-        family = cls(grid, d, evaluator, description=description)
-        family._spot_check(rng or np.random.default_rng(0))
-        return family
-
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Per-point norms rho_x(values[x]), shape (M,)."""
         out = np.asarray(self._evaluator(values), dtype=np.float64)
         if out.shape != (self.grid.num_points,):
             raise ShapeMismatch("norm evaluator returned a wrong shape")
         return out
-
-    def _spot_check(self, rng: np.random.Generator):
-        m, tol = self.grid.num_points, SPOT_CHECK_TOL
-        zero = np.zeros((m, self.d), dtype=np.complex128)
-        if np.any(np.abs(self.evaluate(zero)) > tol):
-            raise NormAxiomViolation("rho_x(0) != 0")
-        for _ in range(SPOT_CHECK_SAMPLES):
-            v = rng.standard_normal((m, self.d)) + 1j * rng.standard_normal((m, self.d))
-            w = rng.standard_normal((m, self.d)) + 1j * rng.standard_normal((m, self.d))
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            rv, rw = self.evaluate(v), self.evaluate(w)
-            scale = np.maximum(rv, 1.0)
-            if np.any(np.abs(self.evaluate(c * v) - abs(c) * rv) > tol * np.abs(c) * scale + tol):
-                raise NormAxiomViolation("absolute homogeneity fails on samples")
-            if np.any(self.evaluate(v + w) > rv + rw + tol * np.maximum(rv + rw, 1.0)):
-                raise NormAxiomViolation("triangle inequality fails on samples")
 
 
 def _entry_columns(wp: np.ndarray) -> np.ndarray:
@@ -480,49 +440,32 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
     return a / float(np.max(vals))
 
 
-def _eval_norm(rho, vecs: np.ndarray) -> np.ndarray:
-    """Evaluate a single norm on a (K, d) batch, accepting scalar callables."""
-    try:
-        out = np.asarray(rho(vecs), dtype=np.float64)
-        if out.shape == (vecs.shape[0],):
-            return out
-    except MwlpError:  # the oracle's own error propagates
-        raise
-    except (TypeError, ValueError):  # a scalar callable on a batch
-        pass
-    return np.array([float(rho(v)) for v in vecs], dtype=np.float64)
-
-
-def john_ellipsoid(rho, d: int, sphere_samples: int | None = None,
-                   rng: np.random.Generator | None = None,
-                   calibration_samples: int = 2000) -> np.ndarray:
+def john_ellipsoid(rho, d: int, rng: np.random.Generator) -> np.ndarray:
     """Fit a positive-definite W with rho(v) <= |W v| <= sqrt(d)(1+delta) rho(v).
 
-    Random directions are normalized onto the rho-unit sphere, the sample is
-    symmetrized, and the minimum-volume centered ellipsoid of the cloud is
-    computed by multiplicative updates.  Because random directions can miss
-    the extremal support of spiky unit balls, the fit is refined: a probe
-    batch locates the directions where the ellipsoid most exceeds the norm
-    and appends them to the sample before refitting.  The ellipsoid form is
-    converted to W and rescaled by a single scalar so the left inequality is
-    tight on the calibration sample (a 1% margin keeps it valid on fresh
-    directions).
+    rho maps a (K, d) batch of vectors to their K norms.  JOHN_SAMPLES_PER_DIM
+    random directions per dimension are normalized onto the rho-unit sphere,
+    the sample is symmetrized, and the minimum-volume centered ellipsoid of
+    the cloud is computed by multiplicative updates.  Because random
+    directions can miss the extremal support of spiky unit balls, the fit is
+    refined: a probe batch locates the directions where the ellipsoid most
+    exceeds the norm and appends them to the sample before refitting.  The
+    ellipsoid form is converted to W and rescaled by a single scalar so the
+    left inequality is tight on the sample and JOHN_CALIBRATION_SAMPLES fresh
+    directions (a 1% margin keeps it valid on further directions).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if sphere_samples is None:
-        sphere_samples = JOHN_SAMPLES_PER_DIM * d
+    sphere_samples = JOHN_SAMPLES_PER_DIM * d
 
     def unit_sphere(count: int) -> np.ndarray:
         vecs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-        norms = _eval_norm(rho, vecs)
+        norms = rho(vecs)
         good = norms > 1e-12
         if not np.all(np.isfinite(norms)) or np.sum(good) < count // 2:
             raise DegenerateNorm("norm oracle produced non-finite or zero values")
         return vecs[good] / norms[good][:, None]
 
     axes = np.eye(d, dtype=np.complex128)
-    axis_norms = _eval_norm(rho, axes)
+    axis_norms = rho(axes)
     if np.any(axis_norms <= 1e-12) or not np.all(np.isfinite(axis_norms)):
         raise DegenerateNorm("norm oracle degenerate along coordinate axes")
     sample = np.concatenate([axes / axis_norms[:, None], unit_sphere(sphere_samples)])
@@ -545,8 +488,8 @@ def john_ellipsoid(rho, d: int, sphere_samples: int | None = None,
             break
         sample = np.concatenate([sample, probe[worst]])
 
-    calib = np.concatenate([sample, unit_sphere(calibration_samples)], axis=0)
-    rho_vals = _eval_norm(rho, calib)
+    calib = np.concatenate([sample, unit_sphere(JOHN_CALIBRATION_SAMPLES)], axis=0)
+    rho_vals = rho(calib)
     ellip_vals = np.linalg.norm(calib @ w_raw.T, axis=1)
     c = JOHN_SCALE_MARGIN * float(np.max(rho_vals / ellip_vals))
     return c * w_raw
@@ -563,34 +506,3 @@ def john_sandwich(rho, d: int, w: np.ndarray, count: int,
     left = float(np.min(wv / rv))
     right = float(np.max(wv / (np.sqrt(d) * rv)))
     return left, right, left >= 1.0 - 1e-9 and right <= 1.05 * (1 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# degenerate Sobolev norm
-
-
-def gradient(f: SampledVectorField) -> SampledVectorField:
-    """Gradient of a scalar field by central differences, one-sided at faces.
-
-    Returns an n-component field on the same grid.
-    """
-    if f.d != 1:
-        raise ShapeMismatch("gradient is defined for scalar fields")
-    grid = f.grid
-    vals = f.values[:, 0].reshape(grid.shape)
-    comps = [np.gradient(vals, grid.h, axis=ax).ravel() for ax in range(grid.n)]
-    return SampledVectorField(grid, np.stack(comps, axis=1))
-
-
-def degenerate_sobolev_norm(f: SampledVectorField, w: MatrixWeightField, p: float) -> float:
-    """||f||_{L^p(v)} + ||grad f||_{L^p(W)} with v = ||W||_op pointwise.
-
-    f must be scalar-valued and W must have d equal to the grid dimension.
-    """
-    if f.d != 1:
-        raise ShapeMismatch("degenerate Sobolev norm takes a scalar field")
-    if w.grid != f.grid or w.d != f.grid.n:
-        raise ShapeMismatch("weight dimension must equal the grid dimension")
-    zero_term = lp_w_norm(f, MatrixWeightField.from_scalar(w.op_norm_field()), p)
-    grad_term = lp_w_norm(gradient(f), w, p)
-    return zero_term + grad_term

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import MwlpError
+from .errors import MalformedField, MwlpError
 from .grids import Grid
 from .operators import (
     cg_domination_constant,
@@ -266,6 +266,8 @@ def verify_lemmas(seed: int, count: int, weight_file: str | None = None) -> dict
 
         try:
             field = fieldio.load_field(weight_file)
+            if not isinstance(field, MatrixWeightField):  # the rule of scenario._field_file
+                raise MalformedField(f"{weight_file} does not contain a MatrixWeightField")
             file_check = {"path": str(weight_file), "loaded": True,
                           "kind": type(field).__name__, "error": None}
         except MwlpError as exc:

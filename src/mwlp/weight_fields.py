@@ -124,10 +124,6 @@ class MatrixWeightField:
         return cls(grid, vals, invertible=invertible, _eig=eig)
 
     @classmethod
-    def from_scalar(cls, w: ScalarWeightField, invertible: bool = False) -> "MatrixWeightField":
-        return cls.diagonal(w.grid, w.values[:, None], invertible=invertible)
-
-    @classmethod
     def diagonal(cls, grid: Grid, lam, invertible: bool = False) -> "MatrixWeightField":
         """D(x) = diag(lam(x)) for ascending rows lam of shape (M, d), with the
         eigensystem (lam, I) taken as given; the clamp and invertibility
@@ -139,12 +135,6 @@ class MatrixWeightField:
         vals[:, idx, idx] = lam
         eye = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, d, d))
         return cls(grid, vals, invertible=invertible, _eig=(lam, eye))
-
-
-def eigen_fields(w: MatrixWeightField) -> list[ScalarWeightField]:
-    """Pointwise eigenvalue functions lambda_1(x) <= ... <= lambda_d(x)."""
-    lam, _ = w.eig()
-    return [ScalarWeightField(w.grid, lam[:, i].copy()) for i in range(w.d)]
 
 
 def make_power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None = None) -> MatrixWeightField:

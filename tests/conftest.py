@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mwlp.spaces import SampledVectorField
+
 
 @pytest.fixture
 def rng():
@@ -13,3 +15,8 @@ def random_psd(rng, d, definite=False):
     if definite:
         a = a + 0.05 * np.trace(a).real / d * np.eye(d)
     return a
+
+
+def zero_field(grid, d):
+    """The zero field with d components on grid."""
+    return SampledVectorField(grid, np.zeros((grid.num_points, d), dtype=np.complex128))

@@ -21,6 +21,8 @@ from mwlp.scenario import (SECTION_PARAMS, build_family, build_grid, default_sce
 from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity
 
+from conftest import zero_field
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SHORTHANDS = ("ap-constant", "john", "norm", "moduli", "net", "certify", "necessity",
@@ -227,7 +229,7 @@ class TestCliRuns:
     def test_norm_task_zero_field(self, tmp_path):
         g = Grid(1, 1.0, 64)
         fpath = tmp_path / "zero.txt"
-        fieldio.save_field(fpath, SampledVectorField.zero(g, 1))
+        fieldio.save_field(fpath, zero_field(g, 1))
         scenario = f"""\
 seed: 1
 grid: {{n: 1, L: 1.0, N: 64}}
@@ -276,7 +278,7 @@ task: {name: net, epsilon: 0.2, route: dyadic}
     def test_failing_certificate_exit_code(self, tmp_path):
         g = Grid(1, 2.0, 256)
         zero = tmp_path / "zero.txt"
-        fieldio.save_field(zero, SampledVectorField.zero(g, 1))
+        fieldio.save_field(zero, zero_field(g, 1))
         scenario = f"""\
 seed: 11
 grid: {{n: 1, L: 2.0, N: 256}}
@@ -404,7 +406,7 @@ task: {task}
 
     def test_truncated_center_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "center.txt"
-        fieldio.save_field(path, SampledVectorField.zero(Grid(1, 8.0, 64), 2))
+        fieldio.save_field(path, zero_field(Grid(1, 8.0, 64), 2))
         path.write_text("\n".join(path.read_text().splitlines()[:-5]) + "\n")
         assert main(["certify", "--centers", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -415,9 +417,9 @@ task: {task}
          "{path} does not contain a SampledVectorField"),
         (MeasureDensity.lebesgue(Grid(1, 8.0, 4096)),
          "{path} does not contain a SampledVectorField"),
-        (SampledVectorField.zero(Grid(1, 8.0, 64), 2),
+        (zero_field(Grid(1, 8.0, 64), 2),
          "the grid of {path} does not match the scenario grid"),
-        (SampledVectorField.zero(Grid(1, 8.0, 4096), 3),
+        (zero_field(Grid(1, 8.0, 4096), 3),
          "{path} has dimension 3, the family 2"),
     ], ids=["matrix", "density", "another-grid", "another-d"])
     def test_center_file_of_another_kind_exits_one(self, tmp_path, capsys, field, message):
@@ -681,18 +683,25 @@ task: {name: necessity, epsilons: [0.2]}
         [err] = capsys.readouterr().err.splitlines()
         assert err == "error: task.cubes: dense_dyadic scan is defined for n=1 grids"
 
-    @pytest.mark.parametrize("sample, error", [("nan 0.0", "NonFinite"),
-                                               ("-1.0 0.0", "NotPSD"),
-                                               ("1.0", "MalformedField")])
-    def test_weight_file_check_names_the_rejecting_error(self, tmp_path, sample, error):
+    # a vector field file parses, but it holds no weight
+    @pytest.mark.parametrize("kind, sample, error", [("matrix", "nan 0.0", "NonFinite"),
+                                                     ("matrix", "-1.0 0.0", "NotPSD"),
+                                                     ("matrix", "1.0", "MalformedField"),
+                                                     ("vector", "1.0 0.0", "MalformedField")],
+                             ids=["nan 0.0-NonFinite", "-1.0 0.0-NotPSD", "1.0-MalformedField",
+                                  "vector-MalformedField"])
+    def test_weight_file_check_names_the_rejecting_error(self, tmp_path, kind, sample, error):
         path = tmp_path / "w.txt"
-        header = "mwfield 1\nkind matrix\nn 1\nL 2.0\nN 8\nd 1\ninvertible 0\n"
+        header = f"mwfield 1\nkind {kind}\nn 1\nL 2.0\nN 8\nd 1\ninvertible 0\n"
         path.write_text(header + f"{sample}\n" * 8)
         out = tmp_path / "vl.json"
         argv = ["verify-lemmas", "--count", "0", "--weight-file", str(path), "--out", str(out)]
         assert main(argv) == 0
         check = self._outputs(out)["weight_file_check"]
-        assert not check["loaded"] and check["error"].startswith(f"{error}: ")
+        assert not check["loaded"] and check["kind"] is None
+        assert check["error"].startswith(f"{error}: ")
+        if error == "MalformedField":  # a file that holds no valid weight is named
+            assert str(path) in check["error"]
 
     @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
                                          (1.0, "{name: necessity}")])

@@ -13,12 +13,10 @@ from mwlp.compactness import (
     build_net_average,
     build_net_dyadic,
     certify_net,
-    componentwise_reduction,
     default_radius_ladder,
     default_scale_ladder,
     moduli_report,
     necessity_check,
-    phi_error_constant,
     tail_modulus,
     translation_modulus,
     twisted_curve,
@@ -33,9 +31,9 @@ from mwlp.errors import (
     RadiusExceedsBox,
     ShapeMismatch,
 )
-from mwlp.families import gaussian_bumps, indicator_field
+from mwlp.families import gaussian_bumps
 from mwlp.grids import Grid
-from mwlp.operators import DyadicScheme, translate
+from mwlp.operators import translate
 from mwlp.spaces import ExponentField, NormFamily, SampledVectorField, Space
 from mwlp.weight_fields import (
     MatrixWeightField,
@@ -43,6 +41,7 @@ from mwlp.weight_fields import (
     make_power_weight,
 )
 
+from conftest import zero_field
 from reference_necessity import necessity_rows
 
 
@@ -57,6 +56,14 @@ def unweighted(grid):
     return Space.matrix_weight(w, 2.0)
 
 
+def indicator_field(grid, lo, hi):
+    """Characteristic function of the box [lo, hi), a field with d = 1."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
+    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
+    pts = grid.points
+    return SampledVectorField(grid, np.all((pts >= lo) & (pts < hi), axis=1))
+
+
 def small_family(grid, rng, d=1, count=6):
     return gaussian_bumps(grid, d, count, rng, center_range=(-0.4, 0.4),
                           width_range=(0.15, 0.3))
@@ -64,7 +71,7 @@ def small_family(grid, rng, d=1, count=6):
 
 class TestModuli:
     def test_zero_family(self, grid, unweighted):
-        fam = FunctionFamily([SampledVectorField.zero(grid, 1)])
+        fam = FunctionFamily([zero_field(grid, 1)])
         assert boundedness_modulus(fam, unweighted) == 0.0
         assert tail_modulus(fam, 1.0, unweighted) == 0.0
         assert translation_modulus(fam, 2 * grid.h, unweighted) == 0.0
@@ -235,7 +242,6 @@ class TestTwisted:
         monkeypatch.setattr(matrix_core, "batched_eigh",
                             lambda mats: calls.append(np.shape(mats)) or original(mats))
         twisted_curve(fam, Space.matrix_weight(w, p), [2 * grid.h, 4 * grid.h])
-        componentwise_reduction(fam, w, p)
         assert calls == []
 
 
@@ -446,7 +452,7 @@ class TestCertify:
     def test_zero_net_fails_on_unit_member(self, grid, unweighted, rng):
         f = SampledVectorField(grid, rng.standard_normal(256).astype(complex))
         f = f.scaled(1.0 / unweighted.norm(f))
-        net = EpsilonNet(epsilon=0.5, centers=[SampledVectorField.zero(grid, 1)],
+        net = EpsilonNet(epsilon=0.5, centers=[zero_field(grid, 1)],
                          assignment=[0], distances=[1.0], c_net=1.0, route="manual")
         cert = certify_net(FunctionFamily([f]), net, unweighted)
         assert not cert.passed
@@ -503,6 +509,41 @@ class TestNecessity:
         n = len(fam)
         assert rep.rows[-1].net_size > 1
         assert 0 < len(calls) <= n * (n - 1) // 2
+
+    # planted defects: each plant breaks one clause of every row and leaves
+    # the other holding, so the row's verdict rests on that clause alone
+    PLANTED_EPSILONS = [0.15, 0.1, 0.05]
+
+    def _passing_case(self, grid, rng):
+        w = make_power_weight(grid, [0.5], invertible=True)
+        fam, sp = small_family(grid, rng, count=8), Space.matrix_weight(w, 2.0)
+        assert necessity_check(fam, self.PLANTED_EPSILONS, sp).passed
+        return fam, sp
+
+    def test_planted_tail_fails_every_row_on_its_tail_clause(self, grid, rng, monkeypatch):
+        fam, sp = self._passing_case(grid, rng)
+        # every cell lies outside every ladder ball: each tail is the whole norm
+        monkeypatch.setattr(Grid, "outside_ball",
+                            lambda self, R: np.ones(self.num_points, dtype=bool))
+        rep = necessity_check(fam, self.PLANTED_EPSILONS, sp)
+        assert rep.passed is False
+        for row in rep.rows:
+            assert row.passed is False
+            assert row.tail_value > row.tail_bound
+            assert row.averaging_value <= row.averaging_bound
+
+    def test_planted_residual_fails_every_row_on_its_averaging_clause(self, grid, rng,
+                                                                       monkeypatch):
+        from mwlp import compactness
+
+        fam, sp = self._passing_case(grid, rng)
+        monkeypatch.setattr(compactness, "_averaging_residual", lambda *args: 1.0)
+        rep = necessity_check(fam, self.PLANTED_EPSILONS, sp)
+        assert rep.passed is False
+        for row in rep.rows:
+            assert row.passed is False
+            assert row.averaging_value > row.averaging_bound
+            assert row.tail_value <= row.tail_bound
 
     @staticmethod
     def _assert_rows_match(fam, epsilons, sp):
@@ -566,65 +607,6 @@ class TestNecessity:
         fam = small_family(grid, rng, count=3)
         with pytest.raises(ConstantExponentRequired):
             necessity_check(fam, [0.2], sp)
-
-
-class TestComponentwise:
-    def test_d1_identity(self, grid, rng):
-        w = make_power_weight(grid, [0.5], invertible=True)
-        fam = small_family(grid, rng)
-        red = componentwise_reduction(fam, w, 2.0)
-        assert len(red.families) == 1
-        for f, g in zip(fam, red.families[0]):
-            assert np.max(np.abs(np.abs(f.values) - np.abs(g.values))) < 1e-12
-        assert red.c_low == pytest.approx(1.0, abs=1e-10)
-        assert red.c_high == pytest.approx(1.0, abs=1e-10)
-
-    def test_diagonal_constant_pythagoras(self, grid, rng):
-        # p = 2, diagonal constant weight: the diagonal norm squared equals
-        # the sum of component norm squares
-        w = MatrixWeightField.constant(grid, np.diag([1.0, 4.0]), invertible=True)
-        fam = small_family(grid, rng, d=2, count=5)
-        red = componentwise_reduction(fam, w, 2.0)
-        for j in range(len(fam)):
-            assert red.diag_norms[j] ** 2 == pytest.approx(
-                float(np.sum(red.component_norms[j] ** 2)), rel=1e-12)
-
-    def test_rotating_weight_bounded_ratios(self, grid, rng):
-        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: 2 * p[:, 0],
-                              invertible=True)
-        fam = small_family(grid, rng, d=2, count=6)
-        red = componentwise_reduction(fam, w, 2.0)
-        # norm equivalence on C^d gives 1/sqrt(d) <= ratio <= 1 for p = 2
-        assert red.c_low >= 1 / np.sqrt(2) - 1e-10
-        assert red.c_high <= 1.0 + 1e-10
-        # works without the invertibility flag as well
-        w_plain = MatrixWeightField(grid, w.values, invertible=False)
-        red2 = componentwise_reduction(fam, w_plain, 2.0)
-        assert red2.c_low > 0
-
-    def test_non_invertible_weight_accepted(self, grid, rng):
-        vals = np.zeros((256, 2, 2), dtype=complex)
-        vals[:, 0, 0] = np.abs(grid.points[:, 0])
-        w = MatrixWeightField(grid, vals)  # rank one, not invertible
-        fam = small_family(grid, rng, d=2, count=3)
-        red = componentwise_reduction(fam, w, 2.0)
-        assert len(red.families) == 2
-
-
-class TestPhiErrorConstant:
-    def test_constant_stable_under_refinement(self, rng):
-        values = []
-        for n_pts in (256, 512):
-            g = Grid(1, 2.0, n_pts)
-            w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
-            sp = Space.matrix_weight(w, 2.0)
-            fam = gaussian_bumps(g, 1, 6, np.random.default_rng(42),
-                                 center_range=(-0.4, 0.4), width_range=(0.15, 0.3))
-            scheme = DyadicScheme(g, m=0, t=-3)
-            values.append(phi_error_constant(fam, scheme, sp)["constant"])
-        assert np.isfinite(values[0]) and np.isfinite(values[1])
-        ratio = max(values) / min(values)
-        assert ratio < 2.0
 
 
 class TestModuliReport:

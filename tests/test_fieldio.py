@@ -11,7 +11,7 @@ from mwlp.grids import Grid
 from mwlp.spaces import ExponentField, SampledVectorField
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
 
-from conftest import random_psd
+from conftest import random_psd, zero_field
 
 import reference_fieldio
 
@@ -98,7 +98,7 @@ def test_corrupted_file_rejected(tmp_path):
 ])
 def test_malformed_file_raises_toolkit_error(tmp_path, edit, message):
     path = tmp_path / "f.txt"
-    fieldio.save_field(path, SampledVectorField.zero(Grid(1, 1.0, 8), 1))
+    fieldio.save_field(path, zero_field(Grid(1, 1.0, 8), 1))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(MalformedField, match=message) as info:
         fieldio.load_field(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mwlp.errors import DegenerateNorm, NonFinite
-from mwlp.spaces import john_ellipsoid
+from mwlp.spaces import john_ellipsoid, john_sandwich
 
 
 def linf(v):
@@ -76,14 +76,14 @@ def test_oracle_error_propagates_without_retry(rng):
     assert calls == [(2, 2)]
 
 
-def test_scalar_callable_still_fits(rng):
-    # complex() of a batch raises TypeError, so each vector is evaluated alone
-    def scalar_l1(v):
-        return abs(complex(v[0])) + abs(complex(v[1]))
 
-    w = john_ellipsoid(scalar_l1, 2, rng=rng, sphere_samples=200, calibration_samples=200)
-    vt = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
-    rv = l1(vt)
-    wv = np.linalg.norm(vt @ w.T, axis=1)
-    assert np.min(wv / rv) >= 1.0 - 1e-9
-    assert np.max(wv / rv) <= np.sqrt(2) * 1.05
+@pytest.mark.parametrize("scale, left, right", [(1.2 * np.sqrt(2.0), 1.2 * np.sqrt(2.0), 1.2),
+                                               (0.9, 0.9, 0.9 / np.sqrt(2.0))],
+                         ids=["too-wide", "too-narrow"])
+def test_sandwich_rejects_a_planted_matrix(rng, scale, left, right):
+    # rho = |v| and W = scale I: |W v| / rho(v) = scale for every v
+    l2 = lambda v: np.linalg.norm(v, axis=1)
+    got_left, got_right, holds = john_sandwich(l2, 2, scale * np.eye(2), 200, rng)
+    assert got_left == pytest.approx(left, rel=1e-12)
+    assert got_right == pytest.approx(right, rel=1e-12)
+    assert holds is False

@@ -10,50 +10,56 @@ from mwlp.matrix_core import (
     batched_spectral_norm,
     mat_power,
     op_norm,
-    spectral_decompose,
-    spectral_norm,
 )
 
 from conftest import random_psd
 
 
+def eigh_one(a):
+    """The eigensystem (lam ascending, U) of one Hermitian matrix: batched_eigh
+    on a stack of one."""
+    lam, u = batched_eigh(np.asarray(a, dtype=complex)[None])
+    return lam[0], u[0]
+
+
 class TestSpectralDecompose:
+    """The spectral decomposition of `batched_eigh`: ascending eigenvalues,
+    unitary eigenvectors with pinned phases, Hermitian input."""
+
     def test_diagonal(self):
-        dec = spectral_decompose(np.diag([1.0, 4.0]))
-        assert np.allclose(dec.eigenvalues, [1.0, 4.0])
-        assert np.allclose(dec.vectors, np.eye(2))
+        lam, u = eigh_one(np.diag([1.0, 4.0]))
+        assert np.allclose(lam, [1.0, 4.0])
+        assert np.allclose(u, np.eye(2))
 
     def test_identity_d3(self):
-        dec = spectral_decompose(np.eye(3))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-        u = dec.vectors
-        assert np.max(np.abs((u * dec.eigenvalues) @ u.conj().T - np.eye(3))) < 1e-12
+        lam, u = eigh_one(np.eye(3))
+        assert np.allclose(lam, [1.0, 1.0, 1.0])
+        assert np.max(np.abs((u * lam) @ u.conj().T - np.eye(3))) < 1e-12
 
     def test_two_by_two_hand_oracle(self):
         # char poly of [[2,1],[1,2]]: (2-l)^2 - 1 = 0 -> l = 1, 3
-        dec = spectral_decompose([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-12)
+        lam, _ = eigh_one([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(lam, [1.0, 3.0], atol=1e-12)
 
     def test_eigenvalues_ascending(self, rng):
         for _ in range(20):
             a = random_psd(rng, 5)
-            lam = spectral_decompose(a).eigenvalues
+            lam, _ = eigh_one(a)
             assert np.all(np.diff(lam) >= -1e-12)
 
     def test_unitary_and_reconstruction(self, rng):
         for _ in range(20):
             a = random_psd(rng, 4)
-            dec = spectral_decompose(a)
-            u = dec.vectors
+            lam, u = eigh_one(a)
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
             scale = max(np.max(np.abs(a)), 1.0)
-            assert np.max(np.abs((u * dec.eigenvalues) @ u.conj().T - a)) < 1e-10 * scale
+            assert np.max(np.abs((u * lam) @ u.conj().T - a)) < 1e-10 * scale
 
     def test_phase_orientation(self, rng):
         # first significant component of every eigenvector is real positive
         for _ in range(10):
             a = random_psd(rng, 3)
-            u = spectral_decompose(a).vectors
+            _, u = eigh_one(a)
             for j in range(3):
                 col = u[:, j]
                 k = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
@@ -62,7 +68,7 @@ class TestSpectralDecompose:
 
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
-            spectral_decompose([[0.0, 1.0], [0.0, 0.0]])
+            eigh_one([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestMatPower:
@@ -128,7 +134,7 @@ class TestOpNorm:
         v = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
         v /= np.linalg.norm(v, axis=1)[:, None]
         assert np.max(np.linalg.norm(v @ a.T, axis=1)) <= nrm * (1 + 1e-6)
-        top = spectral_decompose(a).vectors[:, -1]
+        top = eigh_one(a)[1][:, -1]
         assert np.linalg.norm(a @ top) == pytest.approx(nrm, rel=1e-10)
 
 
@@ -165,7 +171,7 @@ class TestBatched:
     def test_spectral_norm_general(self):
         # non-Hermitian: largest singular value
         a = np.array([[0.0, 2.0], [0.0, 0.0]])
-        assert spectral_norm(a) == pytest.approx(2.0, abs=1e-12)
+        assert batched_spectral_norm(a[None])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestOnePath:
@@ -176,25 +182,19 @@ class TestOnePath:
             d = 1 + k % 6
             a = random_psd(rng, d, definite=True)
             lam, u = batched_eigh(a[None])
-            dec = spectral_decompose(a)
-            assert np.array_equal(dec.eigenvalues, lam[0])
-            assert np.array_equal(dec.vectors, u[0])
             for s in (1.0 / 3.0, 0.5, 2.0, -0.5):
                 assert np.array_equal(mat_power(a, s), batched_power_from_eig(lam, u, s)[0])
             assert op_norm(a) == lam[0, -1]
-            assert spectral_norm(a) == batched_spectral_norm(a[None])[0]
-            b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            assert spectral_norm(b) == batched_spectral_norm(b[None])[0]
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2), (0, 0), (9, 9)])
     def test_shape_checked_before_the_kernel(self, shape):
-        for fn in (spectral_decompose, op_norm, lambda a: mat_power(a, 0.5)):
+        for fn in (op_norm, lambda a: mat_power(a, 0.5)):
             with pytest.raises(ValueError):
                 fn(np.zeros(shape))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
-    @pytest.mark.parametrize("fn", [spectral_decompose, op_norm, lambda a: mat_power(a, 0.5)],
+    @pytest.mark.parametrize("fn", [eigh_one, op_norm, lambda a: mat_power(a, 0.5)],
                              ids=["spectral_decompose", "op_norm", "mat_power"])
     def test_non_finite_matrix_rejected(self, fn, entry):
         a = np.array([[entry, 0.0], [0.0, 1.0]])

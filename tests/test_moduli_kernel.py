@@ -24,6 +24,8 @@ from mwlp.operators import shift_values
 from mwlp.spaces import ExponentField, NormFamily, SampledVectorField, Space
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity, make_power_weight
 
+from conftest import zero_field
+
 PROPERTY = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -132,7 +134,7 @@ class TestTiesAndZeros:
 
     def test_all_zero_family(self, grid):
         w = MatrixWeightField.constant(grid, np.eye(2), invertible=True)
-        fam = FunctionFamily([SampledVectorField.zero(grid, 2)] * 3)
+        fam = FunctionFamily([zero_field(grid, 2)] * 3)
         scales = [grid.h, 4 * grid.h, 3.0 * grid.L]
         assert translation_curve(fam, scales, Space.matrix_weight(w, 2.0)) == [0.0] * 3
 
@@ -144,7 +146,7 @@ class TestTiesAndZeros:
         # duplicated members, a phase-rotated copy, a symmetric member whose
         # shifts by +k and -k tie, a zero member, and shifts beyond the box,
         # where tau_k f - f = -f for every such k
-        fam = FunctionFamily([f, f, f.scaled(1j), even, SampledVectorField.zero(grid, 2)])
+        fam = FunctionFamily([f, f, f.scaled(1j), even, zero_field(grid, 2)])
         scales = default_scale_ladder(grid) + [2.5 * grid.L]
         assert translation_curve(fam, scales, space) == exhaustive_curve(fam, scales, space)
 
@@ -214,7 +216,7 @@ class TestOneRungLoop:
         else:
             space = Space.matrix_weight(w, p)
         bumps = gaussian_bumps(grid, 1, 3, rng)
-        fam = FunctionFamily(list(bumps) + [SampledVectorField.zero(grid, 1)])
+        fam = FunctionFamily(list(bumps) + [zero_field(grid, 1)])
         # an unsorted ladder: the largest rung is neither first nor last
         scales = [4 * grid.h, grid.h, 9.5 * grid.h, 2 * grid.h]
         curve = translation_curve(fam, scales, space)

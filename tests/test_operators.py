@@ -24,6 +24,8 @@ from mwlp.weight_fields import (
     make_power_weight,
 )
 
+from conftest import zero_field
+
 
 @pytest.fixture
 def grid():
@@ -36,7 +38,7 @@ class TestTranslate:
         assert np.array_equal(translate(f, (0.0,)).values, f.values)
 
     def test_zero_field(self, grid):
-        z = SampledVectorField.zero(grid, 2)
+        z = zero_field(grid, 2)
         assert np.array_equal(translate(z, (grid.h,)).values, z.values)
 
     def test_indicator_index_shift(self, grid):
@@ -47,7 +49,7 @@ class TestTranslate:
         assert np.array_equal(t.values[:, 0], expected)
 
     def test_off_lattice_rejected(self, grid):
-        f = SampledVectorField.zero(grid, 1)
+        f = zero_field(grid, 1)
         with pytest.raises(OffLattice):
             translate(f, (0.3 * grid.h,))
 
@@ -183,7 +185,7 @@ class TestMaximal:
 
     def test_zero_field(self, grid):
         w = MatrixWeightField.constant(grid, np.eye(2), invertible=True)
-        out = christ_goldberg_maximal(SampledVectorField.zero(grid, 2), w, 2.0)
+        out = christ_goldberg_maximal(zero_field(grid, 2), w, 2.0)
         assert np.all(out.values == 0.0)
 
     def test_matches_hardy_littlewood_oracle(self, grid, rng):

@@ -1,4 +1,4 @@
-"""Norms, modulars, the Luxemburg construction and the Sobolev norm."""
+"""Norms, modulars and the Luxemburg construction."""
 
 import warnings
 
@@ -6,23 +6,21 @@ import numpy as np
 import pytest
 
 from mwlp import verify
-from mwlp.errors import NonFinite, NormAxiomViolation, ShapeMismatch
+from mwlp.errors import NonFinite, ShapeMismatch
 from mwlp.grids import Grid
 from mwlp.spaces import (
     ExponentField,
     NormFamily,
     SampledVectorField,
     Space,
-    degenerate_sobolev_norm,
-    gradient,
     lp_rho_norm,
     lp_w_norm,
     luxemburg_norm,
     modular,
 )
-from mwlp.weight_fields import MatrixWeightField, MeasureDensity, ScalarWeightField
+from mwlp.weight_fields import MatrixWeightField, MeasureDensity
 
-from conftest import random_psd
+from conftest import random_psd, zero_field
 
 
 def random_weight_field(rng, grid, d, definite=True):
@@ -35,7 +33,7 @@ class TestLpWNorm:
     def test_zero_field(self):
         g = Grid(1, 1.0, 16)
         w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
-        assert lp_w_norm(SampledVectorField.zero(g, 2), w, 2.0) == 0.0
+        assert lp_w_norm(zero_field(g, 2), w, 2.0) == 0.0
 
     def test_indicator_classical_l2(self):
         g = Grid(1, 2.0, 256)
@@ -53,7 +51,7 @@ class TestLpWNorm:
     def test_d1_equals_scalar_weighted_norm_exactly(self, rng):
         g = Grid(1, 1.0, 64)
         wv = 0.5 + rng.random(64)
-        w = MatrixWeightField.from_scalar(ScalarWeightField(g, wv), invertible=True)
+        w = MatrixWeightField.diagonal(g, wv[:, None], invertible=True)
         f_vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = SampledVectorField(g, f_vals)
         direct = (np.sum(wv * np.abs(f_vals) ** 2) * g.h) ** 0.5
@@ -84,7 +82,7 @@ class TestLpWNorm:
         g = Grid(1, 1.0, 16)
         w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
         with pytest.raises(ShapeMismatch):
-            lp_w_norm(SampledVectorField.zero(g, 3), w, 2.0)
+            lp_w_norm(zero_field(g, 3), w, 2.0)
 
     @pytest.mark.parametrize("density_grid", [Grid(1, 2.0, 64), Grid(1, 1.0, 32)])
     def test_rho_norm_rejects_a_density_on_another_grid(self, density_grid):
@@ -102,7 +100,7 @@ class TestModular:
         w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField.constant(g, 2.0)
-        assert modular(SampledVectorField.zero(g, 1), rho, pf) == 0.0
+        assert modular(zero_field(g, 1), rho, pf) == 0.0
 
     def test_constant_exponent_is_norm_power(self, rng):
         g = Grid(1, 1.0, 32)
@@ -143,7 +141,7 @@ class TestLuxemburg:
         w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField.constant(g, 2.0)
-        assert luxemburg_norm(SampledVectorField.zero(g, 1), rho, pf) == 0.0
+        assert luxemburg_norm(zero_field(g, 1), rho, pf) == 0.0
 
     def test_constant_exponent_matches_norm(self, rng):
         g = Grid(1, 1.0, 32)
@@ -252,68 +250,14 @@ class TestLuxemburg:
             assert luxemburg_norm(g_scaled, rho, pf) <= lam + 2e-8
 
 
-class TestNormFamilyOracle:
-    def test_oracle_accepted(self, rng):
-        g = Grid(1, 1.0, 16)
-        fam = NormFamily.from_oracle(
-            g, 2, lambda pts, v: np.linalg.norm(v, axis=1), rng=rng)
-        vals = fam.evaluate(np.ones((16, 2), dtype=complex))
-        assert np.allclose(vals, np.sqrt(2.0))
-
-    def test_axiom_violation_rejected(self, rng):
-        g = Grid(1, 1.0, 16)
-        with pytest.raises(NormAxiomViolation):
-            NormFamily.from_oracle(
-                g, 2, lambda pts, v: np.linalg.norm(v, axis=1) ** 2, rng=rng)
-
-
-class TestSobolev:
-    def test_zero(self):
-        g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
-        assert degenerate_sobolev_norm(SampledVectorField.zero(g, 1), w, 2.0) == 0.0
-
-    def test_constant_field(self):
-        # f == c, W = I on [-1, 1): gradient term vanishes, norm = c sqrt(2)
-        g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
-        f = SampledVectorField(g, np.full(64, 3.0, dtype=complex))
-        assert degenerate_sobolev_norm(f, w, 2.0) == pytest.approx(
-            3.0 * np.sqrt(2.0), rel=1e-12)
-
-    def test_linear_field_hand_integral(self):
-        g = Grid(1, 1.0, 1024)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
-        f = SampledVectorField(g, g.points[:, 0].astype(complex))
-        expected = np.sqrt(2.0 / 3.0) + np.sqrt(2.0)
-        assert degenerate_sobolev_norm(f, w, 2.0) == pytest.approx(expected, abs=1e-5)
-
-    def test_gradient_2d(self):
-        g = Grid(2, 1.0, 16)
-        x, y = g.points[:, 0], g.points[:, 1]
-        f = SampledVectorField(g, (2 * x + 3 * y).astype(complex))
-        grad = gradient(f)
-        interior = (np.abs(x) < 1 - g.h) & (np.abs(y) < 1 - g.h)
-        assert np.max(np.abs(grad.values[interior, 0] - 2.0)) < 1e-10
-        assert np.max(np.abs(grad.values[interior, 1] - 3.0)) < 1e-10
-
-    def test_dimension_checks(self):
-        g = Grid(1, 1.0, 16)
-        w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
-        f = SampledVectorField.zero(g, 1)
-        with pytest.raises(ShapeMismatch):
-            degenerate_sobolev_norm(f, w, 2.0)  # weight d != grid n
-
-
 class TestSpace:
     def test_norm_family_flavor(self, rng):
         g = Grid(1, 1.0, 32)
-        rho = NormFamily.from_oracle(
-            g, 2, lambda pts, v: np.linalg.norm(v, axis=1), rng=rng)
-        sp = Space.norm_family(rho, 2.0)
-        f = SampledVectorField(g, rng.standard_normal((32, 2)).astype(complex))
         w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
-        assert sp.norm(f) == pytest.approx(lp_w_norm(f, w, 2.0), rel=1e-12)
+        sp = Space.norm_family(NormFamily.from_matrix_weight(w, 2.0), 2.0)
+        f = SampledVectorField(g, rng.standard_normal((32, 2)).astype(complex))
+        assert sp.weight is None
+        assert sp.norm(f) == lp_w_norm(f, w, 2.0)
 
     def test_variable_space_uses_modular_size(self, rng):
         g = Grid(1, 1.0, 32)
@@ -330,7 +274,7 @@ class TestSpace:
         w = random_weight_field(rng, g, 1)
         sp = Space.matrix_weight(w, 0.5)
         f = SampledVectorField(g, rng.standard_normal(32).astype(complex))
-        zero = SampledVectorField.zero(g, 1)
+        zero = zero_field(g, 1)
         assert sp.dist(f, zero) == pytest.approx(sp.norm(f) ** 0.5, rel=1e-12)
         # p-power distance is subadditive
         h = SampledVectorField(g, rng.standard_normal(32).astype(complex))
@@ -391,6 +335,6 @@ class TestSpace:
         g = Grid(1, 1.0, 16)
         space = self._spaces(g)[0]
         with pytest.raises(ShapeMismatch):
-            space.dist(SampledVectorField.zero(g, 2), SampledVectorField.zero(g, 3))
+            space.dist(zero_field(g, 2), zero_field(g, 3))
         with pytest.raises(ShapeMismatch):
-            space.dist(SampledVectorField.zero(Grid(1, 2.0, 16), 2), SampledVectorField.zero(g, 2))
+            space.dist(zero_field(Grid(1, 2.0, 16), 2), zero_field(g, 2))

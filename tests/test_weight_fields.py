@@ -14,7 +14,6 @@ from mwlp.weight_fields import (
     MeasureDensity,
     ScalarWeightField,
     ap_constant,
-    eigen_fields,
     make_power_weight,
     scalar_ap_constant,
     scalar_weight_probe,
@@ -49,18 +48,18 @@ class TestFields:
     def test_eigen_fields_constant_diag(self):
         g = Grid(1, 1.0, 16)
         w = MatrixWeightField.constant(g, np.diag([1.0, 4.0]))
-        fields = eigen_fields(w)
-        assert np.allclose(fields[0].values, 1.0)
-        assert np.allclose(fields[1].values, 4.0)
+        lam, _ = w.eig()
+        assert np.allclose(lam[:, 0], 1.0)
+        assert np.allclose(lam[:, 1], 4.0)
 
     def test_eigen_fields_abs_x_times_identity(self):
         g = Grid(1, 1.0, 16)
         r = np.abs(g.points[:, 0])
         vals = r[:, None, None] * np.eye(2)[None]
         w = MatrixWeightField(g, vals.astype(complex))
-        fields = eigen_fields(w)
-        assert np.allclose(fields[0].values, r, atol=1e-14)
-        assert np.allclose(fields[1].values, r, atol=1e-14)
+        lam, _ = w.eig()
+        assert np.allclose(lam[:, 0], r, atol=1e-14)
+        assert np.allclose(lam[:, 1], r, atol=1e-14)
 
     def test_rotation_preserves_spectrum(self):
         # W(x) = R(x) diag(1, 1 + x^2) R(x)^H has eigenvalue fields (1, 1+x^2)
@@ -75,19 +74,18 @@ class TestFields:
         diag[:, 0, 0], diag[:, 1, 1] = 1.0, lam2
         vals = np.einsum("mij,mjk,mlk->mil", rot, diag, rot)
         w = MatrixWeightField(g, vals.astype(complex), invertible=True)
-        fields = eigen_fields(w)
-        assert np.max(np.abs(fields[0].values - 1.0)) < 1e-10
-        assert np.max(np.abs(fields[1].values - lam2)) < 1e-10
+        lam, _ = w.eig()
+        assert np.max(np.abs(lam[:, 0] - 1.0)) < 1e-10
+        assert np.max(np.abs(lam[:, 1] - lam2)) < 1e-10
 
     def test_power_weight_sorted_spectrum(self):
         g = Grid(1, 1.0, 64)
         w = make_power_weight(g, [0.5, -0.5], rotation=lambda p: p[:, 0],
                               invertible=True)
-        fields = eigen_fields(w)
+        lam, _ = w.eig()
         r = np.abs(g.points[:, 0])
         expected = np.sort(np.stack([r ** 0.5, r ** -0.5], axis=1), axis=1)
-        assert np.max(np.abs(fields[0].values - expected[:, 0])) < 1e-10
-        assert np.max(np.abs(fields[1].values - expected[:, 1])) < 1e-10
+        assert np.max(np.abs(lam - expected)) < 1e-10
 
     def test_diagonal_takes_its_eigensystem_as_given(self):
         g = Grid(1, 1.0, 16)
@@ -283,7 +281,7 @@ class TestApConstant:
         for grid in (Grid(1, 1.0, 64), Grid(2, 1.0, 16)):
             rng = np.random.default_rng(11)
             wv = 0.5 + rng.random(grid.num_points)
-            w = MatrixWeightField.from_scalar(ScalarWeightField(grid, wv), invertible=True)
+            w = MatrixWeightField.diagonal(grid, wv[:, None], invertible=True)
             fam = CubeFamily.default(grid)
             val = ap_constant(w, 1.0, fam)
             cells = wv.reshape(grid.shape)
