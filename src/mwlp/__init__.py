@@ -12,12 +12,12 @@ from .compactness import (
     ModuliReport,
     NecessityReport,
     averaging_modulus,
-    boundedness_modulus,
     build_net_average,
     build_net_dyadic,
     certify_net,
     moduli_report,
     necessity_check,
+    tail_curve,
     tail_modulus,
     translation_curve,
     translation_modulus,
@@ -80,7 +80,6 @@ __all__ = [
     "ap_constant",
     "averaging_modulus",
     "ball_average",
-    "boundedness_modulus",
     "build_net_average",
     "build_net_dyadic",
     "certify_net",
@@ -98,6 +97,7 @@ __all__ = [
     "op_norm",
     "scalar_ap_constant",
     "symdiff_measure",
+    "tail_curve",
     "tail_modulus",
     "translate",
     "translation_curve",

@@ -153,25 +153,39 @@ def _restricted(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask[:, None], values, 0.0)
 
 
-def _tail(family: FunctionFamily, mask: np.ndarray, space: Space) -> float:
-    """sup over members of the size of f restricted to the cells of mask."""
-    return max(space.size_values(_restricted(f.values, mask)) for f in family)
+def _tail_table(family: FunctionFamily, masks: list, space: Space) -> list[list[float]]:
+    """Per member, the size of f restricted to the cells of each mask.
+
+    Each member's per-point norms r(x) = rho_x(f(x)) are evaluated once, and
+    the restriction to a mask is np.where(mask, r, 0.0); only one member's r
+    is alive at a time.
+    """
+    return [[space.size_of_norms(np.where(mask, r, 0.0)) for mask in masks]
+            for r in (space.point_norms(f.values) for f in family)]
 
 
-def boundedness_modulus(family: FunctionFamily, space: Space) -> float:
-    """sup over members of the space size (norm, or modular when variable)."""
-    return max(space.size(f) for f in family)
+def tail_curve(family: FunctionFamily, radii: list[float], space: Space) -> list[float]:
+    """Tail modulus at every radius of a ladder, in the ladder's order.
+
+    Entry i is the sup over members of the size of f restricted to
+    {|x| >= radii[i]}; at radius 0 that is the boundedness modulus, the sup
+    of the space sizes (norm, or modular when variable).  Every member's
+    per-point norms are evaluated once for the whole ladder.
+    """
+    grid = family.grid
+    for R in radii:
+        if R >= grid.L:
+            raise RadiusExceedsBox(f"tail radius {R} must be below L={grid.L}")
+        if R < 0:
+            raise OutOfRange("tail radius must be non-negative")
+    space.check(family)
+    table = _tail_table(family, [grid.outside_ball(R) for R in radii], space)
+    return [max(column) for column in zip(*table)]
 
 
 def tail_modulus(family: FunctionFamily, R: float, space: Space) -> float:
-    """sup over members of the size of f restricted to {|x| >= R}."""
-    grid = family.grid
-    if R >= grid.L:
-        raise RadiusExceedsBox(f"tail radius {R} must be below L={grid.L}")
-    if R < 0:
-        raise OutOfRange("tail radius must be non-negative")
-    space.check(family)
-    return _tail(family, grid.outside_ball(R), space)
+    """sup over members of the size of f restricted to {|x| >= R} (see tail_curve)."""
+    return tail_curve(family, [R], space)[0]
 
 
 #: safety factor on the stated FFT screening error bound (see _l2_screen)
@@ -241,9 +255,9 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
         C    = sum_x f(x)^H Q(x) f(x),
 
     so d(d+1)/2 + 2d forward FFTs and one inverse FFT per member on a grid
-    zero-padded to N + K cells per axis (K the largest shift asked for, at
-    most N) give every shift with |k_i| < N; larger shifts leave no overlap
-    and equal C.  The spectra of Q are shared across members, and each
+    zero-padded to the smallest 2^a 3^b 5^c >= N + K cells per axis (K the
+    largest shift asked for, at most N; the pad is at most 2N) give every
+    shift with |k_i| < N; larger shifts leave no overlap and equal C.  The spectra of Q are shared across members, and each
     member keeps only the window of shifts asked for.
 
     Error bound: an FFT correlation of arrays a, b of M_pad <= (2N)^n entries
@@ -266,7 +280,7 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
     n, big_n, d = grid.n, grid.N, w.d
     # a correlation over [0, N) wraps onto shifts |k_i| <= K only if the
     # padded length is below N + K
-    pad = (big_n + min(int(np.max(np.abs(shifts))), big_n),) * n
+    pad = (_smooth_length(big_n + min(int(np.max(np.abs(shifts))), big_n)),) * n
     axes = tuple(range(n))
     mu = np.ones(grid.num_points) if space.mu is None else space.mu.values
     q = w.power(1.0) * mu[:, None, None]
@@ -305,6 +319,22 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
         screened[m] = (corr + const) * cell
         margin[m] = bound * float(np.sum(np.abs(fv) ** 2))
     return screened, margin
+
+
+def _smooth_length(size: int) -> int:
+    """The smallest 2^a 3^b 5^c >= size, a length numpy's FFT transforms fast.
+
+    For size <= 2N with N a power of two it is at most 2N.
+    """
+    length = size
+    while True:
+        rest = length
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return length
+        length += 1
 
 
 def translation_modulus(family: FunctionFamily, r: float, space: Space) -> float:
@@ -383,12 +413,18 @@ def _check_notion(notion: str, accepted: tuple[str, ...]) -> None:
 
 def moduli_report(family: FunctionFamily, space: Space,
                   notion: str = "translation") -> ModuliReport:
-    """Measure the boundedness, tail and equicontinuity curves on the default ladders."""
+    """Measure the boundedness, tail and equicontinuity curves on the default ladders.
+
+    The bound and the tail curve come from one tail_curve call: the bound is
+    its entry at radius 0, and each member's per-point norms are evaluated
+    once for the bound and every ladder radius.
+    """
     _check_notion(notion, ("translation", "twisted", "averaging"))
     grid = family.grid
     scales = default_scale_ladder(grid)
-    bound = boundedness_modulus(family, space)
-    tail = [(R, tail_modulus(family, R, space)) for R in default_radius_ladder(grid)]
+    radii = default_radius_ladder(grid)
+    bound, *tails = tail_curve(family, [0.0] + radii, space)
+    tail = list(zip(radii, tails))
     if notion == "translation":
         equi = list(zip(scales, translation_curve(family, scales, space)))
     elif notion == "twisted":
@@ -431,11 +467,11 @@ def _pair_memo(dist):
     return lambda i, j: 0.0 if i == j else measured(min(i, j), max(i, j))
 
 
-def _first_under(ladder, measure, budget: float, what: str) -> tuple:
-    """The first (x, measure(x)) along a ladder with measure(x) < budget; the
-    search is the covering proofs' choice of a tail radius or a scale."""
-    for x in ladder:
-        value = measure(x)
+def _first_under(measured, budget: float, what: str) -> tuple:
+    """The first (x, value) of an iterable of pairs along a ladder with
+    value < budget; the search is the covering proofs' choice of a tail radius
+    or a scale.  A generator of pairs is measured only up to that rung."""
+    for x, value in measured:
         if value < budget:
             return x, value
     raise ModuliTooLarge(f"{what} under {budget}")
@@ -479,11 +515,11 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     space.check(family)
     # outer generation: dyadic half-widths from 4h up to L
     m0 = int(np.ceil(np.log2(max(4 * grid.h, 1e-12))))
-    generations = itertools.takewhile(lambda m: 2.0 ** m <= grid.L * (1 + 1e-12),
-                                      itertools.count(m0))
+    generations = list(itertools.takewhile(lambda m: 2.0 ** m <= grid.L * (1 + 1e-12),
+                                           itertools.count(m0)))
+    table = _tail_table(family, [grid.outside_box(2.0 ** m) for m in generations], space)
     chosen_m, tail_value = _first_under(
-        generations, lambda m: _tail(family, grid.outside_box(2.0 ** m), space), epsilon,
-        "no dyadic box keeps the tail")
+        zip(generations, map(max, zip(*table))), epsilon, "no dyadic box keeps the tail")
 
     # the ladder doubles from 2h, so either every scale is a power of two or
     # none is; both moduli are nondecreasing in the scale, so the finest
@@ -539,8 +575,9 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
     space.check(family)
     dens = _ball_density(space)
 
+    radii = default_radius_ladder(grid)
     chosen_R, tail_value = _first_under(
-        default_radius_ladder(grid), lambda R: tail_modulus(family, R, space), epsilon / 3,
+        zip(radii, tail_curve(family, radii, space)), epsilon / 3,
         "no ladder radius keeps the tail")
 
     # the averaging modulus on B(0, R); the last scale averaged is the chosen
@@ -553,10 +590,10 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
         return [ball_average(f, scheme) for f in family]
 
     chosen_r, avg_value = _first_under(
-        [r for r in default_scale_ladder(grid)
-         if r < chosen_R and chosen_R + r <= grid.L * (1 + 1e-12)],
-        lambda r: max(space.size_values(_restricted(g.values - f.values, inside))
-                      for f, g in zip(family, averaged_at(r))),
+        ((r, max(space.size_values(_restricted(g.values - f.values, inside))
+                 for f, g in zip(family, averaged_at(r))))
+         for r in default_scale_ladder(grid)
+         if r < chosen_R and chosen_R + r <= grid.L * (1 + 1e-12)),
         epsilon / 3, "no ladder scale keeps the averaging modulus")
     averaged = averaged_at(chosen_r)
 
@@ -656,10 +693,11 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
 
     The space must be L^p(W, mu) with a constant p > 1; ap_value, if
     supplied, documents the A_p estimate of the weight over the family used
-    (the check itself does not recompute it).  Each member's tail beyond
-    every ladder radius is measured once per call, each member pair's
-    distance and each (member, scale) averaging residual at most once,
-    against one ball scheme per scale.
+    (the check itself does not recompute it).  Each member's per-point
+    norms are evaluated once per call, and its tail beyond every ladder
+    radius is a masked size of them (tail_curve's table); each member pair's
+    distance and each (member, scale) averaging residual is measured at most
+    once, against one ball scheme per scale.
     """
     _, p = _weight_and_exponent(space, "the necessity check")
     if not p > 1:
@@ -669,9 +707,7 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
     radii = default_radius_ladder(grid)
     scales = default_scale_ladder(grid)
     dens = _ball_density(space)
-    outside = [grid.outside_ball(R) for R in radii]
-    tails = [[space.size_values(_restricted(f.values, mask)) for mask in outside]
-             for f in family]
+    tails = _tail_table(family, [grid.outside_ball(R) for R in radii], space)
 
     @functools.cache
     def scheme_at(r: float) -> tuple[BallScheme, np.ndarray]:

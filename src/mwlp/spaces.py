@@ -1,8 +1,8 @@
 """Norms and modulars on sampled vector fields.
 
-Covers the constant-exponent matrix-weighted norm, norm families with a
-per-point evaluator, variable-exponent modulars with the Luxemburg norm and
-ellipsoidal fitting of a single norm.
+Covers the constant-exponent matrix-weighted norm, the norm families
+rho_x(v) = |W^{1/p}(x) v| of a matrix weight, variable-exponent modulars
+with the Luxemburg norm and ellipsoidal fitting of a single norm.
 All integrals are midpoint-rule quadratures on the field's grid.
 """
 
@@ -79,34 +79,27 @@ class ExponentField:
 
 
 class NormFamily:
-    """Family of norms rho_x on C^d, one per grid point.
+    """Family of norms rho_x(v) = |W^{1/p}(x) v| on C^d, one per grid point.
 
-    `from_matrix_weight` derives it from a matrix weight as
-    rho_x(v) = |W^{1/p}(x) v|; the evaluator maps an (M, d) value array to
-    the M per-point norms.
+    `from_matrix_weight` derives it from a matrix weight; it holds the
+    entries of W^{1/p} as the columns of `_entry_columns`, and `evaluate`
+    maps an (M, d) value array to the M per-point norms by `_column_norms`.
     """
 
-    def __init__(self, grid: Grid, d: int, evaluator, description: str = ""):
+    def __init__(self, grid: Grid, d: int, cols: np.ndarray, description: str = ""):
         self.grid = grid
         self.d = d
-        self._evaluator = evaluator
+        self._cols = cols
         self.description = description
 
     @classmethod
     def from_matrix_weight(cls, w: MatrixWeightField, p: float) -> "NormFamily":
-        cols = _entry_columns(w.power(1.0 / p))
-
-        def evaluator(values):
-            return _column_norms(cols, values)
-
-        return cls(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
+        return cls(w.grid, w.d, _entry_columns(w.power(1.0 / p)),
+                   description=f"|W^(1/{p}) v| from matrix weight")
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Per-point norms rho_x(values[x]), shape (M,)."""
-        out = np.asarray(self._evaluator(values), dtype=np.float64)
-        if out.shape != (self.grid.num_points,):
-            raise ShapeMismatch("norm evaluator returned a wrong shape")
-        return out
+        return _column_norms(self._cols, values)
 
 
 def _entry_columns(wp: np.ndarray) -> np.ndarray:
@@ -309,18 +302,31 @@ class Space:
                                 f"which has d={self.d} on {self.grid}")
 
     def norm_values(self, values: np.ndarray) -> float:
-        return self._measure(values, modular_form=False)
+        return self._measure(self.point_norms(values), modular_form=False)
 
     def size_values(self, values: np.ndarray) -> float:
         """Boundedness functional: the modular for variable exponents, else the norm."""
-        return self._measure(values, modular_form=self.is_variable)
+        return self.size_of_norms(self.point_norms(values))
 
     # values that overflow turn into inf or nan, which _finite reports as one
     # NonFinite; numpy's warnings on the way would only repeat it.  (As a
     # decorator np.errstate costs less than half of a `with` block.)
     @np.errstate(over="ignore", invalid="ignore")
-    def _measure(self, values: np.ndarray, modular_form: bool) -> float:
-        r = self.rho.evaluate(values)
+    def point_norms(self, values: np.ndarray) -> np.ndarray:
+        """Per-point norms r(x) = rho_x(values[x]), shape (M,)."""
+        return self.rho.evaluate(values)
+
+    def size_of_norms(self, r: np.ndarray) -> float:
+        """size_values measured from per-point norms r = point_norms(values).
+
+        A size of values restricted to a set is the size of r with the cells
+        outside the set zeroed: a zero value has norm +0.0 at every point, so
+        both give the same array and the same bits.
+        """
+        return self._measure(r, modular_form=self.is_variable)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _measure(self, r: np.ndarray, modular_form: bool) -> float:
         if modular_form:
             return _finite(_exponent_modular(r, self.exponent, self.grid))
         if self.is_variable:

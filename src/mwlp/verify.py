@@ -271,8 +271,11 @@ def verify_lemmas(seed: int, count: int, weight_file: str | None = None) -> dict
             file_check = {"path": str(weight_file), "loaded": True,
                           "kind": type(field).__name__, "error": None}
         except MwlpError as exc:
+            # a MalformedField names the file; a constructor's rejection of
+            # the samples does not, so it is prefixed, as scenario._field_file does
+            where = "" if isinstance(exc, MalformedField) else f"{weight_file}: "
             file_check = {"path": str(weight_file), "loaded": False,
-                          "kind": None, "error": f"{type(exc).__name__}: {exc}"}
+                          "kind": None, "error": f"{type(exc).__name__}: {where}{exc}"}
     passed = all(s["passed"] for s in suites)
     return {"count": count, "suites": suites, "weight_file_check": file_check,
             "passed": bool(passed)}

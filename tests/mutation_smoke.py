@@ -52,6 +52,11 @@ MUTANTS = (
      "tail_bound = 2.0 * eps", "tail_bound = 4.0 * eps"),
     ("weight file of any kind accepted", "verify.py",
      "if not isinstance(field, MatrixWeightField):", "if False:"),
+    ("tail mask dropped", "compactness.py",
+     "space.size_of_norms(np.where(mask, r, 0.0))", "space.size_of_norms(r)"),
+    ("smooth pad cut to N + K - 1", "compactness.py",
+     "pad = (_smooth_length(big_n + min(int(np.max(np.abs(shifts))), big_n)),) * n",
+     "pad = (big_n + min(int(np.max(np.abs(shifts))), big_n) - 1,) * n"),
 )
 
 #: survivors with a known cause, reported but not counted as a failure

@@ -12,11 +12,12 @@ from mwlp.compactness import (
     default_radius_ladder,
     default_scale_ladder,
     greedy_cover,
-    tail_modulus,
 )
 from mwlp.operators import BallScheme, ball_average
 from mwlp.spaces import SampledVectorField
 from mwlp.weight_fields import MeasureDensity
+
+import reference_tails
 
 
 def necessity_rows(family, epsilons, space):
@@ -38,12 +39,12 @@ def necessity_rows(family, epsilons, space):
             single = FunctionFamily([g])
             rk = None
             for R in radii:
-                if tail_modulus(single, R, space) < eps:
+                if reference_tails.tail_curve(single, [R], space)[0] < eps:
                     rk = R
                     break
             per_center_R.append(rk if rk is not None else radii[-1])
         R_star = max(per_center_R)
-        tail_val = tail_modulus(family, R_star, space)
+        tail_val = reference_tails.tail_curve(family, [R_star], space)[0]
         tail_bound = 2.0 * eps
 
         r_star = None

@@ -7,22 +7,25 @@ and plain."""
 
 import numpy as np
 
-from mwlp.spaces import NormFamily, Space
+from mwlp.spaces import Space
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity
 
 
-def norm_family(w: MatrixWeightField, p: float) -> NormFamily:
-    """rho_x(v) = |W^{1/p}(x) v|, by einsum."""
-    wp = w.power(1.0 / p)
-    wp.setflags(write=False)
+class EinsumNorms:
+    """rho_x(v) = |W^{1/p}(x) v|, by einsum: the `NormFamily` interface a
+    `Space` uses (grid, d and evaluate)."""
 
-    def evaluator(values):
-        return np.linalg.norm(np.einsum("mij,...mj->...mi", wp, values), axis=-1)
+    def __init__(self, w: MatrixWeightField, p: float):
+        self.grid = w.grid
+        self.d = w.d
+        self._wp = w.power(1.0 / p)
+        self._wp.setflags(write=False)
 
-    return NormFamily(w.grid, w.d, evaluator, description=f"|W^(1/{p}) v| from matrix weight")
+    def evaluate(self, values):
+        return np.linalg.norm(np.einsum("mij,...mj->...mi", self._wp, values), axis=-1)
 
 
 def space(w: MatrixWeightField, p: float, mu: MeasureDensity | None = None) -> Space:
     """L^p(W, mu) measured with the reference evaluator."""
-    return Space(w.grid, w.d, norm_family(w, p), p=p, mu=mu, weight=w,
+    return Space(w.grid, w.d, EinsumNorms(w, p), p=p, mu=mu, weight=w,
                  label=f"L^{p}(W{', mu' if mu else ''})")

@@ -699,9 +699,8 @@ task: {name: necessity, epsilons: [0.2]}
         assert main(argv) == 0
         check = self._outputs(out)["weight_file_check"]
         assert not check["loaded"] and check["kind"] is None
-        assert check["error"].startswith(f"{error}: ")
-        if error == "MalformedField":  # a file that holds no valid weight is named
-            assert str(path) in check["error"]
+        # every rejection names the file, the constructor's ones included
+        assert check["error"].startswith(f"{error}: {path}")
 
     @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
                                          (1.0, "{name: necessity}")])

@@ -9,7 +9,6 @@ from mwlp.compactness import (
     EpsilonNet,
     FunctionFamily,
     averaging_modulus,
-    boundedness_modulus,
     build_net_average,
     build_net_dyadic,
     certify_net,
@@ -72,18 +71,18 @@ def small_family(grid, rng, d=1, count=6):
 class TestModuli:
     def test_zero_family(self, grid, unweighted):
         fam = FunctionFamily([zero_field(grid, 1)])
-        assert boundedness_modulus(fam, unweighted) == 0.0
+        assert moduli_report(fam, unweighted).bound == 0.0
         assert tail_modulus(fam, 1.0, unweighted) == 0.0
         assert translation_modulus(fam, 2 * grid.h, unweighted) == 0.0
 
     def test_singleton_bound_is_norm(self, grid, unweighted, rng):
         f = SampledVectorField(grid, rng.standard_normal(256).astype(complex))
         fam = FunctionFamily([f])
-        assert boundedness_modulus(fam, unweighted) == unweighted.norm(f)
+        assert moduli_report(fam, unweighted).bound == unweighted.norm(f)
 
     def test_bound_equals_exhaustive_max(self, grid, unweighted, rng):
         fam = small_family(grid, rng, count=10)
-        assert boundedness_modulus(fam, unweighted) == max(
+        assert moduli_report(fam, unweighted).bound == max(
             unweighted.norm(f) for f in fam)
 
     def test_tail_of_supported_family_vanishes(self, grid, unweighted):
@@ -98,7 +97,7 @@ class TestModuli:
 
     def test_tail_at_zero_is_bound(self, grid, unweighted, rng):
         fam = small_family(grid, rng)
-        assert tail_modulus(fam, 0.0, unweighted) == boundedness_modulus(fam, unweighted)
+        assert tail_modulus(fam, 0.0, unweighted) == max(unweighted.size(f) for f in fam)
 
     def test_tail_radius_must_stay_in_box(self, grid, unweighted, rng):
         fam = small_family(grid, rng)

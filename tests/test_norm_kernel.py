@@ -75,7 +75,7 @@ def problems(draw):
 def test_per_point_norms_equal_einsum(problem):
     w, p, _, f, _ = problem
     got = NormFamily.from_matrix_weight(w, p).evaluate(f.values)
-    assert np.array_equal(got, reference_norm.norm_family(w, p).evaluate(f.values))
+    assert np.array_equal(got, reference_norm.EinsumNorms(w, p).evaluate(f.values))
 
 
 @PROPERTY
