@@ -11,7 +11,8 @@ sets grid.N, --seed sets seed) before the scenario is validated.  --out PATH
 writes the report; --timings embeds wall-clock times, omitted by default so
 reports are byte-identical across runs.
 
-Exit codes: 0 pass, 2 certificate or verification failure, 1 error.
+Exit codes: 0 pass, 2 certificate or verification failure, 1 error, a
+command-line error included.
 """
 
 from __future__ import annotations
@@ -40,13 +41,22 @@ def _lq_exponent(text: str) -> float:
     return float("inf") if q < 0 else q
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise SchemaError, so that they
+    exit 1 with one `error:` line like every other error; subcommands'
+    parsers are of the same class."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     def one_of(task, key):
         return {"help": " | ".join(scenario.TASK_PARAMS[task][key].choices)}
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mwlp",
         description="Matrix-weighted Lebesgue space toolkit: weights, norms, "
                     "operators and epsilon-net compactness certification.")
@@ -101,9 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except BrokenPipeError:
         return 1
     except (MwlpError, OSError) as exc:  # toolkit and file errors -> exit 1 with a message
@@ -153,8 +162,9 @@ def _dispatch(args) -> int:
 # task runners
 
 
-def run_scenario(sc) -> tuple[dict, int]:
-    """Execute the scenario's task; returns (outputs, exit_code)."""
+def run_scenario(sc) -> tuple:
+    """Execute the scenario's task; returns (outputs, exit_code), the outputs
+    a dict or a record whose fields are its report keys."""
     runner = {
         "ap-constant": _task_ap_constant,
         "john": _task_john,
@@ -184,12 +194,7 @@ def _task_ap_constant(sc, rng) -> tuple[dict, int]:
 
 def _task_john(sc, rng) -> tuple[dict, int]:
     d, q, count = sc.param("d"), sc.param("norm")["q"], sc.param("test_vectors")
-    if np.isinf(q):
-        rho = lambda v: np.max(np.abs(v), axis=1)
-        label = "linf"
-    else:
-        rho = lambda v: np.sum(np.abs(v) ** q, axis=1) ** (1 / q)
-        label = f"l{q}"
+    rho, label = spaces.lq_norm(q), "linf" if np.isinf(q) else f"l{q}"
     w = spaces.john_ellipsoid(rho, d, rng=rng)
     left, right, passed = spaces.john_sandwich(rho, d, w, count, rng)
     return {"norm": label, "d": d, "matrix": w,
@@ -230,9 +235,9 @@ def _task_norm(sc, rng) -> tuple[dict, int]:
             "family": family.metadata}, 0
 
 
-def _task_moduli(sc, rng) -> tuple[dict, int]:
+def _task_moduli(sc, rng) -> tuple:
     space, family = _setup(sc, rng, constant_exponent=False)
-    return compactness.moduli_report(family, space, notion=sc.param("notion")).as_dict(), 0
+    return compactness.moduli_report(family, space, notion=sc.param("notion")), 0
 
 
 def _build_net(sc, space, family):
@@ -249,7 +254,7 @@ def _task_net(sc, rng) -> tuple[dict, int]:
     out = {
         "route": net.route, "epsilon": net.epsilon, "net_size": net.size,
         "c_net": net.c_net, "params": net.params,
-        "certificate": net.certificate.as_dict(), "family": family.metadata,
+        "certificate": net.certificate, "family": family.metadata,
         "space": net.space_label,
     }
     save_dir = sc.param("save_centers")
@@ -277,15 +282,15 @@ def _task_certify(sc, rng) -> tuple[dict, int]:
         net = _build_net(sc, space, family)
         cert = net.certificate
     out = {"epsilon": net.epsilon, "net_size": net.size, "c_net": net.c_net,
-           "route": net.route, "certificate": cert.as_dict()}
+           "route": net.route, "certificate": cert}
     return out, 0 if cert.passed else 2
 
 
-def _task_necessity(sc, rng) -> tuple[dict, int]:
+def _task_necessity(sc, rng) -> tuple:
     space, family = _setup(sc, rng)
     rep = compactness.necessity_check(family, sc.param("epsilons"), space,
                                       ap_value=sc.param("ap_value"))
-    return rep.as_dict(), 0 if rep.passed else 2
+    return rep, 0 if rep.passed else 2
 
 
 def _task_verify_lemmas(sc, rng) -> tuple[dict, int]:

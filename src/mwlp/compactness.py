@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .operators import (
     dyadic_radii,
     shift_values,
 )
-from .spaces import SampledVectorField, Space
+from .spaces import SampledVectorField, Space, within
 from .weight_fields import MatrixWeightField, MeasureDensity
 
 
@@ -74,26 +74,22 @@ class FunctionFamily:
         return self.members[k]
 
 
+#: the equicontinuity notions; dyadic nets accept the first two
+NOTIONS = ("translation", "twisted", "averaging")
+
+
 @dataclass
 class ModuliReport:
-    """Measured boundedness, tail and equicontinuity curves of a family."""
+    """Measured boundedness, tail and equicontinuity curves of a family, with
+    the notion, the space's label and the family's metadata.  Its fields are
+    its report keys."""
 
     bound: float
     tail_curve: list
-    equi_curve: list
+    equicontinuity_curve: list
     notion: str
-    space_label: str
-    family_metadata: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "tail_curve": [[r, v] for r, v in self.tail_curve],
-            "equicontinuity_curve": [[r, v] for r, v in self.equi_curve],
-            "notion": self.notion,
-            "space": self.space_label,
-            "family": self.family_metadata,
-        }
+    space: str
+    family: str = ""
 
 
 @dataclass
@@ -122,16 +118,13 @@ class EpsilonNet:
 
 @dataclass
 class Certificate:
+    """A net's brute-force recheck; its fields are its report keys."""
+
     passed: bool
     worst_member: int
     worst_distance: float
     threshold: float
-    distances: list
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["per_member_distance"] = out.pop("distances")
-        return out
+    per_member_distance: list
 
 
 def default_radius_ladder(grid: Grid) -> list[float]:
@@ -419,7 +412,7 @@ def moduli_report(family: FunctionFamily, space: Space,
     its entry at radius 0, and each member's per-point norms are evaluated
     once for the bound and every ladder radius.
     """
-    _check_notion(notion, ("translation", "twisted", "averaging"))
+    _check_notion(notion, NOTIONS)
     grid = family.grid
     scales = default_scale_ladder(grid)
     radii = default_radius_ladder(grid)
@@ -431,8 +424,8 @@ def moduli_report(family: FunctionFamily, space: Space,
         equi = list(zip(scales, twisted_curve(family, space, scales)))
     else:
         equi = [(r, averaging_modulus(family, space, r)) for r in scales]
-    return ModuliReport(bound=bound, tail_curve=tail, equi_curve=equi, notion=notion,
-                        space_label=space.label, family_metadata=family.metadata)
+    return ModuliReport(bound=bound, tail_curve=tail, equicontinuity_curve=equi, notion=notion,
+                        space=space.label, family=family.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +503,7 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     greedily at radius epsilon.  Certificate distances are measured in the
     ambient space against the piecewise-constant centers.
     """
-    _check_notion(notion, ("translation", "twisted"))
+    _check_notion(notion, NOTIONS[:2])
     grid = family.grid
     space.check(family)
     # outer generation: dyadic half-widths from 4h up to L
@@ -641,9 +634,8 @@ def certify_net(family: FunctionFamily, net: EpsilonNet, space: Space) -> Certif
         dists.append(dmin)
     worst_idx = int(np.argmax(dists))
     worst = float(dists[worst_idx])
-    passed = worst <= threshold * (1 + 1e-9) + 1e-15
-    return Certificate(passed=passed, worst_member=worst_idx, worst_distance=worst,
-                       threshold=threshold, distances=dists)
+    return Certificate(passed=within(worst, threshold), worst_member=worst_idx,
+                       worst_distance=worst, threshold=threshold, per_member_distance=dists)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +644,8 @@ def certify_net(family: FunctionFamily, net: EpsilonNet, space: Space) -> Certif
 
 @dataclass
 class NecessityRow:
+    """One epsilon of the necessity table; its fields are its report keys."""
+
     epsilon: float
     net_size: int
     R: float
@@ -660,29 +654,19 @@ class NecessityRow:
     tail_bound: float
     averaging_value: float
     averaging_bound: float
-    s_r_constant: float
+    measured_s_r_constant: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["measured_s_r_constant"] = out.pop("s_r_constant")
-        return out
 
 
 @dataclass
 class NecessityReport:
+    """The necessity table, the space's label and the documented A_p value;
+    its fields are its report keys."""
+
     rows: list
     passed: bool
-    space_label: str
-    ap_value: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [r.as_dict() for r in self.rows],
-            "passed": self.passed,
-            "space": self.space_label,
-            "ap_constant": self.ap_value,
-        }
+    space: str
+    ap_constant: float | None = None
 
 
 def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
@@ -748,12 +732,12 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
             cs = max(cs, space.norm_values(averaged) / denom)
         avg_val = max(residual(i, r_star) for i in range(len(family)))
         avg_bound = (2.0 + cs) * eps
-        passed = tail_val <= tail_bound * (1 + 1e-9) and avg_val <= avg_bound * (1 + 1e-9)
+        passed = within(tail_val, tail_bound) and within(avg_val, avg_bound)
         rows.append(NecessityRow(
             epsilon=eps, net_size=len(center_idx), R=radii[k_star], r=r_star,
             tail_value=tail_val, tail_bound=tail_bound,
             averaging_value=avg_val, averaging_bound=avg_bound,
-            s_r_constant=cs, passed=passed,
+            measured_s_r_constant=cs, passed=passed,
         ))
     return NecessityReport(rows=rows, passed=all(r.passed for r in rows),
-                           space_label=space.label, ap_value=ap_value)
+                           space=space.label, ap_constant=ap_value)

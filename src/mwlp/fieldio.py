@@ -65,18 +65,27 @@ def _body(rows: np.ndarray) -> str:
     return (line * n) % tuple(text[inverse.ravel()].tolist())
 
 
-def load_field(path):
-    """Read a field written by save_field; the kind decides the return type.
+def load_field(path, kind: type):
+    """The field of type `kind` in a file written by save_field.
 
-    A file that does not parse as the format raises MalformedField.
+    This is the one acceptance rule of field files, and every rejection
+    names the file: a file that does not parse as the format, or holds
+    another kind of field, raises MalformedField; a constructor's rejection
+    of the samples keeps its class, with the file prefixed to its message.
     """
     try:
         with open(path) as fh:
-            return _parse_field(fh.read(), path)
-    except MwlpError:
+            field = _parse_field(fh.read(), path)
+    except MalformedField:
+        raise
+    except MwlpError as exc:  # the field's constructor rejected the samples
+        exc.args = (f"{path}: {exc}",)
         raise
     except ValueError as exc:  # text or a number that does not decode
         raise MalformedField(f"{path}: {exc}") from exc
+    if not isinstance(field, kind):
+        raise MalformedField(f"{path} does not contain a {kind.__name__}")
+    return field
 
 
 def _parse_field(text: str, path):

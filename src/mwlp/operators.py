@@ -396,7 +396,7 @@ def differentiation_errors(f: SampledVectorField, mu: MeasureDensity,
     for r in radii:
         scheme = BallScheme(grid, r, mu)
         sr = ball_average(f, scheme)
-        interior = grid.radii <= grid.L - r
+        interior = grid.inside_ball(grid.L - r)
         if not np.any(interior):
             raise OutOfRange(f"no interior points for radius {r}")
         err = np.linalg.norm(sr.values - f.values, axis=1)

@@ -7,6 +7,7 @@ byte-identical file.  Curves additionally export as two-column CSV.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import numpy as np
 
 
 def _canonical(obj):
-    """Recursively convert numpy scalars/arrays and complex values."""
+    """Recursively convert records (dataclasses, field by field), numpy
+    scalars/arrays and complex values."""
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -29,6 +31,8 @@ def _canonical(obj):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -60,17 +64,17 @@ def write_curve_csv(path, curve) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def collect_curves(outputs: dict, prefix: str = "") -> list[tuple[str, list]]:
-    """Find (name, curve) pairs in task outputs; curves are lists of pairs."""
+def collect_curves(outputs, prefix: str = "") -> list[tuple[str, list]]:
+    """Find (name, curve) pairs in task outputs, canonicalized first; curves
+    are lists of number pairs under a key ending in "curve"."""
     found = []
-    for key, val in outputs.items():
+    for key, val in _canonical(outputs).items():
         name = f"{prefix}{key}"
         if isinstance(val, dict):
             found.extend(collect_curves(val, prefix=f"{name}."))
         elif (isinstance(val, list) and val
-              and all(isinstance(p, (list, tuple)) and len(p) == 2
-                      and all(isinstance(x, (int, float, np.floating)) for x in p)
-                      for p in val)):
+              and all(isinstance(p, list) and len(p) == 2
+                      and all(isinstance(x, (int, float)) for x in p) for p in val)):
             if key.endswith("curve"):
                 found.append((name, val))
     return found

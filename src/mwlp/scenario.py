@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .errors import MalformedField, MwlpError, SchemaError
+from .compactness import NOTIONS
+from .errors import MwlpError, SchemaError
 from .matrix_core import MAX_DIM
 
 
@@ -250,7 +251,7 @@ SECTION_PARAMS = {
 }
 
 _NET_PARAMS = {"epsilon": Param(_POSITIVE, 0.1), "route": _choice("dyadic", "average"),
-               "notion": _choice("translation", "twisted")}
+               "notion": _choice(*NOTIONS[:2])}
 
 # Every task's parameters: the one place their types, ranges and defaults live.
 TASK_PARAMS = {
@@ -259,7 +260,7 @@ TASK_PARAMS = {
     "john": {"d": Param(_count(1), 2), "norm": Param(_lq_norm, {"kind": "lq", "q": 1.0}),
              "test_vectors": Param(_count(1), 1000)},
     "norm": {"norm": _choice("matrix")},
-    "moduli": {"notion": _choice("translation", "twisted", "averaging")},
+    "moduli": {"notion": _choice(*NOTIONS)},
     "net": dict(_NET_PARAMS, save_centers=Param(_PATH)),
     "certify": dict(_NET_PARAMS, centers=Param(_list_of(_PATH)), c_net=Param(_POSITIVE, 1.0)),
     "necessity": {"epsilons": Param(_list_of(_POSITIVE), [0.2, 0.1, 0.05]),
@@ -313,13 +314,9 @@ def _field_file(path: str, file: str, kind: type, grid):
     from . import fieldio
 
     try:
-        field = fieldio.load_field(file)
-    except MalformedField as exc:  # its message names the file
+        field = fieldio.load_field(file, kind)
+    except MwlpError as exc:  # load_field's message names the file
         _fail(path, str(exc))
-    except MwlpError as exc:  # the field's constructor rejected the samples
-        _fail(path, f"{file}: {exc}")
-    if not isinstance(field, kind):
-        _fail(path, f"{file} does not contain a {kind.__name__}")
     if field.grid != grid:
         _fail(path, f"the grid of {file} does not match the scenario grid")
     return field

@@ -36,6 +36,19 @@ JOHN_REFINEMENT_ROUNDS = 3
 JOHN_SCALE_MARGIN = 1.01
 
 
+def within(value: float, bound: float) -> bool:
+    """The verdict rule of every measured value against its bound: the value
+    may exceed the bound by a relative 1e-9 and an absolute 1e-15."""
+    return value <= bound * (1 + 1e-9) + 1e-15
+
+
+def lq_norm(q: float):
+    """The l^q norm, q >= 1 or inf, of each row of a (K, d) batch, as a callable."""
+    if np.isinf(q):
+        return lambda v: np.max(np.abs(v), axis=1)
+    return lambda v: np.sum(np.abs(v) ** q, axis=1) ** (1 / q)
+
+
 @dataclass
 class SampledVectorField:
     """C^d-valued samples at the cell centers of a grid, shape (M, d)."""
@@ -86,16 +99,14 @@ class NormFamily:
     maps an (M, d) value array to the M per-point norms by `_column_norms`.
     """
 
-    def __init__(self, grid: Grid, d: int, cols: np.ndarray, description: str = ""):
+    def __init__(self, grid: Grid, d: int, cols: np.ndarray):
         self.grid = grid
         self.d = d
         self._cols = cols
-        self.description = description
 
     @classmethod
     def from_matrix_weight(cls, w: MatrixWeightField, p: float) -> "NormFamily":
-        return cls(w.grid, w.d, _entry_columns(w.power(1.0 / p)),
-                   description=f"|W^(1/{p}) v| from matrix weight")
+        return cls(w.grid, w.d, _entry_columns(w.power(1.0 / p)))
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Per-point norms rho_x(values[x]), shape (M,)."""
@@ -171,8 +182,8 @@ def lp_rho_norm(f: SampledVectorField, rho: NormFamily, p: float,
 
 
 def modular(f: SampledVectorField, rho: NormFamily, pf: ExponentField) -> float:
-    """Variable-exponent modular integral of rho_x(f(x))^{p(x)} dx: Space.variable's."""
-    return Space.variable(rho, pf).modular(f)
+    """Variable-exponent modular integral of rho_x(f(x))^{p(x)} dx: Space.variable's size."""
+    return Space.variable(rho, pf).size(f)
 
 
 def luxemburg_norm(f: SampledVectorField, rho: NormFamily, pf: ExponentField) -> float:
@@ -342,11 +353,6 @@ class Space:
         self.check(f)
         return self.size_values(f.values)
 
-    def modular(self, f: SampledVectorField) -> float:
-        """The modular for variable exponents, else the p-th power of the norm."""
-        size = self.size(f)
-        return size if self.is_variable else size ** self.p
-
     @np.errstate(over="ignore")  # an overflowing difference is reported by _measure
     def dist(self, f: SampledVectorField, g: SampledVectorField) -> float:
         """Covering metric: norm of the difference; modular form for p < 1."""
@@ -505,10 +511,10 @@ def john_sandwich(rho, d: int, w: np.ndarray, count: int,
                   rng: np.random.Generator) -> tuple[float, float, bool]:
     """Check rho(v) <= |W v| <= sqrt(d) * 1.05 * rho(v) on `count` fresh
     complex Gaussian test vectors: (min |W v| / rho(v), max |W v| /
-    (sqrt(d) rho(v)), whether both bounds hold to a relative 1e-9)."""
+    (sqrt(d) rho(v)), whether both bounds hold by `within`)."""
     vt = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
     rv = rho(vt)
     wv = np.linalg.norm(vt @ w.T, axis=1)
     left = float(np.min(wv / rv))
     right = float(np.max(wv / (np.sqrt(d) * rv)))
-    return left, right, left >= 1.0 - 1e-9 and right <= 1.05 * (1 + 1e-9)
+    return left, right, within(1.0, left) and within(right, 1.05)

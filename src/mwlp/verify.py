@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import MalformedField, MwlpError
+from .errors import MwlpError
 from .grids import Grid
 from .operators import (
     cg_domination_constant,
@@ -25,6 +25,7 @@ from .spaces import (
     Space,
     john_ellipsoid,
     john_sandwich,
+    lq_norm,
     luxemburg_norm,
     modular,
 )
@@ -73,14 +74,8 @@ def suite_john_sandwich(rng, count: int) -> dict:
     for k in range(count):
         d = 2 + k % 2
         kind = k % 5
-        if kind == 0:
-            rho = lambda v: np.sum(np.abs(v), axis=1)
-        elif kind == 1:
-            rho = lambda v: np.sum(np.abs(v) ** 1.5, axis=1) ** (1 / 1.5)
-        elif kind == 2:
-            rho = lambda v: np.sum(np.abs(v) ** 3, axis=1) ** (1 / 3)
-        elif kind == 3:
-            rho = lambda v: np.max(np.abs(v), axis=1)
+        if kind < 4:
+            rho = lq_norm((1.0, 1.5, 3.0, np.inf)[kind])
         else:
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             a += 0.3 * np.eye(d)
@@ -265,17 +260,12 @@ def verify_lemmas(seed: int, count: int, weight_file: str | None = None) -> dict
         from . import fieldio
 
         try:
-            field = fieldio.load_field(weight_file)
-            if not isinstance(field, MatrixWeightField):  # the rule of scenario._field_file
-                raise MalformedField(f"{weight_file} does not contain a MatrixWeightField")
+            field = fieldio.load_field(weight_file, MatrixWeightField)
             file_check = {"path": str(weight_file), "loaded": True,
                           "kind": type(field).__name__, "error": None}
-        except MwlpError as exc:
-            # a MalformedField names the file; a constructor's rejection of
-            # the samples does not, so it is prefixed, as scenario._field_file does
-            where = "" if isinstance(exc, MalformedField) else f"{weight_file}: "
+        except MwlpError as exc:  # load_field's message names the file
             file_check = {"path": str(weight_file), "loaded": False,
-                          "kind": None, "error": f"{type(exc).__name__}: {where}{exc}"}
+                          "kind": None, "error": f"{type(exc).__name__}: {exc}"}
     passed = all(s["passed"] for s in suites)
     return {"count": count, "suites": suites, "weight_file_check": file_check,
             "passed": bool(passed)}

@@ -10,6 +10,12 @@ moves a default report regenerates the files with
     PYTHONPATH=src python tests/golden_reports.py
 
 and lists the fields that moved, as the failing test names them.
+
+The `run-*` entries run scenario files kept in tests/golden/scenarios/,
+together with the field files they read (a weight, a density, family members
+and saved net centers); a command runs in a directory holding a copy of that
+folder, so the relative paths its report echoes read the same everywhere.
+Regenerating leaves the folder as it is.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from mwlp import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 ENVIRONMENT = GOLDEN / "ENVIRONMENT.json"
+SCENARIOS = GOLDEN / "scenarios"
 
 COMMANDS = {
     "ap-constant": ["ap-constant"],
@@ -45,6 +52,12 @@ COMMANDS = {
     "necessity": ["necessity"],
     "verify-lemmas": ["verify-lemmas"],
     "verify-lemmas-5": ["verify-lemmas", "--count", "5"],
+    # weight, density and family from field files; a dyadic net of 4 centers for 5 members
+    "run-files-net": ["run", "scenarios/files-net.yaml"],
+    # the saved centers of that net, rechecked with certify
+    "run-certify-centers": ["run", "scenarios/certify-centers.yaml"],
+    # covers of 1 and 5 centers for 8 members, so the S_r constant is measured
+    "run-necessity-cover": ["run", "scenarios/necessity-cover.yaml"],
 }
 
 
@@ -65,6 +78,8 @@ def run(name: str, out_dir: Path) -> list[Path]:
     the files it wrote (the report, its curve CSVs and the digests of the
     files in its SAVED directory), sorted by name.  A relative path that the
     command writes into its report then reads the same wherever it runs."""
+    if COMMANDS[name][0] == "run":
+        shutil.copytree(SCENARIOS, out_dir / SCENARIOS.name, dirs_exist_ok=True)
     with (contextlib.chdir(out_dir), contextlib.redirect_stdout(io.StringIO()),
           contextlib.redirect_stderr(io.StringIO())):
         code = cli.main(COMMANDS[name] + ["--out", f"{name}.json"])
@@ -122,7 +137,8 @@ def moved_fields(path: Path, old_text: str, new_text: str) -> list[str]:
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.iterdir():
-        old.unlink()
+        if old.is_file():
+            old.unlink()
     staging = GOLDEN / "staging"
     staging.mkdir()
     try:

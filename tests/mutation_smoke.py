@@ -29,29 +29,26 @@ NOT_COPIED = (".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", ".
 #: a suite run that takes longer (a mutant that never ends) counts as killed
 RUN_TIMEOUT_S = 900
 
-NECESSITY_VERDICT = ("passed = tail_val <= tail_bound * (1 + 1e-9) "
-                     "and avg_val <= avg_bound * (1 + 1e-9)")
-JOHN_VERDICT = "left >= 1.0 - 1e-9 and right <= 1.05 * (1 + 1e-9)"
+NECESSITY_VERDICT = "passed = within(tail_val, tail_bound) and within(avg_val, avg_bound)"
 
-#: (name, file under src/mwlp, exact text, replacement)
+#: (name, file under src/mwlp, exact text, replacement); a gate decided by
+#: `spaces.within` is mutated where it is called
 MUTANTS = (
     ("certify slack doubled", "compactness.py",
-     "passed = worst <= threshold * (1 + 1e-9) + 1e-15",
-     "passed = worst <= 2 * threshold * (1 + 1e-9) + 1e-15"),
-    ("John left bound 0.5", "spaces.py", JOHN_VERDICT,
-     "left >= 0.5 and right <= 1.05 * (1 + 1e-9)"),
+     "within(worst, threshold)", "within(worst, 2 * threshold)"),
+    ("John left bound 0.5", "spaces.py", "within(1.0, left)", "within(0.5, left)"),
     ("necessity averaging clause -> True", "compactness.py", NECESSITY_VERDICT,
-     "passed = tail_val <= tail_bound * (1 + 1e-9) and True"),
+     "passed = within(tail_val, tail_bound) and True"),
     ("necessity tail clause -> True", "compactness.py", NECESSITY_VERDICT,
-     "passed = True and avg_val <= avg_bound * (1 + 1e-9)"),
-    ("John right bound 2.0", "spaces.py", JOHN_VERDICT,
-     "left >= 1.0 - 1e-9 and right <= 2.0 * (1 + 1e-9)"),
+     "passed = True and within(avg_val, avg_bound)"),
+    ("John right bound 2.0", "spaces.py", "within(right, 1.05)", "within(right, 2.0)"),
     ("SCREEN_SLACK 64 -> 16", "compactness.py",
      "SCREEN_SLACK = 64.0", "SCREEN_SLACK = 16.0"),
     ("necessity tail bound 4 eps", "compactness.py",
      "tail_bound = 2.0 * eps", "tail_bound = 4.0 * eps"),
     ("weight file of any kind accepted", "verify.py",
-     "if not isinstance(field, MatrixWeightField):", "if False:"),
+     "fieldio.load_field(weight_file, MatrixWeightField)", "fieldio.load_field(weight_file, object)"),
+    ("kind check dropped in fieldio", "fieldio.py", "if not isinstance(field, kind):", "if False:"),
     ("tail mask dropped", "compactness.py",
      "space.size_of_norms(np.where(mask, r, 0.0))", "space.size_of_norms(r)"),
     ("smooth pad cut to N + K - 1", "compactness.py",

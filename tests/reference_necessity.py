@@ -81,6 +81,6 @@ def necessity_rows(family, epsilons, space):
             epsilon=eps, net_size=len(centers), R=R_star, r=r_star,
             tail_value=tail_val, tail_bound=tail_bound,
             averaging_value=avg_val, averaging_bound=avg_bound,
-            s_r_constant=cs, passed=passed,
+            measured_s_r_constant=cs, passed=passed,
         ))
     return rows

@@ -1,6 +1,7 @@
 """Scenario schema, report determinism and CLI exit codes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import shlex
@@ -296,7 +297,7 @@ task: {{name: certify, epsilon: 0.05, c_net: 1.0, centers: ['{zero}']}}
 
         def failing(family, net, space, epsilon=None, c_net=None):
             return compactness.Certificate(passed=False, worst_member=0, worst_distance=1.0,
-                                           threshold=0.5, distances=[1.0])
+                                           threshold=0.5, per_member_distance=[1.0])
 
         monkeypatch.setattr(compactness, "certify_net", failing)
         scenario = f"""\
@@ -337,7 +338,7 @@ task: {{name: {task}, epsilon: 0.2, route: {route}}}
         assert main(["run", str(write_scenario(tmp_path, scenario)), "--out", str(out)]) == 0
         assert len(calls) == 1
         rep = json.loads(out.read_text())["outputs"]
-        assert rep["certificate"] == calls[0].certificate.as_dict()
+        assert rep["certificate"] == dataclasses.asdict(calls[0].certificate)
 
     def test_certify_honours_notion(self, tmp_path, monkeypatch):
         from mwlp import compactness
@@ -701,6 +702,37 @@ task: {name: necessity, epsilons: [0.2]}
         assert not check["loaded"] and check["kind"] is None
         # every rejection names the file, the constructor's ones included
         assert check["error"].startswith(f"{error}: {path}")
+
+    @pytest.mark.parametrize("kind, sample", [("matrix", "nan 0.0"), ("matrix", "-1.0 0.0"),
+                                              ("matrix", "1.0"), ("vector", "1.0 0.0")],
+                             ids=["non-finite", "not-psd", "short-row", "vector"])
+    def test_weight_path_and_weight_file_give_one_message(self, tmp_path, capsys, kind, sample):
+        """fieldio.load_field decides both: the scenario prefixes its field path,
+        verify-lemmas the error class, and the message body is the same."""
+        path = tmp_path / "w.txt"
+        header = f"mwfield 1\nkind {kind}\nn 1\nL 2.0\nN 256\nd 1\ninvertible 0\n"
+        path.write_text(header + f"{sample}\n" * 256)
+        text = self.NECESSITY.replace(self.WEIGHT, f"{{kind: file, path: '{path}'}}")
+        assert main(["run", str(write_scenario(tmp_path, text))]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        out = tmp_path / "vl.json"
+        argv = ["verify-lemmas", "--count", "0", "--weight-file", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        error_class, body = self._outputs(out)["weight_file_check"]["error"].split(": ", 1)
+        assert body.startswith(str(path))
+        assert err == f"error: weight.path: {body}"
+        assert error_class in ("NonFinite", "NotPSD", "MalformedField")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["net", "--epsilon", "abc"], "mwlp net: argument --epsilon: invalid float value: 'abc'"),
+        (["net", "--bogus", "1"], "mwlp: unrecognized arguments: --bogus 1"),
+        ([], "mwlp: the following arguments are required: command"),
+    ], ids=["bad-value", "unknown-flag", "no-command"])
+    def test_command_line_error_exits_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("p, task", [(0.5, "{name: net, route: average}"),
                                          (1.0, "{name: necessity}")])

@@ -225,7 +225,7 @@ class TestTwisted:
         dense = moduli_report(fam, Space.matrix_weight(w, 2.0, mu), "twisted")
         assert dense.bound == 2.0 * plain.bound
         for got, base in ((dense.tail_curve, plain.tail_curve),
-                          (dense.equi_curve, plain.equi_curve)):
+                          (dense.equicontinuity_curve, plain.equicontinuity_curve)):
             assert [v for _, v in got] == [2.0 * v for _, v in base]
 
     @pytest.mark.parametrize("p", [2.0, 1.5])
@@ -548,7 +548,7 @@ class TestNecessity:
     def _assert_rows_match(fam, epsilons, sp):
         rows = necessity_check(fam, epsilons, sp).rows
         expected = necessity_rows(fam, epsilons, sp)
-        assert [r.as_dict() for r in rows] == [r.as_dict() for r in expected]
+        assert rows == expected
         assert all(type(r.passed) is bool for r in rows)
         return rows
 
@@ -617,7 +617,7 @@ class TestModuliReport:
         assert rep.notion == "translation"
         assert len(rep.tail_curve) == 4
         assert all(v >= 0 for _r, v in rep.tail_curve)
-        assert all(v >= 0 for _r, v in rep.equi_curve)
+        assert all(v >= 0 for _r, v in rep.equicontinuity_curve)
         rep2 = moduli_report(fam, sp, notion="averaging")
         assert rep2.notion == "averaging"
 

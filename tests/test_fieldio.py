@@ -22,7 +22,7 @@ def test_matrix_round_trip(tmp_path, rng):
     w = MatrixWeightField(g, vals, invertible=True)
     path = tmp_path / "w.txt"
     fieldio.save_field(path, w)
-    w2 = fieldio.load_field(path)
+    w2 = fieldio.load_field(path, MatrixWeightField)
     assert isinstance(w2, MatrixWeightField)
     assert w2.invertible
     assert w2.grid == g
@@ -35,7 +35,7 @@ def test_vector_round_trip(tmp_path, rng):
         g, rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3)))
     path = tmp_path / "f.txt"
     fieldio.save_field(path, f)
-    f2 = fieldio.load_field(path)
+    f2 = fieldio.load_field(path, SampledVectorField)
     assert isinstance(f2, SampledVectorField)
     assert np.array_equal(f.values, f2.values)
 
@@ -50,7 +50,7 @@ def test_scalar_kinds_round_trip(tmp_path, rng):
     for name, field in fields.items():
         path = tmp_path / name
         fieldio.save_field(path, field)
-        back = fieldio.load_field(path)
+        back = fieldio.load_field(path, type(field))
         assert type(back) is type(field)
         assert np.array_equal(field.values, back.values)
 
@@ -63,7 +63,7 @@ def test_negative_zero_preserved(tmp_path):
     f = SampledVectorField(g, vals)
     path = tmp_path / "z.txt"
     fieldio.save_field(path, f)
-    back = fieldio.load_field(path)
+    back = fieldio.load_field(path, SampledVectorField)
     assert np.signbit(back.values[0, 0].real)
 
 
@@ -77,7 +77,7 @@ def test_rows_are_shortest_reprs_and_load_bit_for_bit(tmp_path, rng):
     rows = np.stack([vals.real, vals.imag], axis=-1).reshape(8, 4)
     body = path.read_text().splitlines()[6:]
     assert body == [" ".join(repr(float(x)) for x in row) for row in rows]
-    back = fieldio.load_field(path).values
+    back = fieldio.load_field(path, SampledVectorField).values
     assert np.array_equal(back.view(np.int64), vals.view(np.int64))
 
 
@@ -85,7 +85,7 @@ def test_corrupted_file_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a field\n")
     with pytest.raises(ValueError):
-        fieldio.load_field(path)
+        fieldio.load_field(path, SampledVectorField)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -101,7 +101,7 @@ def test_malformed_file_raises_toolkit_error(tmp_path, edit, message):
     fieldio.save_field(path, zero_field(Grid(1, 1.0, 8), 1))
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(MalformedField, match=message) as info:
-        fieldio.load_field(path)
+        fieldio.load_field(path, SampledVectorField)
     assert isinstance(info.value, MwlpError)
 
 
@@ -177,4 +177,21 @@ def test_undecodable_file_raises_malformed_field(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"mwfield 1\nkind vector\n\xff\n")
     with pytest.raises(MalformedField, match="can't decode"):
-        fieldio.load_field(path)
+        fieldio.load_field(path, SampledVectorField)
+
+
+def test_wrong_kind_names_the_file_and_the_kind(tmp_path):
+    path = tmp_path / "f.txt"
+    fieldio.save_field(path, zero_field(Grid(1, 1.0, 8), 1))
+    with pytest.raises(MalformedField) as info:
+        fieldio.load_field(path, MatrixWeightField)
+    assert str(info.value) == f"{path} does not contain a MatrixWeightField"
+
+
+def test_constructor_rejection_keeps_its_class_and_names_the_file(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("mwfield 1\nkind exponent\nn 1\nL 1.0\nN 8\nd 1\n" + "0.5\n" * 8)
+    with pytest.raises(MwlpError) as info:
+        fieldio.load_field(path, ExponentField)
+    assert type(info.value).__name__ == "OutOfRange"
+    assert str(info.value) == f"{path}: exponents must satisfy p(x) >= 1"

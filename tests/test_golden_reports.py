@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golden_reports import COMMANDS, ENVIRONMENT, GOLDEN, environment, moved_fields, run, written
+from golden_reports import (COMMANDS, ENVIRONMENT, GOLDEN, SCENARIOS, environment, moved_fields,
+                            run, written)
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
@@ -32,7 +33,7 @@ def test_default_report_bytes(name, tmp_path):
 
 
 def test_golden_files_cover_every_command():
-    names = {p.name for p in GOLDEN.iterdir()} - {ENVIRONMENT.name}
+    names = {p.name for p in GOLDEN.iterdir()} - {ENVIRONMENT.name, SCENARIOS.name}
     assert names == {p.name for name in COMMANDS for p in written(GOLDEN, name)}
     assert {f"{name}.json" for name in COMMANDS} <= names
 

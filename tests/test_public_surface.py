@@ -24,6 +24,7 @@ ENTRY_POINTS = {("cli", "main"), ("scenario", "from_file")}
 KEEP = (
     ("operators", "translate"),  # the translation operator tau_y f, which the moduli measure
     ("operators", "symdiff_measure"),  # mu(E symdiff (E + y)), tested by acceptance criterion 9
+    ("cli", "_Parser.error"),  # the argparse hook, called by argparse on a usage error
 )
 
 
