@@ -338,7 +338,7 @@ def translation_modulus(family: FunctionFamily, r: float, space: Space) -> float
 def _diagonalized(family: FunctionFamily, w: MatrixWeightField):
     """Pointwise diagonalization: D(x) = diag(eigenvalues), f~ = U^H f."""
     lam, u = w.eig()
-    d_field = MatrixWeightField.diagonal(w.grid, lam, invertible=w.invertible)
+    d_field = MatrixWeightField.diagonal(w.grid, lam)
     tilted = [
         SampledVectorField(f.grid, np.einsum("mji,mj->mi", u.conj(), f.values))
         for f in family

@@ -13,12 +13,9 @@ class NotPSD(MwlpError):
     """Matrix flagged positive-semidefinite has an eigenvalue below the clamp band."""
 
 
-class SingularMatrix(MwlpError):
-    """Negative matrix power requested for a matrix that is not positive-definite."""
-
-
 class NotInvertible(MwlpError):
-    """Operation requires an invertible weight field."""
+    """Operation needs a negative power of a matrix, or of a weight, that is not
+    positive-definite."""
 
 
 class EmptyCubeFamily(MwlpError):

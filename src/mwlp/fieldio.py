@@ -8,7 +8,7 @@ Format (one file per field):
     L <float repr>
     N <int>
     d <int>
-    invertible <0|1>          (matrix kind only)
+    invertible <0|1>          (matrix kind only; written, ignored on load)
     <one line per grid point, row-major>
 
 Every kind follows one row rule: a row holds the entries of one sample in
@@ -43,7 +43,7 @@ def save_field(path, field) -> None:
     grid, values = field.grid, field.values
     lines = [_MAGIC, f"kind {kind}", f"n {grid.n}", f"L {grid.L!r}", f"N {grid.N}",
              f"d {values.shape[1] if values.ndim > 1 else 1}"]
-    if kind == "matrix":
+    if kind == "matrix":  # the measured property; a loaded weight measures its own
         lines.append(f"invertible {1 if field.invertible else 0}")
     # a complex entry viewed as float64 is its (re, im) pair
     rows = np.ascontiguousarray(values).reshape(grid.num_points, -1).view(np.float64)
@@ -120,6 +120,4 @@ def _parse_field(text: str, path):
         raise MalformedField(f"{path}: every row must hold {columns} numbers")
     # the float64 (re, im) pairs viewed as complex keep signed zeros intact
     values = np.array(rows, dtype=np.float64).view(dtype).reshape(shape)
-    if kind == "matrix":
-        return cls(grid, values, invertible=header.get("invertible", "0") == "1")
     return cls(grid, values)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPSD, OutOfRange, ShapeMismatch, SingularMatrix
+from .errors import NonFinite, NotHermitian, NotInvertible, NotPSD, OutOfRange, ShapeMismatch
 
 #: relative conjugate-symmetry tolerance
 TOL_HERM = 1e-12
 #: eigenvalues in [-TOL_PSD_REL * max|lambda|, 0] are clamped to zero
 TOL_PSD_REL = 1e-10
-#: relative positive-definiteness threshold for negative powers
+#: relative positive-definiteness threshold, the one rule of `definite`
 TOL_PD_REL = 1e-14
 #: largest supported matrix dimension
 MAX_DIM = 8
@@ -83,13 +83,18 @@ def _clamp_psd(lam: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
+def definite(lam: np.ndarray) -> np.ndarray:
+    """Whether each matrix is positive-definite, given its clamped eigenvalues
+    in ascending order along the last axis: the smallest must exceed
+    TOL_PD_REL times the largest.  This is the one definiteness rule."""
+    return lam[..., 0] > TOL_PD_REL * lam[..., -1]
+
+
 def batched_power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
     """A^s for every matrix of a stack given precomputed eigensystems."""
     lam_c = _clamp_psd(lam)
-    if s < 0:
-        tol_pd = TOL_PD_REL * np.max(lam_c, axis=1)
-        if np.any(np.min(lam_c, axis=1) <= tol_pd):
-            raise SingularMatrix("negative power of a singular matrix in the stack")
+    if s < 0 and not np.all(definite(lam_c)):
+        raise NotInvertible("negative power of a matrix that is not positive-definite")
     return batched_sandwich(u, np.power(lam_c, s))
 
 
@@ -256,7 +261,7 @@ def mat_power(a, s: float) -> np.ndarray:
     """Fractional power A^s of a PSD Hermitian matrix via its eigensystem.
 
     For s < 0 the matrix must be positive-definite; otherwise
-    SingularMatrix is raised.  The result is Hermitian PSD.
+    NotInvertible is raised.  The result is Hermitian PSD.
     """
     return batched_power_from_eig(*batched_eigh(_stack_of_one(a)), s)[0]
 

@@ -29,9 +29,14 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from .compactness import NOTIONS
+from . import fieldio
+from .compactness import NOTIONS, FunctionFamily
 from .errors import MwlpError, SchemaError
+from .families import gaussian_bumps
+from .grids import Grid
 from .matrix_core import MAX_DIM
+from .spaces import ExponentField, SampledVectorField
+from .weight_fields import MatrixWeightField, MeasureDensity, make_power_weight
 
 
 @dataclass
@@ -212,7 +217,6 @@ _FINITE = _rule(np.isfinite, "must be finite", _as_number)
 _POSITIVE = _rule(lambda x: 0 < x < np.inf, "must be positive and finite", _as_number)
 _PATH = _rule(lambda v: isinstance(v, str), "expected a file path")
 _FILE = {"path": Param(_PATH, REQUIRED)}
-_BOOL = _rule(lambda v: isinstance(v, bool), "expected true or false")
 _MATRIX = _rule(lambda m: len(m) <= MAX_DIM and all(len(row) == len(m) for row in m),
                 f"expected a square matrix of at most {MAX_DIM} rows", _list_of(_list_of(_entry)))
 
@@ -234,10 +238,10 @@ SECTION_PARAMS = {
         "power": {"alpha": Param(_rule(lambda a: len(a) <= MAX_DIM,
                                        f"expected at most {MAX_DIM} exponents",
                                        _list_of(_FINITE)), REQUIRED),
-                  "rotation": Param(_section("weight.rotation")), "invertible": Param(_BOOL)},
+                  "rotation": Param(_section("weight.rotation"))},
         "identity": {"d": Param(_rule(lambda d: d <= MAX_DIM, f"must be at most {MAX_DIM}",
                                       _count(1)), REQUIRED)},
-        "constant": {"entries": Param(_MATRIX, REQUIRED), "invertible": Param(_BOOL, True)},
+        "constant": {"entries": Param(_MATRIX, REQUIRED)},
         "file": _FILE},
     "weight.rotation": {"none": {}, "linear": {"rate": Param(_FINITE, 1.0)}},
     "measure": {"lebesgue": {}, "file": _FILE},
@@ -311,8 +315,6 @@ def _needed(sc: Scenario, section: str) -> dict:
 
 def _field_file(path: str, file: str, kind: type, grid):
     """The `kind` field in `file`, given at scenario path `path`, on `grid`."""
-    from . import fieldio
-
     try:
         field = fieldio.load_field(file, kind)
     except MwlpError as exc:  # load_field's message names the file
@@ -323,23 +325,19 @@ def _field_file(path: str, file: str, kind: type, grid):
 
 
 def build_grid(sc: Scenario):
-    from .grids import Grid
-
     return Grid(**_needed(sc, "grid"))
 
 
 def build_weight(sc: Scenario, grid):
-    from .weight_fields import MatrixWeightField, make_power_weight
-
     spec = _needed(sc, "weight")
     if spec["kind"] == "file":
         return _field_file("weight.path", spec["path"], MatrixWeightField, grid)
     if spec["kind"] == "identity":
-        return MatrixWeightField.constant(grid, np.eye(spec["d"]), invertible=True)
+        return MatrixWeightField.constant(grid, np.eye(spec["d"]))
     if spec["kind"] == "constant":
         try:
-            return MatrixWeightField.constant(grid, spec["entries"], invertible=spec["invertible"])
-        except MwlpError as exc:  # not Hermitian, not PSD, or singular though invertible
+            return MatrixWeightField.constant(grid, spec["entries"])
+        except MwlpError as exc:  # not Hermitian or not PSD
             _fail("weight.entries", str(exc))
     rotation = None
     if spec["rotation"] is not None and spec["rotation"]["kind"] == "linear":
@@ -350,21 +348,19 @@ def build_weight(sc: Scenario, grid):
         def rotation(pts, rate=rate):
             return rate * pts[:, 0]
 
-    return make_power_weight(grid, spec["alpha"], rotation=rotation,
-                             invertible=spec["invertible"])
+    try:
+        return make_power_weight(grid, spec["alpha"], rotation=rotation)
+    except MwlpError as exc:  # samples that overflow
+        _fail("weight.alpha", str(exc))
 
 
 def build_measure(sc: Scenario, grid):
-    from .weight_fields import MeasureDensity
-
     if sc.measure["kind"] == "lebesgue":
         return None
     return _field_file("measure.path", sc.measure["path"], MeasureDensity, grid)
 
 
 def build_exponent(sc: Scenario, grid):
-    from .spaces import ExponentField
-
     if sc.exponent["kind"] == "constant":
         return ExponentField.constant(grid, sc.exponent["p"])
     return _field_file("exponent.path", sc.exponent["path"], ExponentField, grid)
@@ -376,10 +372,6 @@ def constant_p(sc: Scenario) -> float | None:
 
 
 def build_family(sc: Scenario, grid, rng):
-    from .compactness import FunctionFamily
-    from .families import gaussian_bumps
-    from .spaces import SampledVectorField
-
     spec = _needed(sc, "family")
     if spec["kind"] == "files":
         members = [_field_file(f"family.paths[{i}]", p, SampledVectorField, grid)
@@ -393,8 +385,6 @@ def build_family(sc: Scenario, grid, rng):
 
 def build_centers(sc: Scenario, grid, d: int):
     """The task's center fields, each on `grid` with the family's dimension d."""
-    from .spaces import SampledVectorField
-
     centers = []
     for i, path in enumerate(sc.param("centers")):
         center = _field_file(f"task.centers[{i}]", path, SampledVectorField, grid)

@@ -97,7 +97,7 @@ def _random_modular_instance(rng):
     vals = np.zeros((n_pts, d, d), dtype=np.complex128)
     for i in range(n_pts):
         vals[i] = _random_psd(rng, d, definite=True)
-    w = MatrixWeightField(grid, vals, invertible=True)
+    w = MatrixWeightField(grid, vals)
     p_vals = 1.0 + 3.0 * rng.random(n_pts)
     pf = ExponentField(grid, p_vals)
     rho = NormFamily.from_matrix_weight(w, float(np.mean(p_vals)))
@@ -148,8 +148,7 @@ def suite_scalar_weights(rng, count: int) -> dict:
     ok = True
     for n_pts in (512, 1024):
         grid = Grid(1, 1.0, n_pts)
-        w = make_power_weight(grid, [0.5, 1.0 / 3.0],
-                              rotation=lambda p: p[:, 0], invertible=True)
+        w = make_power_weight(grid, [0.5, 1.0 / 3.0], rotation=lambda p: p[:, 0])
         probe = scalar_weight_probe(w, 2.0, CubeFamily.default(grid))
         results.append(probe)
         ok = ok and all(np.isfinite(probe[k]) for k in
@@ -172,8 +171,7 @@ def suite_averaging_bound(rng, count: int) -> dict:
     values = []
     for n_pts in (512, 1024):
         grid = Grid(1, 2.0, n_pts)
-        w = make_power_weight(grid, [0.5, 1.0 / 3.0],
-                              rotation=lambda p: p[:, 0], invertible=True)
+        w = make_power_weight(grid, [0.5, 1.0 / 3.0], rotation=lambda p: p[:, 0])
         fam = bump_combinations(grid, 2, max(count, 4),
                                 np.random.default_rng(member_seed))
         radii = [grid.L / 8, grid.L / 16]
@@ -203,8 +201,7 @@ def suite_maximal_bound(rng, count: int) -> dict:
     """Empirical L^q bound of the maximal operator near p (no theoretical
     value asserted; ratios are recorded and must be finite)."""
     grid = Grid(1, 1.0, 128)
-    w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0],
-                          invertible=True)
+    w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0])
     p = 2.0
     ratios = {}
     fam = bump_combinations(grid, 2, max(min(count, 8), 2), rng)
@@ -226,8 +223,7 @@ def suite_maximal_bound(rng, count: int) -> dict:
 def suite_ball_domination(rng, count: int) -> dict:
     """|W^{1/p}(x) S_r f(x)| <= C * M_w(W^{1/p} f)(x) with C <= 1."""
     grid = Grid(1, 1.0, 128)
-    w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0],
-                          invertible=True)
+    w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0])
     worst = 0.0
     fam = bump_combinations(grid, 2, max(min(count, 4), 1), rng)
     for f in fam:

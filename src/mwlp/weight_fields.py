@@ -64,14 +64,14 @@ class MeasureDensity:
 class MatrixWeightField:
     """PSD matrix weight sampled at cell centers, values of shape (M, d, d).
 
-    With invertible=True every sampled matrix must be positive-definite;
-    negative fractional powers are then available.  The eigensystems are
-    computed once, on construction, unless `_eig` supplies them.
+    The eigensystems are computed once, on construction, unless `_eig`
+    supplies them.  `invertible` is measured from them: it holds when every
+    sampled matrix is positive-definite by `matrix_core.definite`, and
+    negative fractional powers are then available.
     """
 
     grid: Grid
     values: np.ndarray
-    invertible: bool = False
     _eig: tuple | None = field(default=None, repr=False, compare=False)
     SAMPLE = (np.complex128, 3)
 
@@ -83,8 +83,7 @@ class MatrixWeightField:
             raise OutOfRange(f"matrix dimension {v.shape[1]} outside 1..{mc.MAX_DIM}")
         lam, u = mc.batched_eigh(v) if self._eig is None else self._eig
         lam = mc._clamp_psd(lam)
-        if self.invertible and np.any(lam[:, 0] <= mc.TOL_PD_REL * lam[:, -1]):
-            raise NotInvertible("invertible flag set but some sampled matrix is singular")
+        self.invertible = bool(np.all(mc.definite(lam)))
         lam.setflags(write=False)
         u.setflags(write=False)
         self._eig = (lam, u)
@@ -113,63 +112,63 @@ class MatrixWeightField:
         return ScalarWeightField(self.grid, lam[:, 0].copy())
 
     @classmethod
-    def constant(cls, grid: Grid, mat, invertible: bool = False) -> "MatrixWeightField":
+    def constant(cls, grid: Grid, mat) -> "MatrixWeightField":
         """W(x) = mat at every point; the one matrix is decomposed once and its
-        eigensystem broadcast, and the clamp and invertibility checks still run."""
+        eigensystem broadcast, and the clamp and the definiteness measurement
+        still run."""
         m = np.asarray(mat, dtype=np.complex128)
         lam, u = mc.batched_eigh(m[None])
         vals = np.broadcast_to(m, (grid.num_points,) + m.shape).copy()
         eig = (np.broadcast_to(lam, (grid.num_points,) + lam.shape[1:]),
                np.broadcast_to(u, vals.shape))
-        return cls(grid, vals, invertible=invertible, _eig=eig)
+        return cls(grid, vals, _eig=eig)
 
     @classmethod
-    def diagonal(cls, grid: Grid, lam, invertible: bool = False) -> "MatrixWeightField":
+    def diagonal(cls, grid: Grid, lam) -> "MatrixWeightField":
         """D(x) = diag(lam(x)) for ascending rows lam of shape (M, d), with the
-        eigensystem (lam, I) taken as given; the clamp and invertibility
-        checks still run."""
+        eigensystem (lam, I) taken as given; the clamp and the definiteness
+        measurement still run."""
         lam = np.asarray(lam, dtype=np.float64)
         m, d = lam.shape
         idx = np.arange(d)
         vals = np.zeros((m, d, d), dtype=np.complex128)
         vals[:, idx, idx] = lam
         eye = np.broadcast_to(np.eye(d, dtype=np.complex128), (m, d, d))
-        return cls(grid, vals, invertible=invertible, _eig=(lam, eye))
+        return cls(grid, vals, _eig=(lam, eye))
 
 
-def make_power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None = None) -> MatrixWeightField:
+def make_power_weight(grid: Grid, alphas, rotation=None) -> MatrixWeightField:
     """Rotated power weight W(x) = R(x) diag(|x|^a_1, ..., |x|^a_d) R(x)^H.
 
     rotation, if given, is a callable mapping the (M, n) point array to an
     (M,) array of angles; the rotation acts as a Givens rotation in the
     first two coordinates (d >= 2), and `matrix_core.batched_sandwich` forms
-    R D R^H.  Cell centers of an even grid never hit the origin, so the
-    samples are finite for any real exponents.
+    R D R^H.  Cell centers of an even grid never hit the origin, but a large
+    exponent can overflow: the samples are then formed without numpy
+    warnings, and the constructor rejects the non-finite ones.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     d = alphas.shape[0]
-    r = grid.radii
-    diag = np.power(r[:, None], alphas[None, :])
     m = grid.num_points
     idx = np.arange(d)
-    if rotation is None:
-        vals = np.zeros((m, d, d), dtype=np.complex128)
-        vals[:, idx, idx] = diag
-    else:
-        if d < 2:
-            raise OutOfRange("rotation requires d >= 2")
-        theta = np.asarray(rotation(grid.points), dtype=np.float64)
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.zeros((m, d, d), dtype=np.complex128)
-        rot[:, idx, idx] = 1.0
-        rot[:, 0, 0] = c
-        rot[:, 0, 1] = -s
-        rot[:, 1, 0] = s
-        rot[:, 1, 1] = c
-        vals = mc.batched_sandwich(rot, diag)
-    if invertible is None:
-        invertible = bool(np.all(alphas == 0) or np.all(np.min(diag, axis=1) > 0))
-    return MatrixWeightField(grid, vals, invertible=invertible)
+    if rotation is not None and d < 2:
+        raise OutOfRange("rotation requires d >= 2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.power(grid.radii[:, None], alphas[None, :])
+        if rotation is None:
+            vals = np.zeros((m, d, d), dtype=np.complex128)
+            vals[:, idx, idx] = diag
+        else:
+            theta = np.asarray(rotation(grid.points), dtype=np.float64)
+            c, s = np.cos(theta), np.sin(theta)
+            rot = np.zeros((m, d, d), dtype=np.complex128)
+            rot[:, idx, idx] = 1.0
+            rot[:, 0, 0] = c
+            rot[:, 0, 1] = -s
+            rot[:, 1, 0] = s
+            rot[:, 1, 1] = c
+            vals = mc.batched_sandwich(rot, diag)
+    return MatrixWeightField(grid, vals)
 
 
 # ---------------------------------------------------------------------------

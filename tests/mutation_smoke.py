@@ -54,6 +54,10 @@ MUTANTS = (
     ("smooth pad cut to N + K - 1", "compactness.py",
      "pad = (_smooth_length(big_n + min(int(np.max(np.abs(shifts))), big_n)),) * n",
      "pad = (big_n + min(int(np.max(np.abs(shifts))), big_n) - 1,) * n"),
+    ("definite always true", "matrix_core.py",
+     "return lam[..., 0] > TOL_PD_REL * lam[..., -1]", "return np.ones(lam.shape[:-1], bool)"),
+    ("p = 1 check dropped in build_net_average", "compactness.py",
+     "if p == 1.0 and not w.invertible:", "if False:"),
 )
 
 #: survivors with a known cause, reported but not counted as a failure

@@ -10,7 +10,7 @@ and plain."""
 import numpy as np
 
 from mwlp import matrix_core as mc
-from mwlp.errors import SingularMatrix
+from mwlp.errors import NotInvertible
 from mwlp.grids import Grid
 from mwlp.weight_fields import MatrixWeightField
 
@@ -27,11 +27,11 @@ def power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
     if s < 0:
         tol_pd = mc.TOL_PD_REL * np.max(lam_c, axis=1)
         if np.any(np.min(lam_c, axis=1) <= tol_pd):
-            raise SingularMatrix("negative power of a singular matrix in the stack")
+            raise NotInvertible("negative power of a matrix that is not positive-definite")
     return sandwich(u, np.power(lam_c, s))
 
 
-def power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None = None) -> MatrixWeightField:
+def power_weight(grid: Grid, alphas, rotation=None) -> MatrixWeightField:
     """`make_power_weight` with R D R^H as one einsum over the full diagonal stack D."""
     alphas = np.asarray(alphas, dtype=np.float64)
     d = alphas.shape[0]
@@ -51,6 +51,4 @@ def power_weight(grid: Grid, alphas, rotation=None, invertible: bool | None = No
         rot[:, 1, 1] = c
         vals = np.einsum("mij,mjk,mlk->mil", rot, vals, rot.conj())
         vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
-    if invertible is None:
-        invertible = bool(np.all(alphas == 0) or np.all(np.min(diag, axis=1) > 0))
-    return MatrixWeightField(grid, vals, invertible=invertible)
+    return MatrixWeightField(grid, vals)

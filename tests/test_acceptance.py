@@ -56,7 +56,7 @@ def bump_setup():
     family = gaussian_bumps(grid, 2, 40, rng, center_range=(-1.0, 1.0),
                             width_range=(0.5, 1.0), amplitude_range=(0.3, 1.0))
     weight = make_power_weight(grid, [0.5, 1.0 / 3.0],
-                               rotation=lambda p: p[:, 0], invertible=True)
+                               rotation=lambda p: p[:, 0])
     return grid, family, weight
 
 
@@ -121,7 +121,7 @@ def test_criterion_3_modular_norm_comparisons():
         grid = Grid(1, 1.0, 64)
         d = 1 + k % 3
         vals = np.stack([random_psd(rng, d, definite=True) for _ in range(64)])
-        w = MatrixWeightField(grid, vals, invertible=True)
+        w = MatrixWeightField(grid, vals)
         pf = ExponentField(grid, 1.0 + 3.0 * rng.random(64))
         rho = NormFamily.from_matrix_weight(w, 2.0)
         f = SampledVectorField(
@@ -216,7 +216,7 @@ def test_criterion_7_averaging_operator_stability():
     for n_pts in (2048, 4096):
         grid = Grid(1, 2.0, n_pts)
         weight = make_power_weight(grid, [0.5, 1.0 / 3.0],
-                                   rotation=lambda p: p[:, 0], invertible=True)
+                                   rotation=lambda p: p[:, 0])
         fields = list(bump_combinations(grid, 2, 50, np.random.default_rng(SEED)))
         radii = [grid.L / 2 ** k for k in range(2, 8)]
         values.append(averaging_bound(fields, weight, 2.0, radii))
@@ -241,8 +241,7 @@ def test_criterion_8_scalar_reduction():
             s = rng.uniform(0.3, 0.8)
             wexp += rng.uniform(-1.0, 1.0) * np.exp(-(x - c) ** 2 / (2 * s ** 2))
         wv = np.exp(wexp)
-        weight = MatrixWeightField(grid, wv.reshape(-1, 1, 1).astype(complex),
-                                   invertible=True)
+        weight = MatrixWeightField(grid, wv.reshape(-1, 1, 1).astype(complex))
         space = Space.matrix_weight(weight, 2.0)
         family = gaussian_bumps(grid, 1, 6, rng, center_range=(-0.5, 0.5),
                                 width_range=(0.25, 0.5))
@@ -310,14 +309,14 @@ def test_criterion_10_ap_behavior_split():
     stable = []
     for n_pts in (2 ** 12, 2 ** 13, 2 ** 14):
         grid = Grid(1, 1.0, n_pts)
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         stable.append(ap_constant(w, 2.0, CubeFamily.default(grid)))
     changes = [abs(stable[i + 1] - stable[i]) / stable[i] for i in range(2)]
     assert all(c < 0.05 for c in changes)
 
     # divergent branch: |x|^3 I as origin-anchored dyadic scales are added
     grid = Grid(1, 1.0, 2 ** 13)
-    w3 = make_power_weight(grid, [3.0], invertible=True)
+    w3 = make_power_weight(grid, [3.0])
     grown = []
     for added in range(5):
         corners, sides = [], []

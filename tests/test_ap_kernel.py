@@ -100,8 +100,7 @@ def test_kernel_matches_svd_of_products(stacks):
 def weight_for(n, d):
     grid = Grid(1, 1.0, 64) if n == 1 else Grid(2, 1.0, 8)
     alphas = [0.5, 1.0 / 3.0, -0.25][:d]
-    return make_power_weight(grid, alphas, rotation=lambda pts: 3.0 * pts[:, 0],
-                             invertible=True)
+    return make_power_weight(grid, alphas, rotation=lambda pts: 3.0 * pts[:, 0])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -118,7 +117,7 @@ def ill_conditioned_weight():
     # W(x) = R(x) diag(|x|, 1/|x|) R(x)^H: W^{1/p}(x) W^{-1/p}(y) nearly
     # cancels for neighbouring cells; ||W^{1/p}|| ||W^{-1/p}|| reaches 1.7e7 at p = 0.5
     return make_power_weight(Grid(1, 1.0, 64), [1.0, -1.0],
-                             rotation=lambda pts: 3.0 * pts[:, 0], invertible=True)
+                             rotation=lambda pts: 3.0 * pts[:, 0])
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
@@ -132,7 +131,7 @@ def test_ap_constant_matches_reference_ill_conditioned(p):
 def scalar_weights_suite_weight(n_pts):
     """The weight of `verify.suite_scalar_weights` on its grid of n_pts cells."""
     return make_power_weight(Grid(1, 1.0, n_pts), [0.5, 1.0 / 3.0],
-                             rotation=lambda pts: pts[:, 0], invertible=True)
+                             rotation=lambda pts: pts[:, 0])
 
 
 def ap_constant_cli_weight():
@@ -241,7 +240,7 @@ def overflow_weight():
     g = Grid(1, 1.0, 16)
     v = np.ones(16)
     v[3] = 1e-300
-    return MatrixWeightField.diagonal(g, np.repeat(v[:, None], 2, axis=1), invertible=True)
+    return MatrixWeightField.diagonal(g, np.repeat(v[:, None], 2, axis=1))
 
 
 @pytest.mark.parametrize("make_weight, p", [
@@ -274,8 +273,7 @@ def test_real_weight_reaches_the_kernel_as_float64(monkeypatch):
     assert seen and set(seen) == {(np.dtype(np.float64), np.dtype(np.float64))}
     seen.clear()
     # a weight whose powers have nonzero imaginary parts stays complex
-    w = MatrixWeightField.constant(Grid(1, 1.0, 16), [[2.0, 0.5j], [-0.5j, 1.0]],
-                                   invertible=True)
+    w = MatrixWeightField.constant(Grid(1, 1.0, 16), [[2.0, 0.5j], [-0.5j, 1.0]])
     assert np.any(w.power(0.5).imag)
     ap_constant(w, 2.0, CubeFamily.default(w.grid))
     assert seen and set(seen) == {(np.dtype(np.complex128), np.dtype(np.complex128))}

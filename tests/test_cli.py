@@ -414,7 +414,7 @@ task: {task}
         assert err == [f"error: task.centers[0]: {path}: expected 64 rows, found 59"]
 
     @pytest.mark.parametrize("field, message", [
-        (MatrixWeightField.constant(Grid(1, 8.0, 4096), np.eye(2), invertible=True),
+        (MatrixWeightField.constant(Grid(1, 8.0, 4096), np.eye(2)),
          "{path} does not contain a SampledVectorField"),
         (MeasureDensity.lebesgue(Grid(1, 8.0, 4096)),
          "{path} does not contain a SampledVectorField"),
@@ -615,7 +615,8 @@ task: {name: necessity, epsilons: [0.2]}
         (WEIGHT, "{kind: power, alpha: [0.5], rotation: {kind: linear}}", "weight.rotation"),
         (WEIGHT, "{kind: constant, entries: [[1, 2], [0, 1]]}", "weight.entries"),
         (WEIGHT, "{kind: constant, entries: [[1, 0], [0, -1]]}", "weight.entries"),
-        (WEIGHT, "{kind: constant, entries: [[1, 0], [0, 0]]}", "weight.entries"),
+        (WEIGHT, "{kind: constant, entries: [[1, 0], [0, 1]], invertible: true}",
+         "weight.invertible"),
         ("count: 4, d: 1", "count: 4, d: 3", "family.d"),
     ], ids=["net-notion", "moduli-notion", "net-route", "family-count", "net-unknown-key",
             "net-epsilon-text", "necessity-epsilons-scalar", "necessity-epsilons-empty",
@@ -627,12 +628,60 @@ task: {name: necessity, epsilons: [0.2]}
             "measure-path-number", "grid-unknown-key", "grid-length-infinite", "seed-negative",
             "identity-d-above-max", "constant-entries-infinite", "rotation-one-exponent",
             "constant-entries-not-hermitian", "constant-entries-not-psd",
-            "constant-entries-singular", "family-d-not-weight-d"])
+            "constant-invertible-key", "family-d-not-weight-d"])
     def test_invalid_scenario_value_exits_one(self, tmp_path, capsys, old, new, field):
         path = write_scenario(tmp_path, self.NECESSITY.replace(old, new))
         assert main(["run", str(path)]) == 1
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: ") and f"{field}:" in err
+
+    SINGULAR = "{kind: constant, entries: [[1, 0], [0, 0]]}"
+    TWO_BUMPS = "{kind: gaussian_bumps, count: 2, d: 2}"
+
+    @pytest.mark.parametrize("weight", [SINGULAR, "{kind: power, alpha: [8.0, 0.0], "
+                                                  "rotation: {kind: none}}"],
+                             ids=["constant", "power"])
+    def test_singular_psd_weight_runs_norm(self, tmp_path, capsys, weight):
+        """A PSD weight with singular samples is a norm weight: invertibility
+        is measured, and a norm does not need it."""
+        text = (self.NECESSITY.replace(self.WEIGHT, weight)
+                .replace(self.FAMILY, self.TWO_BUMPS).replace(self.TASK, "{name: norm}"))
+        assert main(["run", str(write_scenario(tmp_path, text))]) == 0
+        assert capsys.readouterr().err.startswith("norm: pass")
+
+    def test_singular_constant_weight_fails_ap_constant(self, tmp_path, capsys):
+        text = self.NECESSITY.replace(self.WEIGHT, self.SINGULAR).replace(
+            self.TASK, "{name: ap-constant}")
+        assert main(["run", str(write_scenario(tmp_path, text))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: A_p constant requires an invertible weight"]
+
+    def test_weight_file_is_as_invertible_as_its_samples(self, tmp_path):
+        """The golden weight file says `invertible 0`, but every sample is
+        positive-definite: the loaded weight measures its own samples."""
+        weight = ROOT / "tests" / "golden" / "scenarios" / "fields" / "weight.txt"
+        assert "invertible 0" in weight.read_text().splitlines()
+        text = ("grid: {n: 1, L: 2.0, N: 128}\n"
+                f"weight: {{kind: file, path: '{weight}'}}\ntask: {{name: ap-constant}}\n")
+        out = tmp_path / "ap.json"
+        assert main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 0
+        assert self._outputs(out)["value"] == 1.3505839004153877
+
+    def test_overflowing_power_weight_names_alpha(self, tmp_path):
+        """Exponents whose samples overflow: one error line on weight.alpha and
+        no numpy warning, in a fresh interpreter as above."""
+        text = self.NECESSITY.replace(
+            self.WEIGHT, "{kind: power, alpha: [400.0, 0.0], rotation: {kind: linear}}").replace(
+            self.FAMILY, self.TWO_BUMPS).replace(self.TASK, "{name: norm}").replace(
+            "L: 2.0", "L: 8.0")  # 8^400 overflows
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONWARNINGS", None)
+        run = subprocess.run([sys.executable, "-m", "mwlp.cli", "run",
+                              str(write_scenario(tmp_path, text))],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == [
+            "error: weight.alpha: matrix weight has non-finite values"]
 
     @pytest.mark.parametrize("task", ["{name: necessity}", "{name: moduli}", "{name: net}"])
     @pytest.mark.parametrize("files", [False, True], ids=["bumps", "files"])
@@ -653,7 +702,7 @@ task: {name: necessity, epsilons: [0.2]}
     @pytest.mark.parametrize("task", ["{name: ap-constant}", "{name: norm}"])
     def test_weight_file_on_another_grid_exits_one(self, tmp_path, capsys, task):
         weight = tmp_path / "weight.txt"
-        field = MatrixWeightField.constant(Grid(1, 2.0, 64), [[1.0]], invertible=True)
+        field = MatrixWeightField.constant(Grid(1, 2.0, 64), [[1.0]])
         fieldio.save_field(weight, field)
         text = self.NECESSITY.replace(self.WEIGHT, f"{{kind: file, path: '{weight}'}}")
         assert main(["run", str(write_scenario(tmp_path, text.replace(self.TASK, task)))]) == 1

@@ -51,7 +51,7 @@ def grid():
 
 @pytest.fixture
 def unweighted(grid):
-    w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+    w = MatrixWeightField.constant(grid, [[1.0]])
     return Space.matrix_weight(w, 2.0)
 
 
@@ -119,7 +119,7 @@ class TestModuli:
         g2 = Grid(grid.n, grid.L, 2 * grid.N)
         x2 = g2.points[:, 0]
         f2 = SampledVectorField(g2, np.exp(-4 * x2 ** 2).astype(complex))
-        w2 = MatrixWeightField.constant(g2, [[1.0]], invertible=True)
+        w2 = MatrixWeightField.constant(g2, [[1.0]])
         sp2 = Space.matrix_weight(w2, 2.0)
         v2 = translation_modulus(FunctionFamily([f2]), g2.h, sp2)
         assert v1 / grid.h == pytest.approx(v2 / g2.h, rel=0.05)
@@ -176,7 +176,7 @@ class TestModuli:
 class TestTwisted:
     def test_d1_equals_translation_exactly(self, grid, rng):
         fam = small_family(grid, rng)
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         sp = Space.matrix_weight(w, 2.0)
         r = 4 * grid.h
         assert twisted_modulus(fam, sp, r) == translation_modulus(fam, r, sp)
@@ -192,20 +192,18 @@ class TestTwisted:
                         7.0 + np.cos(grid.points[:, 0])], axis=1)
         diag = np.zeros((256, 2, 2))
         diag[:, 0, 0], diag[:, 1, 1] = lam[:, 0], lam[:, 1]
-        w = MatrixWeightField(grid, (rot @ diag @ rot.T).astype(complex),
-                              invertible=True)
+        w = MatrixWeightField(grid, (rot @ diag @ rot.T).astype(complex))
         fam = small_family(grid, rng, d=2)
         r = 4 * grid.h
         tw = twisted_modulus(fam, Space.matrix_weight(w, 2.0), r)
-        d_field = MatrixWeightField(grid, diag.astype(complex), invertible=True)
+        d_field = MatrixWeightField(grid, diag.astype(complex))
         tilted = FunctionFamily([
             SampledVectorField(grid, f.values @ rot) for f in fam])
         tr = translation_modulus(tilted, r, Space.matrix_weight(d_field, 2.0))
         assert tw == pytest.approx(tr, rel=1e-10)
 
     def test_rotating_weight_differs_from_translation(self, grid, rng):
-        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: 3 * p[:, 0],
-                              invertible=True)
+        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: 3 * p[:, 0])
         fam = small_family(grid, rng, d=2)
         sp = Space.matrix_weight(w, 2.0)
         r = 8 * grid.h
@@ -233,8 +231,7 @@ class TestTwisted:
         # D = diag(lambda) comes from the eigensystem the weight already holds
         from mwlp import matrix_core
 
-        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: 3 * p[:, 0],
-                              invertible=True)
+        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: 3 * p[:, 0])
         fam = small_family(grid, rng, d=2)
         calls = []
         original = matrix_core.batched_eigh
@@ -306,7 +303,7 @@ class TestDyadicNet:
         assert sizes[0] < sizes[-1]
 
     def test_variable_exponent_route(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField(grid, np.where(grid.points[:, 0] < 0, 1.5, 2.5))
         sp = Space.variable(rho, pf)
@@ -315,15 +312,14 @@ class TestDyadicNet:
         assert certify_net(fam, net, sp).passed
 
     def test_quasi_norm_route(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         sp = Space.matrix_weight(w, 0.5)
         fam = small_family(grid, rng, count=4)
         net = build_net_dyadic(fam, 0.3, sp)
         assert certify_net(fam, net, sp).passed
 
     def test_twisted_notion(self, grid, rng):
-        w = make_power_weight(grid, [0.5, 0.25], rotation=lambda p: p[:, 0],
-                              invertible=True)
+        w = make_power_weight(grid, [0.5, 0.25], rotation=lambda p: p[:, 0])
         sp = Space.matrix_weight(w, 2.0)
         fam = small_family(grid, rng, d=2, count=5)
         net = build_net_dyadic(fam, 0.2, sp, notion="twisted")
@@ -333,13 +329,13 @@ class TestDyadicNet:
 
 class TestAverageNet:
     def test_singleton(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         fam = FunctionFamily([small_family(grid, rng)[0]])
         net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0))
         assert net.size == 1
 
     def test_budget_split_recorded(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         fam = small_family(grid, rng, count=6)
         eps = 0.3
         net = build_net_average(fam, eps, Space.matrix_weight(w, 2.0))
@@ -354,7 +350,7 @@ class TestAverageNet:
     def test_scaled_copies_cluster_by_uniform_radius(self, grid):
         # scaled copies of one bump: the uniform clustering radius eps / A
         # keeps the near-equal pair together and separates the distant one
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         x = grid.points[:, 0]
         bump = np.exp(-x ** 2 / (2 * 0.3 ** 2))
         members = [SampledVectorField(grid, (a * bump).astype(complex))
@@ -364,13 +360,13 @@ class TestAverageNet:
         assert net.size == 2
 
     def test_p_below_one_routed_away(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         fam = small_family(grid, rng)
         with pytest.raises(OutOfRange):
             build_net_average(fam, 0.1, Space.matrix_weight(w, 0.5))
 
     def test_needs_a_matrix_weight(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         sp = Space.norm_family(NormFamily.from_matrix_weight(w, 2.0), 2.0)
         fam = small_family(grid, rng, count=3)
         for build in (lambda: build_net_average(fam, 0.1, sp),
@@ -381,7 +377,7 @@ class TestAverageNet:
             assert isinstance(info.value, MwlpError)
 
     def test_variable_exponent_rejected(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         pf = ExponentField(grid, np.where(grid.points[:, 0] < 0, 1.5, 2.5))
         sp = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
         fam = small_family(grid, rng, count=3)
@@ -399,14 +395,14 @@ class TestAverageNet:
                 super().__post_init__()
 
         monkeypatch.setattr(compactness, "BallScheme", CountedScheme)
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam = small_family(grid, rng, count=6)
         net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0))
         assert net.params["r"] in built
         assert len(built) == len(set(built))
 
     def test_density_measure(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         mu = MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2 / 2)
         fam = small_family(grid, rng, count=5)
         net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0, mu))
@@ -460,14 +456,13 @@ class TestCertify:
 
 class TestNecessity:
     def test_singleton_passes_all_epsilons(self, grid, rng):
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam = FunctionFamily([small_family(grid, rng)[0]])
         rep = necessity_check(fam, [0.5, 0.2, 0.1], Space.matrix_weight(w, 2.0))
         assert rep.passed
 
     def test_finite_family_passes(self, grid, rng):
-        w = make_power_weight(grid, [0.5, 1 / 3], rotation=lambda p: p[:, 0],
-                              invertible=True)
+        w = make_power_weight(grid, [0.5, 1 / 3], rotation=lambda p: p[:, 0])
         fam = small_family(grid, rng, d=2, count=8)
         rep = necessity_check(fam, [0.4, 0.2], Space.matrix_weight(w, 2.0))
         assert rep.passed
@@ -476,7 +471,7 @@ class TestNecessity:
             assert row.averaging_value <= row.averaging_bound
 
     def test_requires_p_above_one(self, grid, rng):
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam = small_family(grid, rng)
         with pytest.raises(OutOfRange):
             necessity_check(fam, [0.1], Space.matrix_weight(w, 1.0))
@@ -484,7 +479,7 @@ class TestNecessity:
     def test_certified_family_passes_at_4eps(self, grid, rng):
         # sufficiency -> necessity loop: a family with a certified eps-net
         # passes the necessity table at 4 eps
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         sp = Space.matrix_weight(w, 2.0)
         fam = small_family(grid, rng, count=10)
         eps = 0.1
@@ -502,7 +497,7 @@ class TestNecessity:
             return dist(space, f, g)
 
         monkeypatch.setattr(Space, "dist", counted)
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam = small_family(grid, rng, count=8)
         rep = necessity_check(fam, [0.4, 0.2, 0.1, 0.05], Space.matrix_weight(w, 2.0))
         n = len(fam)
@@ -514,7 +509,7 @@ class TestNecessity:
     PLANTED_EPSILONS = [0.15, 0.1, 0.05]
 
     def _passing_case(self, grid, rng):
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam, sp = small_family(grid, rng, count=8), Space.matrix_weight(w, 2.0)
         assert necessity_check(fam, self.PLANTED_EPSILONS, sp).passed
         return fam, sp
@@ -564,7 +559,7 @@ class TestNecessity:
         assert row.averaging_value >= row.epsilon
 
     def test_rows_match_reference_1d(self, grid, rng):
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam = small_family(grid, rng, count=8)
         rows = self._assert_rows_match(fam, [0.5, 0.2, 0.05, 1e-9],
                                        Space.matrix_weight(w, 2.0))
@@ -572,8 +567,7 @@ class TestNecessity:
 
     def test_rows_match_reference_2d(self, rng):
         g = Grid(2, 2.0, 32)
-        w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0],
-                              invertible=True)
+        w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0])
         mu = MeasureDensity(g, 1.0 + g.radii ** 2 / 2)
         fam = gaussian_bumps(g, 2, 5, rng, center_range=(-0.4, 0.4),
                              width_range=(0.2, 0.4))
@@ -592,7 +586,7 @@ class TestNecessity:
                 super().__post_init__()
 
         monkeypatch.setattr(compactness, "BallScheme", CountedScheme)
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         fam = small_family(grid, rng, count=8)
         necessity_check(fam, [0.5, 0.2, 0.1, 0.05], Space.matrix_weight(w, 2.0))
         assert built
@@ -600,7 +594,7 @@ class TestNecessity:
         assert set(built) <= set(default_scale_ladder(grid))
 
     def test_variable_exponent_rejected(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         pf = ExponentField(grid, np.where(grid.points[:, 0] < 0, 1.5, 2.5))
         sp = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
         fam = small_family(grid, rng, count=3)
@@ -610,7 +604,7 @@ class TestNecessity:
 
 class TestModuliReport:
     def test_report_shapes_and_flag(self, grid, rng):
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         sp = Space.matrix_weight(w, 2.0)
         fam = small_family(grid, rng)
         rep = moduli_report(fam, sp, notion="translation")

@@ -19,7 +19,7 @@ import reference_fieldio
 def test_matrix_round_trip(tmp_path, rng):
     g = Grid(1, 0.7, 32)
     vals = np.stack([random_psd(rng, 2, definite=True) for _ in range(32)])
-    w = MatrixWeightField(g, vals, invertible=True)
+    w = MatrixWeightField(g, vals)
     path = tmp_path / "w.txt"
     fieldio.save_field(path, w)
     w2 = fieldio.load_field(path, MatrixWeightField)
@@ -152,7 +152,7 @@ def fields(draw):
             return MatrixWeightField(grid, values)
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         values = np.stack([random_psd(rng, d, definite=True) for _ in range(m)])
-        return MatrixWeightField(grid, values, invertible=True)
+        return MatrixWeightField(grid, values)
     values = nonnegative(draw(samples(m)))
     if kind == "scalar":
         return ScalarWeightField(grid, values)

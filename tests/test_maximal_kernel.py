@@ -24,8 +24,8 @@ from reference_maximal import christ_goldberg_maximal as reference_maximal
 def _weight(grid, d, rng):
     if d == 1:
         vals = (0.5 + rng.random(grid.num_points)).reshape(-1, 1, 1)
-        return MatrixWeightField(grid, vals, invertible=True)
-    return make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0], invertible=True)
+        return MatrixWeightField(grid, vals)
+    return make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0])
 
 
 def _field(grid, d, rng):

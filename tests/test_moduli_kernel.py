@@ -133,13 +133,13 @@ class TestTiesAndZeros:
         return Grid(1, 2.0, 64)
 
     def test_all_zero_family(self, grid):
-        w = MatrixWeightField.constant(grid, np.eye(2), invertible=True)
+        w = MatrixWeightField.constant(grid, np.eye(2))
         fam = FunctionFamily([zero_field(grid, 2)] * 3)
         scales = [grid.h, 4 * grid.h, 3.0 * grid.L]
         assert translation_curve(fam, scales, Space.matrix_weight(w, 2.0)) == [0.0] * 3
 
     def test_near_ties(self, grid, rng):
-        w = make_power_weight(grid, [0.5, 0.25], invertible=True)
+        w = make_power_weight(grid, [0.5, 0.25])
         space = Space.matrix_weight(w, 2.0)
         f = gaussian_bumps(grid, 2, 1, rng, center_range=(0.0, 0.0))[0]
         even = SampledVectorField(grid, 0.5 * (f.values + f.values[::-1]))
@@ -151,7 +151,7 @@ class TestTiesAndZeros:
         assert translation_curve(fam, scales, space) == exhaustive_curve(fam, scales, space)
 
     def test_rung_without_shifts_reads_zero(self, grid, rng):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         fam = gaussian_bumps(grid, 1, 2, rng)
         curve = translation_curve(fam, [0.5 * grid.h, grid.h], Space.matrix_weight(w, 2.0))
         assert curve[0] == 0.0 and curve[1] > 0.0
@@ -209,7 +209,7 @@ class TestOneRungLoop:
     @pytest.mark.parametrize("p", [1.5, "variable"])
     def test_each_pair_evaluated_once(self, p, rng, direct_calls):
         grid = Grid(1, 2.0, 32)
-        w = make_power_weight(grid, [0.5], invertible=True)
+        w = make_power_weight(grid, [0.5])
         if p == "variable":
             pf = ExponentField(grid, 1.0 + 2.0 * np.abs(np.sin(np.arange(grid.num_points))))
             space = Space.variable(NormFamily.from_matrix_weight(w, pf.p_plus), pf)
@@ -231,7 +231,7 @@ def test_shift_window_stops_at_n_cells(p, rng, direct_calls):
     # every shift with some |k_i| >= N measures -f, so a radius far beyond
     # the box gives the value, and the evaluations, of r = 2L
     grid = Grid(1, 1.0, 64)
-    space = Space.matrix_weight(make_power_weight(grid, [0.5], invertible=True), p)
+    space = Space.matrix_weight(make_power_weight(grid, [0.5]), p)
     fam = gaussian_bumps(grid, 1, 4, rng)
     values, counts = [], []
     for r in (2 * grid.L, 50.0):

@@ -176,7 +176,7 @@ class TestBallAverage:
 
 class TestMaximal:
     def test_indicator_value_inside_support(self, grid):
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         x = grid.points[:, 0]
         f = SampledVectorField(grid, ((x >= 0) & (x < 1)).astype(complex))
         out = christ_goldberg_maximal(f, w, 2.0)
@@ -184,14 +184,14 @@ class TestMaximal:
         assert out.values[mid] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field(self, grid):
-        w = MatrixWeightField.constant(grid, np.eye(2), invertible=True)
+        w = MatrixWeightField.constant(grid, np.eye(2))
         out = christ_goldberg_maximal(zero_field(grid, 2), w, 2.0)
         assert np.all(out.values == 0.0)
 
     def test_matches_hardy_littlewood_oracle(self, grid, rng):
         # for W == 1, d = 1 the maximal function is the classical one over
         # the same ball family; direct double loop as the oracle
-        w = MatrixWeightField.constant(grid, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(grid, [[1.0]])
         vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = SampledVectorField(grid, vals)
         out = christ_goldberg_maximal(f, w, 2.0)
@@ -209,8 +209,7 @@ class TestMaximal:
         assert np.max(np.abs(out.values - oracle)) < 1e-12
 
     def test_domination_constant_at_most_one(self, grid, rng):
-        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0],
-                              invertible=True)
+        w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0])
         vals = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
         f = SampledVectorField(grid, vals)
         c = cg_domination_constant(f, w, 2.0)

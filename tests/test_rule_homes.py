@@ -1,7 +1,7 @@
 """Each rule of the toolkit is decided in one place.
 
 The source text of `src/mwlp/*.py` is read, the way tests/test_spectral_path.py
-reads it, and every site of four rules is located by module and function:
+reads it, and every site of five rules is located by module and function:
 
 * field-file acceptance: only `fieldio` checks the kind of a loaded field,
   and every other module passes the kind it needs to `fieldio.load_field`;
@@ -10,7 +10,9 @@ reads it, and every site of four rules is located by module and function:
 * the equicontinuity notions: a list of notion names is spelled once, as
   `compactness.NOTIONS`;
 * l^q norms: a row norm written as a lambda over `np.abs` appears only in
-  `spaces.lq_norm`.
+  `spaces.lq_norm`;
+* positive-definiteness: only `matrix_core.definite` reads the threshold
+  `TOL_PD_REL`, and every other module asks it.
 """
 
 import ast
@@ -114,6 +116,12 @@ def lq_lambdas(sources=None) -> set:
                     for sub in ast.walk(node.body))}
 
 
+def definiteness_sites(sources=None) -> set:
+    """Sites that read TOL_PD_REL, the positive-definiteness threshold."""
+    return {(module, owner) for module, owner, node in _modules(sources)
+            if _name(node) == "TOL_PD_REL" and isinstance(getattr(node, "ctx", None), ast.Load)}
+
+
 def test_only_fieldio_checks_a_field_kind():
     assert {module for module, _ in kind_checks()} == {"fieldio"}
     assert load_calls_without_kind() == set()
@@ -131,6 +139,10 @@ def test_lq_lambdas_only_in_lq_norm():
     assert lq_lambdas() == {("spaces", "lq_norm")}
 
 
+def test_definiteness_decided_only_by_definite():
+    assert definiteness_sites() == {("matrix_core", "definite")}
+
+
 @pytest.mark.parametrize("scan, planted", [
     (kind_checks, "def f(path):\n    field = load(path)\n    if not isinstance(field, MeasureDensity):"
                   "\n        raise ValueError\n"),
@@ -141,8 +153,9 @@ def test_lq_lambdas_only_in_lq_norm():
     (notion_lists, "def f(n):\n    return check(n, 'translation', 'twisted')\n"),
     (notion_lists, "def f(n):\n    return n in ('twisted', 'averaging')\n"),
     (lq_lambdas, "def f(q):\n    return lambda v: np.sum(np.abs(v) ** q, axis=1)\n"),
+    (definiteness_sites, "def f(lam):\n    return lam[:, 0] <= mc.TOL_PD_REL * lam[:, -1]\n"),
 ], ids=["kind-check", "load-without-kind", "relative-margin", "left-margin", "absolute-margin",
-        "notion-arguments", "notion-tuple", "lq-lambda"])
+        "notion-arguments", "notion-tuple", "lq-lambda", "pd-threshold"])
 def test_each_scan_finds_a_planted_copy(scan, planted):
     found = scan({"planted": planted})
     assert list(found) == [("planted", "f")]

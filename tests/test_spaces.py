@@ -26,32 +26,32 @@ from conftest import random_psd, zero_field
 def random_weight_field(rng, grid, d, definite=True):
     vals = np.stack([random_psd(rng, d, definite=definite)
                      for _ in range(grid.num_points)])
-    return MatrixWeightField(grid, vals, invertible=definite)
+    return MatrixWeightField(grid, vals)
 
 
 class TestLpWNorm:
     def test_zero_field(self):
         g = Grid(1, 1.0, 16)
-        w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
+        w = MatrixWeightField.constant(g, np.eye(2))
         assert lp_w_norm(zero_field(g, 2), w, 2.0) == 0.0
 
     def test_indicator_classical_l2(self):
         g = Grid(1, 2.0, 256)
         x = g.points[:, 0]
         f = SampledVectorField(g, ((x >= 0) & (x < 1)).astype(complex))
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         assert lp_w_norm(f, w, 2.0) == pytest.approx(1.0, abs=g.h)
 
     def test_constant_diag_hand_integral(self):
         g = Grid(1, 1.0, 128)
-        w = MatrixWeightField.constant(g, np.diag([4.0, 1.0]), invertible=True)
+        w = MatrixWeightField.constant(g, np.diag([4.0, 1.0]))
         f = SampledVectorField(g, np.tile([1.0 + 0j, 0.0], (g.num_points, 1)))
         assert lp_w_norm(f, w, 2.0) == pytest.approx(2 * np.sqrt(2), rel=1e-12)
 
     def test_d1_equals_scalar_weighted_norm_exactly(self, rng):
         g = Grid(1, 1.0, 64)
         wv = 0.5 + rng.random(64)
-        w = MatrixWeightField.diagonal(g, wv[:, None], invertible=True)
+        w = MatrixWeightField.diagonal(g, wv[:, None])
         f_vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = SampledVectorField(g, f_vals)
         direct = (np.sum(wv * np.abs(f_vals) ** 2) * g.h) ** 0.5
@@ -73,14 +73,14 @@ class TestLpWNorm:
     def test_density_measure(self):
         g = Grid(1, 1.0, 64)
         mu = MeasureDensity(g, 1.0 + g.points[:, 0] ** 2 / 2)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         ones = SampledVectorField(g, np.ones(64, dtype=complex))
         expected = (2.0 + (2.0 / 3.0) / 2.0) ** 0.5  # integral of 1 + x^2/2
         assert lp_w_norm(ones, w, 2.0, mu) == pytest.approx(expected, rel=1e-4)
 
     def test_shape_mismatch(self):
         g = Grid(1, 1.0, 16)
-        w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
+        w = MatrixWeightField.constant(g, np.eye(2))
         with pytest.raises(ShapeMismatch):
             lp_w_norm(zero_field(g, 3), w, 2.0)
 
@@ -88,7 +88,7 @@ class TestLpWNorm:
     def test_rho_norm_rejects_a_density_on_another_grid(self, density_grid):
         g = Grid(1, 1.0, 64)
         rho = NormFamily.from_matrix_weight(
-            MatrixWeightField.constant(g, [[1.0]], invertible=True), 2.0)
+            MatrixWeightField.constant(g, [[1.0]]), 2.0)
         f = SampledVectorField(g, np.ones(64, dtype=complex))
         with pytest.raises(ShapeMismatch):
             lp_rho_norm(f, rho, 2.0, MeasureDensity.lebesgue(density_grid))
@@ -97,7 +97,7 @@ class TestLpWNorm:
 class TestModular:
     def test_zero(self):
         g = Grid(1, 1.0, 16)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField.constant(g, 2.0)
         assert modular(zero_field(g, 1), rho, pf) == 0.0
@@ -115,7 +115,7 @@ class TestModular:
     def test_two_piece_hand_computation(self):
         # p = 2 on x < 0, 3 on x >= 0, f == 2 on [-1, 1): 1*4 + 1*8 = 12
         g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
         f = SampledVectorField(g, np.full(64, 2.0, dtype=complex))
@@ -138,7 +138,7 @@ class TestModular:
 class TestLuxemburg:
     def test_zero(self):
         g = Grid(1, 1.0, 16)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField.constant(g, 2.0)
         assert luxemburg_norm(zero_field(g, 1), rho, pf) == 0.0
@@ -157,7 +157,7 @@ class TestLuxemburg:
     def test_root_bracketed_hand_case(self):
         # 4 / lam^2 + 8 / lam^3 = 1 has its root in [2, 4]
         g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
         f = SampledVectorField(g, np.full(64, 2.0, dtype=complex))
@@ -172,7 +172,7 @@ class TestLuxemburg:
 
         monkeypatch.setattr(mwlp.spaces, "_exponent_modular", lambda r, pf, grid: 1.0)
         g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         rho = NormFamily.from_matrix_weight(w, 2.0)
         pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
         f = SampledVectorField(g, np.full(64, 1e25, dtype=complex))
@@ -253,7 +253,7 @@ class TestLuxemburg:
 class TestSpace:
     def test_norm_family_flavor(self, rng):
         g = Grid(1, 1.0, 32)
-        w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
+        w = MatrixWeightField.constant(g, np.eye(2))
         sp = Space.norm_family(NormFamily.from_matrix_weight(w, 2.0), 2.0)
         f = SampledVectorField(g, rng.standard_normal((32, 2)).astype(complex))
         assert sp.weight is None
@@ -283,14 +283,14 @@ class TestSpace:
     @pytest.mark.parametrize("density_grid", [Grid(1, 2.0, 64), Grid(1, 1.0, 32)])
     def test_density_on_another_grid_rejected(self, density_grid):
         g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]], invertible=True)
+        w = MatrixWeightField.constant(g, [[1.0]])
         mu = MeasureDensity(density_grid, 1.0 + density_grid.radii)
         with pytest.raises(ShapeMismatch):
             Space.matrix_weight(w, 2.0, mu)
 
     @staticmethod
     def _spaces(g):
-        w = MatrixWeightField.constant(g, np.eye(2), invertible=True)
+        w = MatrixWeightField.constant(g, np.eye(2))
         pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
         return [Space.matrix_weight(w, 2.0),
                 Space.variable(NormFamily.from_matrix_weight(w, 2.0), pf)]

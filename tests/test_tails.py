@@ -115,7 +115,7 @@ def smooth_family(grid, rng, count=5):
 @pytest.mark.parametrize("p, density", [(2.0, False), (2.0, True), (0.5, False), (0.5, True)])
 def test_dyadic_route_tail_search_equals_reference(p, density, rng):
     grid = Grid(1, 2.0, 128)
-    w = make_power_weight(grid, [0.5], invertible=True)
+    w = make_power_weight(grid, [0.5])
     mu = MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2) if density else None
     space = Space.matrix_weight(w, p, mu)
     family = smooth_family(grid, rng)
@@ -133,7 +133,7 @@ def test_dyadic_route_tail_search_equals_reference(p, density, rng):
 @pytest.mark.parametrize("density", [False, True])
 def test_average_route_tail_search_equals_reference(density, rng):
     grid = Grid(1, 2.0, 128)
-    w = make_power_weight(grid, [0.5], invertible=True)
+    w = make_power_weight(grid, [0.5])
     mu = MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2) if density else None
     space = Space.matrix_weight(w, 2.0, mu)
     family = smooth_family(grid, rng)
@@ -148,7 +148,7 @@ def test_average_route_tail_search_equals_reference(density, rng):
 
 def test_necessity_tails_equal_reference(rng):
     grid = Grid(1, 2.0, 128)
-    w = make_power_weight(grid, [0.5, 1 / 3], rotation=lambda p: p[:, 0], invertible=True)
+    w = make_power_weight(grid, [0.5, 1 / 3], rotation=lambda p: p[:, 0])
     space = Space.matrix_weight(w, 2.0, MeasureDensity(grid, 1.0 + grid.points[:, 0] ** 2))
     family = gaussian_bumps(grid, 2, 6, rng, center_range=(-0.6, 0.6), width_range=(0.1, 0.3))
     report = necessity_check(family, [0.4, 0.2, 0.1], space)

@@ -39,11 +39,14 @@ class TestFields:
             MatrixWeightField(g, vals)
 
     def test_invertible_flag_validation(self):
+        # the flag is measured: PSD is fine, and one singular sample clears it
         g = Grid(1, 1.0, 8)
-        vals = np.tile(np.diag([1.0, 0.0]).astype(complex), (8, 1, 1))
-        MatrixWeightField(g, vals)  # PSD is fine
-        with pytest.raises(NotInvertible):
-            MatrixWeightField(g, vals, invertible=True)
+        vals = np.tile(np.diag([1.0, 1e-3]).astype(complex), (8, 1, 1))
+        assert MatrixWeightField(g, vals.copy()).invertible
+        vals[5, 1, 1] = 0.0
+        assert not MatrixWeightField(g, vals.copy()).invertible
+        vals[:, 1, 1] = 0.0
+        assert not MatrixWeightField(g, vals).invertible
 
     def test_eigen_fields_constant_diag(self):
         g = Grid(1, 1.0, 16)
@@ -73,15 +76,14 @@ class TestFields:
         diag = np.zeros((64, 2, 2))
         diag[:, 0, 0], diag[:, 1, 1] = 1.0, lam2
         vals = np.einsum("mij,mjk,mlk->mil", rot, diag, rot)
-        w = MatrixWeightField(g, vals.astype(complex), invertible=True)
+        w = MatrixWeightField(g, vals.astype(complex))
         lam, _ = w.eig()
         assert np.max(np.abs(lam[:, 0] - 1.0)) < 1e-10
         assert np.max(np.abs(lam[:, 1] - lam2)) < 1e-10
 
     def test_power_weight_sorted_spectrum(self):
         g = Grid(1, 1.0, 64)
-        w = make_power_weight(g, [0.5, -0.5], rotation=lambda p: p[:, 0],
-                              invertible=True)
+        w = make_power_weight(g, [0.5, -0.5], rotation=lambda p: p[:, 0])
         lam, _ = w.eig()
         r = np.abs(g.points[:, 0])
         expected = np.sort(np.stack([r ** 0.5, r ** -0.5], axis=1), axis=1)
@@ -91,14 +93,14 @@ class TestFields:
         g = Grid(1, 1.0, 16)
         x = g.points[:, 0]
         lam = np.stack([np.abs(x), 1.0 + x ** 2], axis=1)
-        w = MatrixWeightField.diagonal(g, lam, invertible=True)
+        w = MatrixWeightField.diagonal(g, lam)
         assert np.array_equal(w.eig()[0], lam)
         assert np.array_equal(w.eig()[1], np.broadcast_to(np.eye(2), (16, 2, 2)))
         for s in (0.5, -0.5):
             expected = np.zeros((16, 2, 2), dtype=complex)
             expected[:, [0, 1], [0, 1]] = lam ** s
             assert np.array_equal(w.power(s), expected)
-        full = MatrixWeightField(g, w.values, invertible=True)
+        full = MatrixWeightField(g, w.values)
         assert np.allclose(full.power(-0.5), w.power(-0.5), rtol=1e-14, atol=0)
 
     def test_diagonal_runs_the_clamp_and_invertibility_checks(self):
@@ -106,9 +108,8 @@ class TestFields:
         with pytest.raises(NotPSD):
             MatrixWeightField.diagonal(g, np.tile([-0.5, 1.0], (8, 1)))
         assert MatrixWeightField.diagonal(g, np.tile([-1e-12, 1.0], (8, 1))).eig()[0][0, 0] == 0.0
-        MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1)))  # PSD is fine
-        with pytest.raises(NotInvertible):
-            MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1)), invertible=True)
+        assert not MatrixWeightField.diagonal(g, np.tile([0.0, 1.0], (8, 1))).invertible
+        assert MatrixWeightField.diagonal(g, np.tile([0.5, 1.0], (8, 1))).invertible
 
     @pytest.mark.parametrize("mat", [np.eye(2), np.diag([1.0, 4.0]),
                                      [[2.0, 1j], [-1j, 3.0]],
@@ -120,7 +121,7 @@ class TestFields:
         seen = []
         eigh = mc.batched_eigh
         monkeypatch.setattr(mc, "batched_eigh", lambda m: seen.append(m.shape[0]) or eigh(m))
-        w = MatrixWeightField.constant(g, mat, invertible=True)
+        w = MatrixWeightField.constant(g, mat)
         assert seen == [1]
         assert np.array_equal(w.eig()[0], np.maximum(old[0], 0.0))
         assert np.array_equal(w.eig()[1], old[1])
@@ -133,8 +134,8 @@ class TestFields:
         with pytest.raises(NotPSD):
             MatrixWeightField.constant(g, np.diag([-0.5, 1.0]))
         assert MatrixWeightField.constant(g, np.diag([-1e-12, 1.0])).eig()[0][0, 0] == 0.0
-        with pytest.raises(NotInvertible):
-            MatrixWeightField.constant(g, np.diag([0.0, 1.0]), invertible=True)
+        assert not MatrixWeightField.constant(g, np.diag([0.0, 1.0])).invertible
+        assert MatrixWeightField.constant(g, np.diag([2.0, 1.0])).invertible
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
@@ -182,7 +183,7 @@ class TestApConstant:
         fam = CubeFamily.default(g)
         for c in (1.0, 5.0):
             for d in (1, 2):
-                w = MatrixWeightField.constant(g, c * np.eye(d), invertible=True)
+                w = MatrixWeightField.constant(g, c * np.eye(d))
                 for p in (0.5, 1.0, 2.0, 3.0):
                     assert ap_constant(w, p, fam) == pytest.approx(1.0, abs=1e-12)
 
@@ -190,7 +191,7 @@ class TestApConstant:
         # brute-force maximization over interval position and dyadic scale;
         # the sup exceeds the 4/3 attained at origin-anchored intervals
         g = Grid(1, 1.0, 2 ** 12)
-        w = make_power_weight(g, [0.5], invertible=True)
+        w = make_power_weight(g, [0.5])
         val = ap_constant(w, 2.0, CubeFamily.dense_dyadic(g))
         assert val == pytest.approx(1.4836437560878815, abs=1e-12)
         assert val > 4.0 / 3.0
@@ -199,7 +200,7 @@ class TestApConstant:
         # direct slice-mean oracle over the same interval inventory
         N, L = 2 ** 10, 1.0
         g = Grid(1, L, N)
-        w = make_power_weight(g, [0.5], invertible=True)
+        w = make_power_weight(g, [0.5])
         val = ap_constant(w, 2.0, CubeFamily.dense_dyadic(g))
         h = 2 * L / N
         x = ref.centers(L, N)
@@ -217,7 +218,7 @@ class TestApConstant:
     def test_cubic_power_grows_without_bound(self):
         # adding coarser origin-anchored scales multiplies the estimate
         g = Grid(1, 1.0, 2 ** 12)
-        w = make_power_weight(g, [3.0], invertible=True)
+        w = make_power_weight(g, [3.0])
         vals = []
         for kmax in range(5):
             corners, sides = [], []
@@ -236,14 +237,14 @@ class TestApConstant:
         vals = []
         for exp in (9, 10, 11, 12, 13):
             g = Grid(1, 1.0, 2 ** exp)
-            w = make_power_weight(g, [3.0], invertible=True)
+            w = make_power_weight(g, [3.0])
             vals.append(ap_constant(w, 2.0, CubeFamily.default(g)))
         assert all(vals[i + 1] >= vals[i] for i in range(4))
         assert vals[-1] / vals[0] >= 10.0
 
     def test_monotone_in_cube_family(self):
         g = Grid(1, 1.0, 256)
-        w = make_power_weight(g, [0.5], invertible=True)
+        w = make_power_weight(g, [0.5])
         full = CubeFamily.default(g)
         half = CubeFamily(full.corners[::2], full.sides[::2], "subset")
         assert ap_constant(w, 2.0, half) <= ap_constant(w, 2.0, full) + 1e-15
@@ -251,9 +252,8 @@ class TestApConstant:
     def test_scale_invariance(self):
         g = Grid(1, 1.0, 128)
         fam = CubeFamily.default(g)
-        w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0],
-                              invertible=True)
-        w_scaled = MatrixWeightField(g, 7.5 * w.values, invertible=True)
+        w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0])
+        w_scaled = MatrixWeightField(g, 7.5 * w.values)
         a = ap_constant(w, 2.0, fam)
         b = ap_constant(w_scaled, 2.0, fam)
         assert b == pytest.approx(a, rel=1e-10)
@@ -261,7 +261,7 @@ class TestApConstant:
     def test_d1_matrix_equals_scalar_path_exactly(self):
         g = Grid(1, 1.0, 512)
         fam = CubeFamily.default(g)
-        w = make_power_weight(g, [0.5], invertible=True)
+        w = make_power_weight(g, [0.5])
         ws = ScalarWeightField(g, w.values[:, 0, 0].real)
         assert ap_constant(w, 2.0, fam) == scalar_ap_constant(ws, 2.0, fam)
 
@@ -281,7 +281,7 @@ class TestApConstant:
         for grid in (Grid(1, 1.0, 64), Grid(2, 1.0, 16)):
             rng = np.random.default_rng(11)
             wv = 0.5 + rng.random(grid.num_points)
-            w = MatrixWeightField.diagonal(grid, wv[:, None], invertible=True)
+            w = MatrixWeightField.diagonal(grid, wv[:, None])
             fam = CubeFamily.default(grid)
             val = ap_constant(w, 1.0, fam)
             cells = wv.reshape(grid.shape)
@@ -298,7 +298,7 @@ class TestApConstant:
         rng = np.random.default_rng(5)
         wv = 0.5 + rng.random(32)
         vals = wv[:, None, None] * np.eye(2)[None]
-        w2 = MatrixWeightField(g, vals.astype(complex), invertible=True)
+        w2 = MatrixWeightField(g, vals.astype(complex))
         ws = ScalarWeightField(g, wv)
         fam = CubeFamily.default(g)
         assert ap_constant(w2, 2.0, fam) == pytest.approx(
@@ -306,11 +306,11 @@ class TestApConstant:
 
     def test_requires_invertible_and_nonempty(self):
         g = Grid(1, 1.0, 16)
-        w = make_power_weight(g, [0.5], invertible=True)
-        w_plain = MatrixWeightField(g, w.values, invertible=False)
+        w = make_power_weight(g, [0.5])
+        singular = MatrixWeightField.constant(g, np.diag([0.0, 1.0]))
         fam = CubeFamily.default(g)
-        with pytest.raises(NotInvertible):
-            ap_constant(w_plain, 2.0, fam)
+        with pytest.raises(NotInvertible, match="A_p constant requires an invertible weight"):
+            ap_constant(singular, 2.0, fam)
         empty = CubeFamily(np.zeros((0, 1)), np.zeros(0), "empty")
         with pytest.raises(EmptyCubeFamily):
             ap_constant(w, 2.0, empty)
@@ -318,7 +318,7 @@ class TestApConstant:
     @pytest.mark.parametrize("d", [1, 2])
     def test_family_outside_the_box_holds_no_cells(self, d):
         g = Grid(1, 1.0, 16)
-        w = MatrixWeightField.constant(g, np.eye(d), invertible=True)
+        w = MatrixWeightField.constant(g, np.eye(d))
         outside = CubeFamily(np.array([[2.0], [-3.0]]), np.array([0.5, 1.0]), "outside")
         with pytest.raises(EmptyCubeFamily, match="no cells of the grid"):
             ap_constant(w, 2.0, outside)
@@ -329,13 +329,13 @@ class TestApConstant:
         g = Grid(1, 1.0, 16)
         v = np.ones(16)
         v[3] = 1e-300
-        w = MatrixWeightField.diagonal(g, np.repeat(v[:, None], d, axis=1), invertible=True)
+        w = MatrixWeightField.diagonal(g, np.repeat(v[:, None], d, axis=1))
         with np.errstate(all="ignore"), pytest.raises(NonFinite, match="overflows"):
             ap_constant(w, 1.5, CubeFamily.default(g))
 
     def test_exponent_out_of_range(self):
         g = Grid(1, 1.0, 16)
-        w = make_power_weight(g, [0.5], invertible=True)
+        w = make_power_weight(g, [0.5])
         fam = CubeFamily.default(g)
         with pytest.raises(OutOfRange):
             ap_constant(w, 0.0, fam)
@@ -344,7 +344,7 @@ class TestApConstant:
 
     def test_2d_grid_path(self):
         g = Grid(2, 1.0, 16)
-        w = make_power_weight(g, [0.5], invertible=True)
+        w = make_power_weight(g, [0.5])
         fam = CubeFamily.default(g)
         val = ap_constant(w, 2.0, fam)
         assert np.isfinite(val) and val > 1.0
@@ -356,8 +356,7 @@ class TestScalarWeightProbe:
         probes = []
         for N in (256, 512):
             g = Grid(1, 1.0, N)
-            w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0],
-                                  invertible=True)
+            w = make_power_weight(g, [0.5, 1 / 3], rotation=lambda p: p[:, 0])
             probes.append(scalar_weight_probe(w, 2.0, CubeFamily.default(g)))
         for key in ("matrix_ap", "op_norm_ap", "min_eig_ap"):
             assert np.isfinite(probes[0][key])
