@@ -5,6 +5,7 @@ Subcommands:
     mwlp run <scenario.yaml>        run a full scenario file
     mwlp ap-constant | john | norm | moduli | net | certify | necessity |
          verify-lemmas              run the task's documented default scenario
+                                    (certify needs --centers)
 
 Each flag sets the scenario path that `--help` shows as its argument (`--N`
 sets grid.N, --seed sets seed) before the scenario is validated.  --out PATH
@@ -29,7 +30,6 @@ import numpy as np
 # Library functions are called through their modules, so that tests and the
 # benchmark's tracer can replace them.
 from . import __version__, compactness, fieldio, report, scenario, spaces, verify, weight_fields
-from .compactness import EpsilonNet
 from .errors import MwlpError, OutOfRange, SchemaError
 from .spaces import NormFamily, Space
 from .weight_fields import CubeFamily
@@ -95,16 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
             ("--p", "exponent.p", {"type": float}))
     command("moduli", "moduli report for the default family",
             ("--notion", "task.notion", one_of("moduli", "notion")))
-    net = (("--epsilon", "task.epsilon", {"type": float}),
-           ("--route", "task.route", one_of("net", "route")))
-    command("net", "build and certify an epsilon-net", *net,
+    epsilon = ("--epsilon", "task.epsilon", {"type": float})
+    command("net", "build and certify an epsilon-net", epsilon,
+            ("--route", "task.route", one_of("net", "route")),
             ("--save-centers", "task.save_centers",
              {"help": "directory for center field files"}))
-    command("certify", "re-certify a net against the family", *net,
+    command("certify", "certify saved centers against the family", epsilon,
             ("--centers", "task.centers", {"nargs": "+",
-                                           "help": "center field files "
-                                                   "(default: rebuild the net)"}),
-            ("--c-net", "task.c_net", {"type": float, "help": "certificate constant"}))
+                                           "help": "center field files (required)"}),
+            ("--c-net", "task.c_net", {"type": float,
+                                       "help": "the threshold is c_net * epsilon"}))
     command("necessity", "necessity-direction table",
             ("--epsilons", "task.epsilons", {"type": float, "nargs": "+"}))
     return parser
@@ -240,22 +240,19 @@ def _task_moduli(sc, rng) -> tuple:
     return compactness.moduli_report(family, space, notion=sc.param("notion")), 0
 
 
-def _build_net(sc, space, family):
-    """The task's net, built and self-certified by its route's builder."""
+def _task_net(sc, rng) -> tuple[dict, int]:
+    """Build the net by the task's route; its builder certifies it."""
+    space, family = _setup(sc, rng)
     eps = sc.param("epsilon")
     if sc.param("route") == "average":
-        return compactness.build_net_average(family, eps, space)
-    return compactness.build_net_dyadic(family, eps, space, notion=sc.param("notion"))
-
-
-def _task_net(sc, rng) -> tuple[dict, int]:
-    space, family = _setup(sc, rng)
-    net = _build_net(sc, space, family)
+        net = compactness.build_net_average(family, eps, space)
+    else:
+        net = compactness.build_net_dyadic(family, eps, space, notion=sc.param("notion"))
     out = {
         "route": net.route, "epsilon": net.epsilon, "net_size": net.size,
         "c_net": net.c_net, "params": net.params,
         "certificate": net.certificate, "family": family.metadata,
-        "space": net.space_label,
+        "space": space.label,
     }
     save_dir = sc.param("save_centers")
     if save_dir:
@@ -270,26 +267,19 @@ def _task_net(sc, rng) -> tuple[dict, int]:
 
 
 def _task_certify(sc, rng) -> tuple[dict, int]:
-    """Recheck loaded centers from scratch, or report a rebuilt net's certificate."""
+    """Recheck the given centers against the family from scratch."""
     space, family = _setup(sc, rng)
-    if sc.param("centers"):
-        centers = scenario.build_centers(sc, space.grid, family.d)
-        net = EpsilonNet(epsilon=sc.param("epsilon"), centers=centers,
-                         assignment=[0] * len(family), distances=[],
-                         c_net=sc.param("c_net"), route="external", space_label=space.label)
-        cert = compactness.certify_net(family, net, space)
-    else:
-        net = _build_net(sc, space, family)
-        cert = net.certificate
-    out = {"epsilon": net.epsilon, "net_size": net.size, "c_net": net.c_net,
-           "route": net.route, "certificate": cert}
+    centers = scenario.build_centers(sc, space.grid, family.d)
+    eps, c_net = sc.param("epsilon"), sc.param("c_net")
+    cert = compactness.certify_net(family, centers, c_net * eps, space)
+    out = {"epsilon": eps, "net_size": len(centers), "c_net": c_net,
+           "route": "external", "certificate": cert}
     return out, 0 if cert.passed else 2
 
 
 def _task_necessity(sc, rng) -> tuple:
     space, family = _setup(sc, rng)
-    rep = compactness.necessity_check(family, sc.param("epsilons"), space,
-                                      ap_value=sc.param("ap_value"))
+    rep = compactness.necessity_check(family, sc.param("epsilons"), space)
     return rep, 0 if rep.passed else 2
 
 

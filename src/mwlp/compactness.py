@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,22 +94,19 @@ class ModuliReport:
 
 @dataclass
 class EpsilonNet:
-    """Net centers with a per-member certificate.
+    """Net centers with their brute-force certificate.
 
-    Every member was matched to its nearest center; the recorded constant
-    c_net is the measured max distance divided by epsilon.  A builder
-    attaches the brute-force certificate it checked the net against.
+    The recorded constant c_net is the measured max distance of a member to
+    its assigned center divided by epsilon; the builder's certificate
+    checks every member's nearest center against c_net * epsilon.
     """
 
     epsilon: float
     centers: list
-    assignment: list
-    distances: list
     c_net: float
     route: str
-    params: dict = field(default_factory=dict)
-    space_label: str = ""
-    certificate: Certificate | None = None
+    params: dict
+    certificate: Certificate
 
     @property
     def size(self) -> int:
@@ -476,20 +473,17 @@ def _first_under(measured, budget: float, what: str) -> tuple:
 
 def _self_certified(family: FunctionFamily, space: Space, epsilon: float, centers: list,
                     assignment: list, route: str, params: dict) -> EpsilonNet:
-    """The net of the given centers and assignment, with each member's measured
-    distance to its center, c_net their max over epsilon, and the brute-force
-    certificate attached, which a freshly built net must pass."""
-    distances = [space.dist(f, centers[a]) for f, a in zip(family, assignment)]
-    net = EpsilonNet(epsilon=epsilon, centers=centers, assignment=assignment,
-                     distances=distances, c_net=max(distances) / epsilon, route=route,
-                     params=params, space_label=space.label)
-    cert = certify_net(family, net, space)
+    """The net of the given centers, with c_net the max distance of a member
+    to its assigned center over epsilon, and the brute-force certificate at
+    c_net * epsilon attached, which a freshly built net must pass."""
+    c_net = max(space.dist(f, centers[a]) for f, a in zip(family, assignment)) / epsilon
+    cert = certify_net(family, centers, c_net * epsilon, space)
     if not cert.passed:
         raise SelfCertificationFailed(
             f"freshly built {route} net failed its own certificate: worst distance "
             f"{cert.worst_distance!r} above {cert.threshold!r}")
-    net.certificate = cert
-    return net
+    return EpsilonNet(epsilon=epsilon, centers=centers, c_net=c_net, route=route,
+                      params=params, certificate=cert)
 
 
 def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
@@ -518,9 +512,13 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
     # none is; both moduli are nondecreasing in the scale, so the finest
     # scale is the only one that can keep the modulus under epsilon
     scales = [s for s in default_scale_ladder(grid) if s <= 2.0 ** chosen_m]
-    s = scales[0] if scales else 0.0
-    chosen_t = int(round(np.log2(s))) if scales else 0
-    if not scales or abs(2.0 ** chosen_t - s) > 1e-9 * s:
+    if not scales:  # 2^chosen_m >= 4h, so only an empty ladder leaves none
+        raise SchemeMismatch(f"the scale ladder 2h, 4h, ... up to L/4 is empty at N = {grid.N} "
+                             f"(2h = {2 * grid.h!r} > L/4 = {grid.L / 4!r}); "
+                             "dyadic nets need N >= 16")
+    s = scales[0]
+    chosen_t = int(round(np.log2(s)))
+    if abs(2.0 ** chosen_t - s) > 1e-9 * s:
         raise SchemeMismatch(
             "no ladder scale is an exact power of two on this grid; "
             "dyadic nets need L to be a power of two")
@@ -620,18 +618,17 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
     })
 
 
-def certify_net(family: FunctionFamily, net: EpsilonNet, space: Space) -> Certificate:
+def certify_net(family: FunctionFamily, centers: list, threshold: float,
+                space: Space) -> Certificate:
     """Brute-force recomputation of the covering property.
 
     For every member, the distance to its nearest center is recomputed and
-    checked against the net's c_net * epsilon.  The worst member is
-    reported either way.
+    checked against threshold (a net's c_net * epsilon).  The worst member
+    is reported either way.
     """
-    threshold = net.c_net * net.epsilon
-    dists = []
-    for f in family:
-        dmin = min(space.dist(f, g) for g in net.centers)
-        dists.append(dmin)
+    if not centers:
+        raise OutOfRange("a net needs at least one center")
+    dists = [min(space.dist(f, g) for g in centers) for f in family]
     worst_idx = int(np.argmax(dists))
     worst = float(dists[worst_idx])
     return Certificate(passed=within(worst, threshold), worst_member=worst_idx,
@@ -660,28 +657,24 @@ class NecessityRow:
 
 @dataclass
 class NecessityReport:
-    """The necessity table, the space's label and the documented A_p value;
-    its fields are its report keys."""
+    """The necessity table and the space's label; its fields are its report keys."""
 
     rows: list
     passed: bool
     space: str
-    ap_constant: float | None = None
 
 
-def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
-                    ap_value: float | None = None) -> NecessityReport:
+def necessity_check(family: FunctionFamily, epsilons: list[float],
+                    space: Space) -> NecessityReport:
     """Mirror the necessity argument: from an epsilon-net of members, derive a
     tail radius R and an averaging scale r, then verify the family moduli
     against the triangle-inequality bounds with measured constants.
 
-    The space must be L^p(W, mu) with a constant p > 1; ap_value, if
-    supplied, documents the A_p estimate of the weight over the family used
-    (the check itself does not recompute it).  Each member's per-point
-    norms are evaluated once per call, and its tail beyond every ladder
-    radius is a masked size of them (tail_curve's table); each member pair's
-    distance and each (member, scale) averaging residual is measured at most
-    once, against one ball scheme per scale.
+    The space must be L^p(W, mu) with a constant p > 1.  Each member's
+    per-point norms are evaluated once per call, and its tail beyond every
+    ladder radius is a masked size of them (tail_curve's table); each member
+    pair's distance and each (member, scale) averaging residual is measured
+    at most once, against one ball scheme per scale.
     """
     _, p = _weight_and_exponent(space, "the necessity check")
     if not p > 1:
@@ -739,5 +732,4 @@ def necessity_check(family: FunctionFamily, epsilons: list[float], space: Space,
             averaging_value=avg_val, averaging_bound=avg_bound,
             measured_s_r_constant=cs, passed=passed,
         ))
-    return NecessityReport(rows=rows, passed=all(r.passed for r in rows),
-                           space=space.label, ap_constant=ap_value)
+    return NecessityReport(rows=rows, passed=all(r.passed for r in rows), space=space.label)

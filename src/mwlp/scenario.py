@@ -59,11 +59,14 @@ class Scenario:
         return self.task["name"]
 
     def param(self, key: str):
-        """The task parameter `key`, checked against TASK_PARAMS, or its default."""
+        """The task parameter `key`, checked against TASK_PARAMS, or its
+        default; a REQUIRED key that is absent fails like a section key."""
         spec = TASK_PARAMS[self.task_name][key]
-        if key not in self.task:
-            return spec.default(self) if callable(spec.default) else copy.deepcopy(spec.default)
-        return spec.check(self.task[key], f"task.{key}")
+        if key in self.task:
+            return spec.check(self.task[key], f"task.{key}")
+        if spec.default is REQUIRED:
+            _fail(f"task.{key}", "missing required field")
+        return spec.default(self) if callable(spec.default) else copy.deepcopy(spec.default)
 
 
 def _fail(path: str, msg: str):
@@ -98,15 +101,16 @@ def _as_int(value, path: str) -> int:
 # parameters
 
 
-REQUIRED = object()  # the default of a section key that must be given
+REQUIRED = object()  # the default of a key that must be given
 
 
 @dataclass(frozen=True)
 class Param:
     """A parameter: `check(value, path)` converts a given value or fails
     naming `path`; `default` (a value, or for a task key a function of the
-    Scenario) stands in for an absent key.  Section keys are all checked by
-    `validate`; of a task's keys only enumerated `choices` are, the others
+    Scenario) stands in for an absent key, and REQUIRED fails on one.
+    Section keys are all checked by `validate`; of a task's keys only
+    enumerated `choices` are, the others, absent REQUIRED ones included,
     where the task reads them.  That lets a scenario be validated before all
     of its task values exist: the benchmark harness (perfbench/child.py)
     validates its `certify-files-1d` scenario while `task.centers` and
@@ -254,8 +258,7 @@ SECTION_PARAMS = {
         "files": {"paths": Param(_list_of(_PATH), REQUIRED)}},
 }
 
-_NET_PARAMS = {"epsilon": Param(_POSITIVE, 0.1), "route": _choice("dyadic", "average"),
-               "notion": _choice(*NOTIONS[:2])}
+_EPSILON = Param(_POSITIVE, 0.1)
 
 # Every task's parameters: the one place their types, ranges and defaults live.
 TASK_PARAMS = {
@@ -263,12 +266,13 @@ TASK_PARAMS = {
                     "cubes": _choice("default", "dense")},
     "john": {"d": Param(_count(1), 2), "norm": Param(_lq_norm, {"kind": "lq", "q": 1.0}),
              "test_vectors": Param(_count(1), 1000)},
-    "norm": {"norm": _choice("matrix")},
+    "norm": {},
     "moduli": {"notion": _choice(*NOTIONS)},
-    "net": dict(_NET_PARAMS, save_centers=Param(_PATH)),
-    "certify": dict(_NET_PARAMS, centers=Param(_list_of(_PATH)), c_net=Param(_POSITIVE, 1.0)),
-    "necessity": {"epsilons": Param(_list_of(_POSITIVE), [0.2, 0.1, 0.05]),
-                  "ap_value": Param(_POSITIVE)},
+    "net": {"epsilon": _EPSILON, "route": _choice("dyadic", "average"),
+            "notion": _choice(*NOTIONS[:2]), "save_centers": Param(_PATH)},
+    "certify": {"epsilon": _EPSILON, "centers": Param(_list_of(_PATH), REQUIRED),
+                "c_net": Param(_POSITIVE, 1.0)},
+    "necessity": {"epsilons": Param(_list_of(_POSITIVE), [0.2, 0.1, 0.05])},
     "verify-lemmas": {"count": Param(_count(0), 25), "weight_file": Param(_PATH)},
 }
 
@@ -422,10 +426,10 @@ def default_scenario(task_name: str) -> dict:
         "ap-constant": ({"seed": 20260810, "grid": {"n": 1, "L": 1.0, "N": 4096},
                          "weight": {"kind": "power", "alpha": [0.5]}}, ("p", "cubes")),
         "john": ({"seed": 20260810}, ("d", "norm", "test_vectors")),
-        "norm": (base, ("norm",)),
+        "norm": (base, ()),
         "moduli": (base, ("notion",)),
         "net": (base, ("epsilon", "route")),
-        "certify": (base, ("epsilon", "route")),
+        "certify": (base, ("epsilon", "c_net")),
         "necessity": (base, ("epsilons",)),
         "verify-lemmas": ({"seed": 20260810}, ("count",)),
     }

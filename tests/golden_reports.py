@@ -48,7 +48,6 @@ COMMANDS = {
     "net": ["net"],
     "net-average": ["net", "--route", "average"],
     "net-save-centers": ["net", "--save-centers", "centers"],
-    "certify": ["certify"],
     "necessity": ["necessity"],
     "verify-lemmas": ["verify-lemmas"],
     "verify-lemmas-5": ["verify-lemmas", "--count", "5"],
@@ -58,6 +57,12 @@ COMMANDS = {
     "run-certify-centers": ["run", "scenarios/certify-centers.yaml"],
     # covers of 1 and 5 centers for 8 members, so the S_r constant is measured
     "run-necessity-cover": ["run", "scenarios/necessity-cover.yaml"],
+    # d = 3 weights, real and complex, so both forms of the closed-form largest
+    # eigenvalue in the A_p pass run
+    "run-ap-d3": ["run", "scenarios/ap-d3.yaml"],
+    "run-ap-d3-complex": ["run", "scenarios/ap-d3-complex.yaml"],
+    # a d = 2 weight at p = 0.5, so the matrix A_p pass for p <= 1 runs
+    "run-ap-d2-p05": ["run", "scenarios/ap-d2-p05.yaml"],
 }
 
 

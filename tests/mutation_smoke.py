@@ -36,6 +36,8 @@ NECESSITY_VERDICT = "passed = within(tail_val, tail_bound) and within(avg_val, a
 MUTANTS = (
     ("certify slack doubled", "compactness.py",
      "within(worst, threshold)", "within(worst, 2 * threshold)"),
+    ("certify ignores the given c_net", "cli.py",
+     "centers, c_net * eps, space)", "centers, eps, space)"),
     ("John left bound 0.5", "spaces.py", "within(1.0, left)", "within(0.5, left)"),
     ("necessity averaging clause -> True", "compactness.py", NECESSITY_VERDICT,
      "passed = within(tail_val, tail_bound) and True"),

@@ -159,7 +159,7 @@ def test_criterion_4_sufficiency_dyadic_nets(bump_setup):
     details = []
     for eps in (0.1, 0.05):
         net = build_net_dyadic(family, eps, space)
-        cert = certify_net(family, net, space)
+        cert = certify_net(family, net.centers, net.c_net * eps, space)
         assert cert.passed
         assert net.size <= 40
         details.append(f"eps={eps}: K={net.size}, C_net={net.c_net:.3f}")
@@ -185,7 +185,7 @@ def test_criterion_5_averaging_nets(bump_setup):
         assert net.params["averaging_value"] < eps / 3
         assert net.params["worst_uniform_distance"] <= budgets["uniform_radius"]
         space = Space.matrix_weight(weight, 2.0, mu)
-        cert = certify_net(family, net, space)
+        cert = certify_net(family, net.centers, net.c_net * eps, space)
         assert cert.passed
         assert cert.worst_distance <= eps
         label = "lebesgue" if mu is None else "u=1+x^2/2"
@@ -266,13 +266,17 @@ def test_criterion_8_scalar_reduction():
         assert translation_modulus(family, r, space) == pytest.approx(
             ref.translation_modulus(wv, fs, 2.0, r, half, n_pts), rel=1e-10)
 
-        # net certificate distances
+        # net constant and certificate distances
         eps = 0.25
         net = build_net_dyadic(family, eps, space)
-        oracle_d, oracle_k = ref.greedy_net_distances(
-            wv, fs, 2.0, eps, half, n_pts, net.params["m"], net.params["t"])
+        m, t = net.params["m"], net.params["t"]
+        oracle_d, oracle_k = ref.greedy_net_distances(wv, fs, 2.0, eps, half, n_pts, m, t)
         assert net.size == oracle_k
-        for mine_d, od in zip(net.distances, oracle_d):
+        assert net.c_net * eps == pytest.approx(max(oracle_d), rel=1e-10)
+        centers = [ref.dyadic_project(fs[k], half, n_pts, m, t)
+                   for k in net.params["center_members"]]
+        for mine_d, fv in zip(net.certificate.per_member_distance, fs):
+            od = min(ref.norm_lp(wv, fv - c, 2.0, half, n_pts) for c in centers)
             assert mine_d == pytest.approx(od, rel=1e-10, abs=1e-12)
     elapsed = time.perf_counter() - t0
     report(8, "d=1 matrix path matches the scalar reference", elapsed,

@@ -117,10 +117,10 @@ class TestSchema:
             "ap-constant": {"name": "ap-constant", "p": 2.0, "cubes": "default"},
             "john": {"name": "john", "d": 2, "norm": {"kind": "lq", "q": 1.0},
                      "test_vectors": 1000},
-            "norm": {"name": "norm", "norm": "matrix"},
+            "norm": {"name": "norm"},
             "moduli": {"name": "moduli", "notion": "translation"},
             "net": {"name": "net", "epsilon": 0.1, "route": "dyadic"},
-            "certify": {"name": "certify", "epsilon": 0.1, "route": "dyadic"},
+            "certify": {"name": "certify", "epsilon": 0.1, "c_net": 1.0},
             "necessity": {"name": "necessity", "epsilons": [0.2, 0.1, 0.05]},
             "verify-lemmas": {"name": "verify-lemmas", "count": 25},
         }
@@ -180,7 +180,7 @@ class TestSchema:
     @pytest.mark.parametrize("task, field", [
         ({"name": "net", "route": "average", "notion": "bogus"}, "task.notion"),
         ({"name": "ap-constant", "cubes": "dens"}, "task.cubes"),
-        ({"name": "norm", "norm": "lq"}, "task.norm")])
+        ({"name": "net", "route": "bogus"}, "task.route")])
     def test_validate_checks_enumerated_values(self, task, field):
         with pytest.raises(SchemaError, match=f"{field}:"):
             validate({"task": task})
@@ -295,7 +295,7 @@ task: {{name: certify, epsilon: 0.05, c_net: 1.0, centers: ['{zero}']}}
     def test_self_certification_failure_exits_one(self, tmp_path, capsys, monkeypatch, route):
         from mwlp import compactness
 
-        def failing(family, net, space, epsilon=None, c_net=None):
+        def failing(family, centers, threshold, space):
             return compactness.Certificate(passed=False, worst_member=0, worst_distance=1.0,
                                            threshold=0.5, per_member_distance=[1.0])
 
@@ -316,51 +316,77 @@ task: {{name: net, epsilon: 0.2, route: {route}}}
     @pytest.mark.parametrize("task, route", [("net", "dyadic"), ("net", "average"),
                                              ("certify", "dyadic")])
     def test_each_net_certified_once(self, tmp_path, monkeypatch, task, route):
+        """A built net is certified once, by its builder; `certify` checks the
+        saved centers of a dyadic net once."""
         from mwlp import compactness
 
-        calls = []
+        certificates = []
         original = compactness.certify_net
 
-        def counted(family, net, space):
-            calls.append(net)
-            return original(family, net, space)
+        def counted(*args):
+            certificates.append(original(*args))
+            return certificates[-1]
 
+        sections = """\
+seed: 11
+grid: {n: 1, L: 2.0, N: 256}
+weight: {kind: power, alpha: [0.5], rotation: {kind: none}}
+family: {kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}
+"""
+        saved = tmp_path / "centers"
+        task_line = f"task: {{name: net, epsilon: 0.2, route: {route}, save_centers: '{saved}'}}\n"
+        if task == "certify":
+            net = write_scenario(tmp_path, sections + task_line, "net.yaml")
+            assert main(["run", str(net)]) == 0
+            centers = sorted(str(path) for path in saved.iterdir())
+            task_line = f"task: {{name: certify, epsilon: 0.2, centers: {centers}}}\n"
         monkeypatch.setattr(compactness, "certify_net", counted)
+        out = tmp_path / "r.json"
+        path = write_scenario(tmp_path, sections + task_line)
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert len(certificates) == 1
+        rep = json.loads(out.read_text())["outputs"]
+        assert rep["certificate"] == dataclasses.asdict(certificates[0])
+
+    @pytest.mark.parametrize("key", ["route: dyadic", "notion: twisted"], ids=["route", "notion"])
+    def test_certify_rejects_route_and_notion(self, tmp_path, capsys, key):
+        """`certify` checks the centers it is given and builds no net, so the
+        keys that choose how a net is built are unknown fields of its task."""
         scenario = f"""\
 seed: 11
 grid: {{n: 1, L: 2.0, N: 256}}
 weight: {{kind: power, alpha: [0.5], rotation: {{kind: none}}}}
-family: {{kind: gaussian_bumps, count: 4, d: 1, center_range: [-0.4, 0.4],
-         width_range: [0.2, 0.4]}}
-task: {{name: {task}, epsilon: 0.2, route: {route}}}
+family: {{kind: gaussian_bumps, count: 4, d: 1}}
+task: {{name: certify, epsilon: 0.2, centers: [c.txt], {key}}}
 """
-        out = tmp_path / "r.json"
-        assert main(["run", str(write_scenario(tmp_path, scenario)), "--out", str(out)]) == 0
-        assert len(calls) == 1
-        rep = json.loads(out.read_text())["outputs"]
-        assert rep["certificate"] == dataclasses.asdict(calls[0].certificate)
+        assert main(["run", str(write_scenario(tmp_path, scenario))]) == 1
+        name = key.split(":")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: task.{name}: unknown field of the certify task"]
 
-    def test_certify_honours_notion(self, tmp_path, monkeypatch):
-        from mwlp import compactness
-
-        notions = []
-        original = compactness.build_net_dyadic
-
-        def recording(*args, **kwargs):
-            notions.append(kwargs.get("notion"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(compactness, "build_net_dyadic", recording)
-        scenario = """\
+    def test_certify_checks_the_given_c_net(self, tmp_path):
+        """Saved centers certified at c_net just below and just above their
+        worst distance over epsilon: exit 2, then 0."""
+        eps = 0.2
+        sections = f"""\
 seed: 11
-grid: {n: 1, L: 2.0, N: 256}
-weight: {kind: power, alpha: [0.5, 0.25], rotation: {kind: linear, rate: 1.0}}
-family: {kind: gaussian_bumps, count: 4, d: 2, center_range: [-0.4, 0.4],
-         width_range: [0.2, 0.4]}
-task: {name: certify, epsilon: 0.2, route: dyadic, notion: twisted}
+grid: {{n: 1, L: 2.0, N: 256}}
+weight: {{kind: power, alpha: [0.5, 0.25], rotation: {{kind: linear}}}}
+family: {{kind: gaussian_bumps, count: 6, d: 2, center_range: [-0.4, 0.4],
+         width_range: [0.2, 0.4]}}
 """
-        assert main(["run", str(write_scenario(tmp_path, scenario))]) == 0
-        assert notions == ["twisted"]
+        saved, out = tmp_path / "centers", tmp_path / "net.json"
+        net = sections + f"task: {{name: net, epsilon: {eps}, save_centers: '{saved}'}}\n"
+        assert main(["run", str(write_scenario(tmp_path, net, "n.yaml")), "--out", str(out)]) == 0
+        worst = json.loads(out.read_text())["outputs"]["certificate"]["worst_distance"]
+        centers = sorted(str(path) for path in saved.iterdir())
+        codes = []
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            task = f"task: {{name: certify, epsilon: {eps}, c_net: {worst / eps * factor!r}, " \
+                   f"centers: {centers}}}\n"
+            codes.append(main(["run", str(write_scenario(tmp_path, sections + task))]))
+        assert codes == [2, 0]
 
     @pytest.mark.parametrize("task", [
         "{name: net, route: dyadic}", "{name: net, route: average}",
@@ -776,7 +802,8 @@ task: {name: necessity, epsilons: [0.2]}
         (["net", "--epsilon", "abc"], "mwlp net: argument --epsilon: invalid float value: 'abc'"),
         (["net", "--bogus", "1"], "mwlp: unrecognized arguments: --bogus 1"),
         ([], "mwlp: the following arguments are required: command"),
-    ], ids=["bad-value", "unknown-flag", "no-command"])
+        (["certify", "--route", "average"], "mwlp: unrecognized arguments: --route average"),
+    ], ids=["bad-value", "unknown-flag", "no-command", "certify-route"])
     def test_command_line_error_exits_one(self, capsys, argv, message):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -791,20 +818,15 @@ task: {name: necessity, epsilons: [0.2]}
         [err] = capsys.readouterr().err.splitlines()
         assert err.startswith("error: ") and "needs p" in err
 
-    def test_self_certification_failure_in_certify_exits_one(self, tmp_path, capsys,
-                                                             monkeypatch):
-        from mwlp import compactness
-        from mwlp.errors import SelfCertificationFailed
-
-        def failing(*args, **kwargs):
-            raise SelfCertificationFailed("freshly built dyadic net failed its own certificate")
-
-        monkeypatch.setattr(compactness, "build_net_dyadic", failing)
+    def test_certify_without_centers_exits_one(self, tmp_path, capsys):
+        """`task.centers` is required: a scenario and the shorthand without it
+        exit 1 with one line naming it."""
         path = write_scenario(tmp_path, self.NECESSITY.replace(
-            "{name: necessity, epsilons: [0.2]}", "{name: certify, epsilon: 0.2}"))
-        assert main(["run", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: freshly built dyadic net failed its own certificate"]
+            self.TASK, "{name: certify, epsilon: 0.2}"))
+        for argv in (["run", str(path)], ["certify"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: task.centers: missing required field"]
 
 
 class TestShorthandFlags:
@@ -824,7 +846,6 @@ class TestShorthandFlags:
                 (["--route", "average"], "task.route", "average"),
                 (["--save-centers", "centers"], "task.save_centers", "centers")],
         "certify": [(["--epsilon", "0.2"], "task.epsilon", 0.2),
-                    (["--route", "average"], "task.route", "average"),
                     (["--centers", "c0.txt", "c1.txt"], "task.centers", ["c0.txt", "c1.txt"]),
                     (["--c-net", "2"], "task.c_net", 2.0)],
         "necessity": [(["--epsilons", "0.3", "0.1"], "task.epsilons", [0.3, 0.1])],

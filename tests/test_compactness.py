@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mwlp.compactness import (
-    EpsilonNet,
     FunctionFamily,
     averaging_modulus,
     build_net_average,
@@ -28,6 +27,7 @@ from mwlp.errors import (
     MwlpError,
     OutOfRange,
     RadiusExceedsBox,
+    SchemeMismatch,
     ShapeMismatch,
 )
 from mwlp.families import gaussian_bumps
@@ -246,7 +246,7 @@ class TestDyadicNet:
         fam = FunctionFamily([small_family(grid, rng)[0]])
         net = build_net_dyadic(fam, 0.2, unweighted)
         assert net.size == 1
-        assert net.distances[0] <= net.params["projection_error"] + 1e-12
+        assert net.c_net * net.epsilon <= net.params["projection_error"] + 1e-12
 
     def test_two_far_members(self, grid, unweighted, rng):
         f = small_family(grid, rng)[0]
@@ -271,8 +271,8 @@ class TestDyadicNet:
     def test_certificate_always_passes(self, grid, unweighted, rng):
         fam = small_family(grid, rng, count=12)
         net = build_net_dyadic(fam, 0.1, unweighted)
-        cert = certify_net(fam, net, unweighted)
-        assert cert.passed
+        cert = certify_net(fam, net.centers, net.c_net * net.epsilon, unweighted)
+        assert cert == net.certificate and cert.passed
         assert cert.worst_distance <= net.c_net * net.epsilon * (1 + 1e-9)
 
     def test_each_projection_pair_measured_once(self, grid, unweighted, rng, monkeypatch):
@@ -309,14 +309,14 @@ class TestDyadicNet:
         sp = Space.variable(rho, pf)
         fam = small_family(grid, rng, count=5)
         net = build_net_dyadic(fam, 0.15, sp)
-        assert certify_net(fam, net, sp).passed
+        assert certify_net(fam, net.centers, net.c_net * net.epsilon, sp).passed
 
     def test_quasi_norm_route(self, grid, rng):
         w = MatrixWeightField.constant(grid, [[1.0]])
         sp = Space.matrix_weight(w, 0.5)
         fam = small_family(grid, rng, count=4)
         net = build_net_dyadic(fam, 0.3, sp)
-        assert certify_net(fam, net, sp).passed
+        assert certify_net(fam, net.centers, net.c_net * net.epsilon, sp).passed
 
     def test_twisted_notion(self, grid, rng):
         w = make_power_weight(grid, [0.5, 0.25], rotation=lambda p: p[:, 0])
@@ -324,7 +324,7 @@ class TestDyadicNet:
         fam = small_family(grid, rng, d=2, count=5)
         net = build_net_dyadic(fam, 0.2, sp, notion="twisted")
         assert net.params["notion"] == "twisted"
-        assert certify_net(fam, net, sp).passed
+        assert certify_net(fam, net.centers, net.c_net * net.epsilon, sp).passed
 
 
 class TestAverageNet:
@@ -407,12 +407,27 @@ class TestAverageNet:
         fam = small_family(grid, rng, count=5)
         net = build_net_average(fam, 0.3, Space.matrix_weight(w, 2.0, mu))
         sp = Space.matrix_weight(w, 2.0, mu)
-        assert certify_net(fam, net, sp).passed
+        assert certify_net(fam, net.centers, net.c_net * net.epsilon, sp).passed
 
 
 class TestLadderSearch:
     """Each route takes the first ladder entry under its budget; when none
     is, ModuliTooLarge names the search and the budget."""
+
+    def test_empty_scale_ladder_names_n(self):
+        # L = 8 is a power of two, but at N = 8 the finest scale 2h = 4 exceeds L/4
+        grid = Grid(1, 8.0, 8)
+        fam = FunctionFamily([indicator_field(grid, -1.0, 1.0)])
+        space = Space.matrix_weight(MatrixWeightField.constant(grid, [[1.0]]), 2.0)
+        with pytest.raises(SchemeMismatch, match=r"is empty at N = 8 .*need N >= 16$"):
+            build_net_dyadic(fam, 0.1, space)
+
+    def test_scale_not_a_power_of_two(self):
+        grid = Grid(1, 3.0, 64)  # 2h = 0.1875
+        fam = FunctionFamily([indicator_field(grid, -0.5, 0.5)])
+        space = Space.matrix_weight(MatrixWeightField.constant(grid, [[1.0]]), 2.0)
+        with pytest.raises(SchemeMismatch, match="dyadic nets need L to be a power of two$"):
+            build_net_dyadic(fam, 0.1, space)
 
     def test_dyadic_box_tail(self, rng):
         grid = Grid(1, 3.0, 256)  # L is no power of two: no dyadic box reaches it
@@ -439,19 +454,19 @@ class TestLadderSearch:
 class TestCertify:
     def test_net_equal_to_family(self, grid, unweighted, rng):
         fam = small_family(grid, rng, count=4)
-        net = EpsilonNet(epsilon=0.1, centers=list(fam), assignment=list(range(4)),
-                         distances=[0.0] * 4, c_net=1.0, route="manual")
-        cert = certify_net(fam, net, unweighted)
+        cert = certify_net(fam, list(fam), 0.1, unweighted)
         assert cert.passed and cert.worst_distance == 0.0
 
     def test_zero_net_fails_on_unit_member(self, grid, unweighted, rng):
         f = SampledVectorField(grid, rng.standard_normal(256).astype(complex))
         f = f.scaled(1.0 / unweighted.norm(f))
-        net = EpsilonNet(epsilon=0.5, centers=[zero_field(grid, 1)],
-                         assignment=[0], distances=[1.0], c_net=1.0, route="manual")
-        cert = certify_net(FunctionFamily([f]), net, unweighted)
+        cert = certify_net(FunctionFamily([f]), [zero_field(grid, 1)], 0.5, unweighted)
         assert not cert.passed
         assert cert.worst_distance == pytest.approx(1.0, rel=1e-12)
+
+    def test_no_centers_rejected(self, grid, unweighted, rng):
+        with pytest.raises(OutOfRange, match="^a net needs at least one center$"):
+            certify_net(small_family(grid, rng, count=2), [], 0.5, unweighted)
 
 
 class TestNecessity:
@@ -484,7 +499,7 @@ class TestNecessity:
         fam = small_family(grid, rng, count=10)
         eps = 0.1
         net = build_net_dyadic(fam, eps, sp)
-        assert certify_net(fam, net, sp).passed
+        assert certify_net(fam, net.centers, net.c_net * net.epsilon, sp).passed
         rep = necessity_check(fam, [4 * eps], sp)
         assert rep.passed
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mwlp import cli, scenario, spaces
+from mwlp import cli, compactness, scenario, spaces
 from mwlp.grids import Grid
 from mwlp.spaces import NormFamily, SampledVectorField, Space, lp_rho_norm, lp_w_norm
 from mwlp.weight_fields import MatrixWeightField, MeasureDensity, make_power_weight
@@ -121,10 +121,10 @@ def test_default_net_distances_equal_einsum():
     """Every member-center distance of the default `net` equals the einsum evaluator's."""
     sc = scenario.validate(scenario.default_scenario("net"))
     space, family = cli._setup(sc, np.random.default_rng(sc.seed))
-    net = cli._build_net(sc, space, family)
+    net = compactness.build_net_dyadic(family, sc.param("epsilon"), space)
     ref = reference_norm.space(space.weight, space.p, space.mu)
-    for i, f in enumerate(family):
-        assert net.distances[i] == ref.dist(f, net.centers[net.assignment[i]])
+    for f, nearest in zip(family, net.certificate.per_member_distance):
+        assert nearest == min(ref.dist(f, c) for c in net.centers)
         for c in net.centers:
             assert space.dist(f, c) == ref.dist(f, c)
 
