@@ -353,13 +353,25 @@ class Space:
         self.check(f)
         return self.size_values(f.values)
 
+    def _metric(self, nrm: float) -> float:
+        """The covering metric's value at a norm: the norm, or its p-th power for p < 1."""
+        return nrm if self.is_variable or self.p >= 1.0 else nrm ** self.p
+
     @np.errstate(over="ignore")  # an overflowing difference is reported by _measure
     def dist(self, f: SampledVectorField, g: SampledVectorField) -> float:
         """Covering metric: norm of the difference; modular form for p < 1."""
         self.check(f)
         self.check(g)
-        nrm = self.norm_values(f.values - g.values)
-        return nrm if self.is_variable or self.p >= 1.0 else nrm ** self.p
+        return self._metric(self.norm_values(f.values - g.values))
+
+    def dist_to_zero(self, f: SampledVectorField) -> float:
+        """d(f, 0) in the covering metric, or inf where the size overflows: a
+        pivot for screening distances, which reports nothing itself."""
+        self.check(f)
+        try:
+            return self._metric(self.norm_values(f.values))
+        except NonFinite:
+            return np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,10 @@ MUTANTS = (
      "return lam[..., 0] > TOL_PD_REL * lam[..., -1]", "return np.ones(lam.shape[:-1], bool)"),
     ("p = 1 check dropped in build_net_average", "compactness.py",
      "if p == 1.0 and not w.invertible:", "if False:"),
+    ("certify screen stops at half the best", "compactness.py",
+     "if bounds[j] > best:", "if bounds[j] > 0.5 * best:"),
+    ("certify screen margin dropped", "compactness.py",
+     "CERTIFY_MARGIN = 1e-6", "CERTIFY_MARGIN = 0.0"),
 )
 
 #: survivors with a known cause, reported but not counted as a failure

@@ -1,7 +1,7 @@
 """Each rule of the toolkit is decided in one place.
 
 The source text of `src/mwlp/*.py` is read, the way tests/test_spectral_path.py
-reads it, and every site of five rules is located by module and function:
+reads it, and every site of six rules is located by module and function:
 
 * field-file acceptance: only `fieldio` checks the kind of a loaded field,
   and every other module passes the kind it needs to `fieldio.load_field`;
@@ -12,7 +12,10 @@ reads it, and every site of five rules is located by module and function:
 * l^q norms: a row norm written as a lambda over `np.abs` appears only in
   `spaces.lq_norm`;
 * positive-definiteness: only `matrix_core.definite` reads the threshold
-  `TOL_PD_REL`, and every other module asks it.
+  `TOL_PD_REL`, and every other module asks it;
+* the covering metric's form: only `Space._metric` takes the p-th power of a
+  norm on a test of p against 1 or of a variable exponent, and
+  `Space.dist` and `Space.dist_to_zero` ask it.
 """
 
 import ast
@@ -122,6 +125,26 @@ def definiteness_sites(sources=None) -> set:
             if _name(node) == "TOL_PD_REL" and isinstance(getattr(node, "ctx", None), ast.Load)}
 
 
+def metric_forms(sources=None) -> set:
+    """Sites of a conditional on `p` against 1 or on `is_variable` with a
+    power to `p` in a branch: the covering metric's form written out."""
+    found = set()
+    for module, owner, node in _modules(sources):
+        if not isinstance(node, (ast.IfExp, ast.If)):
+            continue
+        test = list(ast.walk(node.test))
+        on_p = (any(_name(sub) == "is_variable" for sub in test)
+                or any(isinstance(sub, ast.Compare) and _name(sub.left) == "p"
+                       and any(_number(c, 1) for c in sub.comparators) for sub in test))
+        branches = node.body + node.orelse if isinstance(node, ast.If) else [node.body, node.orelse]
+        powers = any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+                     and _name(sub.right) == "p"
+                     for branch in branches for sub in ast.walk(branch))
+        if on_p and powers:
+            found.add((module, owner))
+    return found
+
+
 def test_only_fieldio_checks_a_field_kind():
     assert {module for module, _ in kind_checks()} == {"fieldio"}
     assert load_calls_without_kind() == set()
@@ -143,6 +166,10 @@ def test_definiteness_decided_only_by_definite():
     assert definiteness_sites() == {("matrix_core", "definite")}
 
 
+def test_metric_form_only_in_space_metric():
+    assert metric_forms() == {("spaces", "Space._metric")}
+
+
 @pytest.mark.parametrize("scan, planted", [
     (kind_checks, "def f(path):\n    field = load(path)\n    if not isinstance(field, MeasureDensity):"
                   "\n        raise ValueError\n"),
@@ -154,8 +181,13 @@ def test_definiteness_decided_only_by_definite():
     (notion_lists, "def f(n):\n    return n in ('twisted', 'averaging')\n"),
     (lq_lambdas, "def f(q):\n    return lambda v: np.sum(np.abs(v) ** q, axis=1)\n"),
     (definiteness_sites, "def f(lam):\n    return lam[:, 0] <= mc.TOL_PD_REL * lam[:, -1]\n"),
+    (metric_forms, "def f(space, nrm):\n    return nrm if space.p >= 1.0 else nrm ** space.p\n"),
+    (metric_forms, "def f(self, nrm):\n    if self.is_variable or self.p >= 1:\n        return nrm\n"
+                   "    else:\n        return nrm ** self.p\n"),
+    (metric_forms, "def f(nrm, p):\n    if p < 1:\n        nrm = nrm ** p\n    return nrm\n"),
 ], ids=["kind-check", "load-without-kind", "relative-margin", "left-margin", "absolute-margin",
-        "notion-arguments", "notion-tuple", "lq-lambda", "pd-threshold"])
+        "notion-arguments", "notion-tuple", "lq-lambda", "pd-threshold", "metric-expression",
+        "metric-return", "metric-assignment"])
 def test_each_scan_finds_a_planted_copy(scan, planted):
     found = scan({"planted": planted})
     assert list(found) == [("planted", "f")]
