@@ -221,8 +221,9 @@ def _luxemburg(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
     def modular_scaled(lam: float) -> float:
         return float(np.sum(np.power(r / lam, pv)) * hn)
 
+    # the modular of f / lo is at least 1 at every scale of f: lo needs no floor
     ends = (mu0 ** (1.0 / pf.p_minus), mu0 ** (1.0 / pf.p_plus))
-    lo = max(min(ends), 1e-12)
+    lo = min(ends)
     hi = max(ends) + 1.0
     doublings = 0
     while modular_scaled(hi) > 1.0:
@@ -232,7 +233,7 @@ def _luxemburg(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
         hi *= 2.0
         doublings += 1
     for _ in range(LUX_MAX_ITER):
-        if hi - lo <= LUX_TOL * max(hi, 1e-12):
+        if hi - lo <= LUX_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if modular_scaled(mid) <= 1.0:

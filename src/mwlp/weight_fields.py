@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import matrix_core as mc
 from .errors import EmptyCubeFamily, NonFinite, NotInvertible, OutOfRange, ShapeMismatch
@@ -250,6 +251,8 @@ class CubeFamily:
 
 #: cell pairs per block of the matrix A_p pairwise pass
 PAIR_BLOCK = 1 << 14
+#: kernel blocks per row panel of that pass, whose row means are taken at once
+PANEL_BLOCKS = 8
 
 
 def _box_means(grid: Grid, values: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -325,10 +328,11 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
     uses exact scalar formulas.  One pass evaluates every pair of the cells
     the family covers once (M^2 pairs for the default family, whose largest
     cube is the box): the rows go in blocks of about PAIR_BLOCK pairs
-    against all covered cells.  Each distinct box takes the row means of its
-    rows in a block by a gather over its own cells in ascending order, the
-    order a per-cube pass sums them in, with one gather per block and group
-    of equally shaped boxes.
+    against all covered cells, PANEL_BLOCKS blocks to a row panel.  Each
+    distinct box takes the row means of its rows in a panel from its own
+    cells in ascending order, the order a per-cube pass sums them in,
+    gathered as whole runs along the last axis, once per panel and group of
+    equally shaped boxes (in slices of at most PAIR_BLOCK values).
     """
     if not w.invertible:
         raise NotInvertible("A_p constant requires an invertible weight")
@@ -355,32 +359,41 @@ def ap_constant(w: MatrixWeightField, p: float, cubes: CubeFamily) -> float:
     cells = [grid.box_cells(boxes[group_of.ravel() == g]) for g in range(len(shapes))]
     covered = np.unique(np.concatenate([c.ravel() for c in cells]))
     rows, cols = rows[covered], cols[covered]
-    # per group: (box, cell) memberships sorted by row, and the row means
-    groups = []
-    for c in cells:
-        c = np.searchsorted(covered, c)
-        order = np.argsort(c, axis=None, kind="stable")
-        groups.append((c, order, c.ravel()[order], np.empty(c.size)))
     m_all = len(covered)
     step = max(1, PAIR_BLOCK // m_all)
-    for start in range(0, m_all, step):
-        stop = min(start + step, m_all)
-        # the power goes in place and e lives until the next block's kernel
-        # returns: with a temporary there, the allocator gave the kernel's
-        # freed work arrays back to the system after every block, about 600
-        # page faults per block at N = 1024
-        e = mc.pairwise_op_norm(rows[start:stop], cols)
-        np.power(e, exponent, out=e)
-        for c, order, by_row, means in groups:
+    # the powered kernel blocks of one row panel, allocated once per call
+    panel = np.empty((min(PANEL_BLOCKS * step, m_all), m_all))
+    # per group: (box, cell) memberships sorted by row, the row means (NaN
+    # until taken), and the first cell of each run of a box along the last
+    # axis, whose cells are consecutive in `covered`, with a window view of
+    # the panel that reads such a run whole
+    groups = []
+    for c, shape in zip(cells, shapes):
+        c = np.searchsorted(covered, c)
+        order = np.argsort(c, axis=None, kind="stable")
+        groups.append((c, order, c.ravel()[order], np.full(c.size, np.nan),
+                       c[:, ::shape[-1]], sliding_window_view(panel, shape[-1], axis=1)))
+    for p0 in range(0, m_all, len(panel)):
+        p1 = min(p0 + len(panel), m_all)
+        for start in range(p0, p1, step):
+            # e lives until the next block's kernel returns: with a temporary
+            # there, the allocator gave the kernel's freed work arrays back to
+            # the system after every block, about 600 page faults per block at
+            # N = 1024
+            e = mc.pairwise_op_norm(rows[start:start + step], cols)
+            np.power(e, exponent, out=panel[start - p0:start - p0 + len(e)])
+        for c, order, by_row, means, starts, runs in groups:
             m = c.shape[1]
+            # gathers of at most PAIR_BLOCK values: as large as the panel, they
+            # raised the page faults of a call at N = 1024 from 484 to 798
             chunk = max(1, PAIR_BLOCK // m)
-            lo, hi = np.searchsorted(by_row, (start, stop))
+            lo, hi = np.searchsorted(by_row, (p0, p1))
             for c0 in range(lo, hi, chunk):
-                c1 = min(c0 + chunk, hi)
-                sel = order[c0:c1]
-                means[sel] = np.mean(e[by_row[c0:c1, None] - start, c[sel // m]], axis=1)
+                sel = order[c0:min(c0 + chunk, hi)]
+                got = runs[by_row[c0:c0 + len(sel), None] - p0, starts[sel // m]]
+                means[sel] = np.mean(got.reshape(len(sel), m), axis=1)
     vals = []
-    for c, _, _, means in groups:
+    for c, _, _, means, _, _ in groups:
         row_means = means.reshape(c.shape)
         if p > 1:
             vals.append(np.mean(np.power(row_means, p / pp), axis=1))

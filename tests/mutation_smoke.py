@@ -64,6 +64,11 @@ MUTANTS = (
      "if bounds[j] > best:", "if bounds[j] > 0.5 * best:"),
     ("certify screen margin dropped", "compactness.py",
      "CERTIFY_MARGIN = 1e-6", "CERTIFY_MARGIN = 0.0"),
+    ("A_p run start off by one cell", "weight_fields.py",
+     "c[:, ::shape[-1]],", "c[:, ::shape[-1]] + 1,"),
+    ("A_p last partial panel unmeaned", "weight_fields.py",
+     "lo, hi = np.searchsorted(by_row, (p0, p1))",
+     "lo, hi = np.searchsorted(by_row, (p0, p1 if p1 - p0 == len(panel) else p0))"),
 )
 
 #: survivors with a known cause, reported but not counted as a failure

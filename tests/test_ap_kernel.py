@@ -5,8 +5,8 @@ product a_x b_y for real and complex stacks, and on a real d = 2 stack it
 must equal the complex-arithmetic kernel kept in `reference_ap.py` exactly;
 `ap_constant` must hand it real stacks for a real weight, reproduce the
 product-stack-and-SVD loop kept in `reference_ap.py` to round-off, and the
-per-cube loop kept there exactly, while it evaluates every cell pair once
-per call.
+per-cube loop kept there exactly, also where its row panels end inside
+boxes, while it evaluates every cell pair once per call.
 """
 
 import math
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mwlp import matrix_core as mc
-from mwlp import scenario
+from mwlp import scenario, weight_fields
 from mwlp.grids import Grid
 from mwlp.weight_fields import (PAIR_BLOCK, CubeFamily, MatrixWeightField, ap_constant,
                                 make_power_weight)
@@ -178,6 +178,51 @@ def test_one_pass_equals_per_cube_loop_on_named_inputs(case):
     w = make_weight()
     cubes = family(w.grid)
     assert ap_constant(w, p, cubes) == reference_ap.ap_constant_per_cube(w, p, cubes)
+
+
+def complex_weight():
+    """weight_for(1, 2) conjugated by diag(1, e^{2ix}): its powers are complex."""
+    w = weight_for(1, 2)
+    phase = np.exp(2j * w.grid.points[:, 0])
+    v = w.values.copy()
+    v[:, 0, 1] *= phase.conj()
+    v[:, 1, 0] *= phase
+    return MatrixWeightField(w.grid, v)
+
+
+PANEL_INPUTS = {
+    **{f"{n}d-d{d}-p{p}": (lambda n=n, d=d: weight_for(n, d), CubeFamily.default, p)
+       for n in (1, 2) for d in (2, 3) for p in (0.5, 2.0)},
+    "dense-d2-p0.5": (lambda: weight_for(1, 2), CubeFamily.dense_dyadic, 0.5),
+    "dense-d3-p2": (lambda: weight_for(1, 3), CubeFamily.dense_dyadic, 2.0),
+    "origin-anchored-512-p2": (lambda: scalar_weights_suite_weight(512), origin_anchored, 2.0),
+    "complex-d2-p0.5": (complex_weight, CubeFamily.default, 0.5),
+    "complex-d2-p2": (complex_weight, CubeFamily.default, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(PANEL_INPUTS))
+def test_panels_ending_inside_boxes_keep_every_bit(case, monkeypatch):
+    """With one-row blocks and three-block panels, panels end inside boxes
+    and a group's memberships, a 2-D box's runs among them, fall in several
+    panels; the pass still equals the per-cube loop exactly, in one kernel
+    call per block."""
+    make_weight, family, p = PANEL_INPUTS[case]
+    w = make_weight()
+    cubes = family(w.grid)
+    want = reference_ap.ap_constant_per_cube(w, p, cubes)
+    rows = []
+    kernel = mc.pairwise_op_norm
+
+    def counted(a, b):
+        rows.append(a.shape[0])
+        return kernel(a, b)
+
+    monkeypatch.setattr(weight_fields, "PAIR_BLOCK", 7)
+    monkeypatch.setattr(weight_fields, "PANEL_BLOCKS", 3)
+    monkeypatch.setattr(mc, "pairwise_op_norm", counted)
+    assert ap_constant(w, p, cubes) == want
+    assert set(rows) == {1}
 
 
 def test_each_cell_pair_evaluated_once(monkeypatch):

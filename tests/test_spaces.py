@@ -218,6 +218,18 @@ class TestLuxemburg:
             assert luxemburg_norm(f.scaled(c), rho, pf) == pytest.approx(
                 abs(c) * base, rel=1e-7, abs=1e-8)
 
+    def test_homogeneity_down_to_1e_16(self):
+        # no floor on the bracket: the norm keeps scaling below 1e-12
+        g = Grid(1, 2.0, 64)
+        rho = NormFamily.from_matrix_weight(MatrixWeightField.constant(g, [[1.0]]), 2.0)
+        pf = ExponentField.constant(g, 2.0)
+        one = SampledVectorField(g, np.ones(64, dtype=complex))
+        for c in (1.0, 1e-12, 1e-14, 1e-16):
+            f = one.scaled(c)
+            want = lp_rho_norm(f, rho, 2.0)
+            assert want == pytest.approx(2.0 * c, rel=1e-12, abs=0.0)
+            assert luxemburg_norm(f, rho, pf) == pytest.approx(want, rel=1e-7, abs=0.0)
+
     def test_modular_norm_comparison_clauses(self, rng):
         # the four comparison clauses, including the boundary lambda = 1
         for k in range(25):
