@@ -16,7 +16,9 @@ row-major order, a complex entry as its (re, im) pair and a real one as it
 is, so matrices carry d*d pairs, vectors d pairs and the scalar kinds one
 value.  Each field type's SAMPLE (dtype and axes) decides its layout.
 Floats are written with Python's shortest round-trip repr, so a save/load
-cycle is bit-exact; the writer formats each distinct value once.
+cycle is bit-exact; the writer formats each distinct value once, and the
+reader decodes each distinct row text once and gathers the rows from it
+(sampled fields repeat rows: a dyadic net's centers are piecewise constant).
 """
 
 from __future__ import annotations
@@ -113,11 +115,15 @@ def _parse_field(text: str, path):
     dtype, ndim = cls.SAMPLE
     shape = (grid.num_points,) + (int(header.get("d", "1")),) * (ndim - 1)
     columns = int(np.prod(shape[1:])) * np.dtype(dtype).itemsize // 8  # float64s per row
-    rows = [line.split() for line in lines[i:] if line.strip()]
-    if len(rows) != grid.num_points:
-        raise MalformedField(f"{path}: expected {grid.num_points} rows, found {len(rows)}")
+    body = list(filter(str.strip, lines[i:]))  # blank lines are skipped
+    if len(body) != grid.num_points:
+        raise MalformedField(f"{path}: expected {grid.num_points} rows, found {len(body)}")
+    # each distinct row text is decoded once: equal text decodes to equal bits
+    index = {line: k for k, line in enumerate(dict.fromkeys(body))}
+    rows = [line.split() for line in index]
     if any(len(row) != columns for row in rows):
         raise MalformedField(f"{path}: every row must hold {columns} numbers")
+    values = np.array(rows, dtype=np.float64)[list(map(index.get, body))]
     # the float64 (re, im) pairs viewed as complex keep signed zeros intact
-    values = np.array(rows, dtype=np.float64).view(dtype).reshape(shape)
+    values = values.view(dtype).reshape(shape)
     return cls(grid, values)

@@ -100,7 +100,7 @@ def batched_power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarr
 
 def batched_sandwich(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """U diag(lam) U^H for every matrix of an (M, d, d) stack u and real
-    (M, d) lam, made exactly Hermitian as 0.5 (A + A^H).
+    (M, d) lam, made exactly Hermitian as 0.5 (A + A^H), as a complex128 stack.
 
     Explicit real multiply-adds in the arithmetic of
     np.einsum("mik,mk,mjk->mij", u, lam, u.conj()), so that for finite u the
@@ -110,25 +110,36 @@ def batched_sandwich(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     multiply-add, and the terms are summed in k order starting from +0.0.
     The einsum multiplies by lam_k + 0i; the products with that zero
     imaginary part are signed zeros for finite u, and a signed zero changes
-    no bit of a sum that starts from +0.0, so they are left out.
+    no bit of a sum that starts from +0.0, so they are left out.  The kernel
+    computes in the dtype it is given: a float64 u has only zero imaginary
+    parts, so only re = a_re b_re and the real part of 0.5 (A + A^H) are
+    formed, and wherever the result is finite it is the result of u's
+    complex128 copy.
     """
-    u = np.asarray(u, dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128 if np.iscomplexobj(u) else np.float64)
     m, d, _ = u.shape
     # (i, k, M) layouts, so that every operation runs along the M points
     ur = np.ascontiguousarray(np.moveaxis(u.real, 0, -1))
-    ui = np.ascontiguousarray(np.moveaxis(u.imag, 0, -1))
+    ui = np.ascontiguousarray(np.moveaxis(u.imag, 0, -1)) if np.iscomplexobj(u) else None
     lt = np.ascontiguousarray(np.transpose(lam))
     re = np.zeros((d, d, m))
     im = np.zeros((d, d, m))
     for k in range(d):
-        xr, xi, lk = ur[:, k], ui[:, k], lt[k]
+        xr, lk = ur[:, k], lt[k]
         # a = u_ik lam_k along i, then b = conj(u_jk) along j
-        ar = (xr * lk)[:, None]
-        ai = (xi * lk)[:, None]
-        br, bi = xr[None], -xi[None]
+        ar, br = (xr * lk)[:, None], xr[None]
+        if ui is None:
+            re += ar * br
+            continue
+        xi = ui[:, k]
+        ai, bi = (xi * lk)[:, None], -xi[None]
         re += ar * br - ai * bi
         im += ar * bi + ai * br
-    out = np.empty(u.shape, dtype=np.complex128)
+    out = np.zeros(u.shape, dtype=np.complex128)
+    if ui is None:
+        # every imaginary part is +0.0, so 0.5 (A + A^H) is 0.5 (A + A^T)
+        out.real = np.moveaxis(0.5 * (re + re.swapaxes(0, 1)), -1, 0)
+        return out
     out.real = np.moveaxis(re, -1, 0)
     out.imag = np.moveaxis(im, -1, 0)
     return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))

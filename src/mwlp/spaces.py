@@ -17,9 +17,8 @@ from .errors import DegenerateNorm, NonFinite, OutOfRange, ShapeMismatch
 from .grids import Grid
 from .weight_fields import MatrixWeightField, MeasureDensity
 
-#: Luxemburg bisection: relative tolerance and iteration cap
+#: Luxemburg bisection: relative tolerance of the bracket
 LUX_TOL = 1e-8
-LUX_MAX_ITER = 200
 #: doublings of the upper bracket end before the Luxemburg norm gives up
 LUX_MAX_DOUBLINGS = 60
 
@@ -209,7 +208,10 @@ def _luxemburg(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
     bisection on the bracket [min, max] of modular^{1/p_-}, modular^{1/p_+}
     is safe; the upper end is doubled while the modular there still exceeds
     1, and NonFinite is raised if LUX_MAX_DOUBLINGS doublings do not close
-    the bracket.
+    the bracket.  The bisection halves the bracket until it is within
+    LUX_TOL of its upper end, however many halvings that takes; NonFinite is
+    raised if its midpoint stops falling strictly inside it first, as it can
+    among subnormal numbers.
     """
     mu0 = _finite(_exponent_modular(r, pf, grid))
     if mu0 == 0.0:
@@ -232,10 +234,11 @@ def _luxemburg(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
                             f"still exceeds 1 after {LUX_MAX_DOUBLINGS} doublings")
         hi *= 2.0
         doublings += 1
-    for _ in range(LUX_MAX_ITER):
-        if hi - lo <= LUX_TOL * hi:
-            break
+    while hi - lo > LUX_TOL * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NonFinite(f"Luxemburg bisection stalled at {hi:.3e}, "
+                            f"short of the relative tolerance {LUX_TOL:g}")
         if modular_scaled(mid) <= 1.0:
             hi = mid
         else:

@@ -66,9 +66,10 @@ class MatrixWeightField:
     """PSD matrix weight sampled at cell centers, values of shape (M, d, d).
 
     The eigensystems are computed once, on construction, unless `_eig`
-    supplies them.  `invertible` is measured from them: it holds when every
-    sampled matrix is positive-definite by `matrix_core.definite`, and
-    negative fractional powers are then available.
+    supplies them, as `constant`, `diagonal` and `make_power_weight` do (a
+    power weight's eigenvectors are real).  `invertible` is measured from
+    them: it holds when every sampled matrix is positive-definite by
+    `matrix_core.definite`, and negative fractional powers are then available.
     """
 
     grid: Grid
@@ -144,9 +145,13 @@ def make_power_weight(grid: Grid, alphas, rotation=None) -> MatrixWeightField:
     rotation, if given, is a callable mapping the (M, n) point array to an
     (M,) array of angles; the rotation acts as a Givens rotation in the
     first two coordinates (d >= 2), and `matrix_core.batched_sandwich` forms
-    R D R^H.  Cell centers of an even grid never hit the origin, but a large
-    exponent can overflow: the samples are then formed without numpy
-    warnings, and the constructor rejects the non-finite ones.
+    R D R^H in real arithmetic.  The weight keeps the eigensystem it is built
+    from: the |x|^a_k sorted ascending at each point (stable order) and the
+    columns of R (the identity without rotation) permuted with them, phases
+    fixed by `matrix_core._fix_phases`.  Cell centers of an even grid never
+    hit the origin, but a large exponent can overflow: the samples are then
+    formed without numpy warnings, and the constructor rejects the
+    non-finite ones.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     d = alphas.shape[0]
@@ -154,6 +159,8 @@ def make_power_weight(grid: Grid, alphas, rotation=None) -> MatrixWeightField:
     idx = np.arange(d)
     if rotation is not None and d < 2:
         raise OutOfRange("rotation requires d >= 2")
+    rot = np.zeros((m, d, d))
+    rot[:, idx, idx] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         diag = np.power(grid.radii[:, None], alphas[None, :])
         if rotation is None:
@@ -162,14 +169,17 @@ def make_power_weight(grid: Grid, alphas, rotation=None) -> MatrixWeightField:
         else:
             theta = np.asarray(rotation(grid.points), dtype=np.float64)
             c, s = np.cos(theta), np.sin(theta)
-            rot = np.zeros((m, d, d), dtype=np.complex128)
-            rot[:, idx, idx] = 1.0
             rot[:, 0, 0] = c
             rot[:, 0, 1] = -s
             rot[:, 1, 0] = s
             rot[:, 1, 1] = c
             vals = mc.batched_sandwich(rot, diag)
-    return MatrixWeightField(grid, vals)
+    eig = None
+    if np.all(np.isfinite(diag)):  # otherwise the constructor rejects the samples
+        order = np.argsort(diag, axis=1, kind="stable")
+        eig = (np.take_along_axis(diag, order, axis=1),
+               mc._fix_phases(np.take_along_axis(rot, order[:, None, :], axis=2)))
+    return MatrixWeightField(grid, vals, _eig=eig)
 
 
 # ---------------------------------------------------------------------------

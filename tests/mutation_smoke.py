@@ -69,6 +69,13 @@ MUTANTS = (
     ("A_p last partial panel unmeaned", "weight_fields.py",
      "lo, hi = np.searchsorted(by_row, (p0, p1))",
      "lo, hi = np.searchsorted(by_row, (p0, p1 if p1 - p0 == len(panel) else p0))"),
+    ("power-weight eigenvalues unsorted", "weight_fields.py",
+     "eig = (np.take_along_axis(diag, order, axis=1),", "eig = (diag,"),
+    ("power-weight eigenvector columns unpermuted", "weight_fields.py",
+     "mc._fix_phases(np.take_along_axis(rot, order[:, None, :], axis=2)))",
+     "mc._fix_phases(rot))"),
+    ("field rows gathered by a wrong inverse", "fieldio.py",
+     "[list(map(index.get, body))]", "[sorted(map(index.get, body))]"),
 )
 
 #: survivors with a known cause, reported but not counted as a failure

@@ -4,8 +4,9 @@
 These are the two three-operand einsums the package used before the
 multiply-add kernel: the power of a stack from its eigensystem
 (`batched_power_from_eig`) and the rotated power weight R D R^H
-(`make_power_weight`).  The kernel must reproduce both bit for bit.  Slow
-and plain."""
+(`make_power_weight`).  The kernel must reproduce both bit for bit.  Also
+the eigensystem a power weight is built from, point by point, which
+`make_power_weight` must hand its field.  Slow and plain."""
 
 import numpy as np
 
@@ -52,3 +53,29 @@ def power_weight(grid: Grid, alphas, rotation=None) -> MatrixWeightField:
         vals = np.einsum("mij,mjk,mlk->mil", rot, vals, rot.conj())
         vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
     return MatrixWeightField(grid, vals)
+
+
+def power_weight_eig(grid: Grid, alphas, rotation=None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem of R D R^T, one point at a time: the |x|^a_k in
+    ascending order (equal ones in k order), and the columns of the real
+    rotation R (the identity without rotation) in the same order, each
+    negated when its first entry above 1e-8 times its largest is negative."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    d = alphas.shape[0]
+    diag = np.power(grid.radii[:, None], alphas[None, :])
+    theta = None if rotation is None else np.asarray(rotation(grid.points), dtype=np.float64)
+    lam = np.empty_like(diag)
+    u = np.empty((grid.num_points, d, d))
+    for m in range(grid.num_points):
+        rot = np.eye(d)
+        if theta is not None:
+            c, s = np.cos(theta[m]), np.sin(theta[m])
+            rot[:2, :2] = [[c, -s], [s, c]]
+        order = sorted(range(d), key=lambda k: diag[m, k])
+        lam[m] = diag[m, order]
+        for j, k in enumerate(order):
+            col = rot[:, k]
+            big = np.max(np.abs(col))
+            lead = next(x for x in col if abs(x) > 1e-8 * big)
+            u[m, :, j] = -col if lead < 0 else col
+    return lam, u

@@ -173,6 +173,51 @@ def test_writer_bytes_equal_the_one_repr_per_float_writer(tmp_path_factory, fiel
     assert (folder / "new.txt").read_bytes() == (folder / "reference.txt").read_bytes()
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fields())
+def test_reader_bits_equal_the_every_row_reader(tmp_path_factory, field):
+    """Decoding each distinct row once loads the bits of decoding every row."""
+    path = tmp_path_factory.mktemp("fields") / "f.txt"
+    fieldio.save_field(path, field)
+    with np.errstate(over="ignore"):  # the total of huge density samples overflows
+        got = fieldio.load_field(path, type(field))
+        want = reference_fieldio.load_field(path)
+    assert type(got) is type(want) and got.grid == want.grid
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(np.ascontiguousarray(got.values).view(np.int64),
+                          np.ascontiguousarray(want.values).view(np.int64))
+
+
+HEADER = "mwfield 1\nkind vector\nn 1\nL 1.0\nN 8\nd 1\n"
+
+
+def test_repeated_rows_decode_by_their_text(tmp_path):
+    """Repeated rows, -0.0 against 0.0, a repeat with other spacing and a
+    blank line inside the body: equal text gives equal bits, other text is
+    decoded on its own."""
+    body = ["0.5 -0.0", "0.5 0.0", "-0.0 0.0", "0.0 0.0",
+            "0.5  -0.0 ", "", "0.5 -0.0", "1e300 -5e-324", "0.5 -0.0"]
+    path = tmp_path / "f.txt"
+    path.write_text(HEADER + "\n".join(body) + "\n")
+    got = fieldio.load_field(path, SampledVectorField).values[:, 0]
+    want = reference_fieldio.load_field(path).values[:, 0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    pairs = [(float(a), float(b)) for a, b in (row.split() for row in body if row)]
+    assert [(z.real, z.imag) for z in got] == pairs
+    assert [(np.signbit(z.real), np.signbit(z.imag)) for z in got] == [
+        (np.signbit(a), np.signbit(b)) for a, b in pairs]
+
+
+def test_repeated_malformed_rows_keep_their_messages(tmp_path):
+    path = tmp_path / "f.txt"
+    for rows, message in ((["0.5 oops"] * 8, "could not convert"),
+                          (["0.5 1.0"] * 7 + ["0.5"], "every row must hold 2 numbers"),
+                          (["0.5"] * 8, "every row must hold 2 numbers")):
+        path.write_text(HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(MalformedField, match=message):
+            fieldio.load_field(path, SampledVectorField)
+
+
 def test_undecodable_file_raises_malformed_field(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"mwfield 1\nkind vector\n\xff\n")

@@ -4,6 +4,8 @@
 multiply-adds; it must equal, bit for bit and signed zeros included, the two
 three-operand einsums kept in `reference_sandwich.py`: the power of a stack
 from its eigensystem and the rotation sandwich R D R^H of `make_power_weight`.
+A float64 stack runs in real arithmetic and gives its complex128 copy's
+bits.  A power weight hands its field the eigensystem it is built from.
 Bits are compared as int64 views of contiguous copies, so -0.0 differs from
 0.0 and every NaN payload counts.
 """
@@ -102,16 +104,47 @@ def linear(rate):
 ], ids=["net-4096", "net-2048", "2d-128", "no-rotation", "d3", "d3-no-rotation",
         "2d-negative", "d3-negative", "ap-constant-d1"])
 def test_power_weights_equal_einsum(grid, alphas, rotation):
+    """A power weight's samples and powers are the einsums' bits; its
+    eigensystem is the one it is built from, and lies within rounding of the
+    eigensystem eigh finds in its samples."""
     g = Grid(*grid)
     got = make_power_weight(g, alphas, rotation=rotation)
     want = reference_sandwich.power_weight(g, alphas, rotation=rotation)
     assert got.invertible == want.invertible
     assert_same_bits(got.values, want.values)
-    for a, b in zip(got.eig(), want.eig()):
-        assert_same_bits(a, b)
     lam, u = got.eig()
+    for a, b in zip((lam, u), reference_sandwich.power_weight_eig(g, alphas, rotation)):
+        assert_same_bits(a, b)
     for s in (0.5, -0.5, 1.0 / 1.5, -1.0 / 1.5):
-        assert_same_bits(got.power(s), reference_sandwich.power_from_eig(lam, u, s))
+        assert_same_bits(got.power(s), reference_sandwich.power_from_eig(lam, u.astype(complex), s))
+    # the eigh route, kept as the reference: 8 ulp of the largest eigenvalue
+    # for the eigenvalues, 1e-14 relative in operator norm for the powers
+    lam_eigh = want.eig()[0]
+    assert np.all(np.abs(lam - lam_eigh) <= 8 * np.spacing(lam_eigh[:, -1:]))
+    for s in (0.5, -0.5):
+        ref = want.power(s)
+        gap = np.linalg.norm(got.power(s) - ref, ord=2, axis=(1, 2))
+        assert np.all(gap <= 1e-14 * np.linalg.norm(ref, ord=2, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_real_stacks_give_the_bits_of_their_complex_copies(d):
+    """A float64 u runs the real kernel; random, signed-zero, subnormal and
+    huge entries give the complex128 copy's bits wherever the output is
+    finite, and where a product overflows both outputs are non-finite."""
+    rng = np.random.default_rng(20 + d)
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 3.0,
+                       1e300, -1e300, 1e-300, 1.7e308, 1e-200, -1e-200])
+    stacks = [(rng.standard_normal((60, d, d)), rng.standard_normal((60, d))),
+              (rng.choice(values, (400, d, d)), rng.choice(values, (400, d)))]
+    with np.errstate(all="ignore"):
+        for u, lam in stacks:
+            got = mc.batched_sandwich(u, lam)
+            want = mc.batched_sandwich(u.astype(complex), lam)
+            finite = np.isfinite(got)
+            np.testing.assert_array_equal(finite, np.isfinite(want))
+            assert_same_bits(got[finite], want[finite])
+            assert_same_bits(want, reference_sandwich.sandwich(u.astype(complex), lam))
 
 
 def _einsum_operand_counts():

@@ -230,6 +230,27 @@ class TestLuxemburg:
             assert want == pytest.approx(2.0 * c, rel=1e-12, abs=0.0)
             assert luxemburg_norm(f, rho, pf) == pytest.approx(want, rel=1e-7, abs=0.0)
 
+    def test_bisection_converges_below_1e_52(self):
+        # the bracket starts near 1 whatever the field's size, so a norm of
+        # 2e-70 takes more than 200 halvings to reach
+        g = Grid(1, 2.0, 64)
+        rho = NormFamily.from_matrix_weight(MatrixWeightField.constant(g, [[1.0]]), 2.0)
+        pf = ExponentField.constant(g, 2.0)
+        one = SampledVectorField(g, np.ones(64, dtype=complex))
+        for c in (1e-55, 1e-70):
+            assert luxemburg_norm(one.scaled(c), rho, pf) == pytest.approx(
+                2.0 * c, rel=1e-7, abs=0.0)
+
+    def test_bisection_that_cannot_meet_the_tolerance_raises(self):
+        # per-point norms of 1e-318 at p = 1: a norm of 4e-318 is subnormal,
+        # where neighbouring floats lie farther apart than LUX_TOL
+        from mwlp.spaces import _luxemburg
+
+        g = Grid(1, 2.0, 64)
+        with pytest.raises(NonFinite, match="short of the relative tolerance") as exc:
+            _luxemburg(np.full(64, 1e-318), ExponentField.constant(g, 1.0), g)
+        assert "\n" not in str(exc.value)
+
     def test_modular_norm_comparison_clauses(self, rng):
         # the four comparison clauses, including the boundary lambda = 1
         for k in range(25):
