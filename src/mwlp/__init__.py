@@ -11,6 +11,7 @@ from .compactness import (
     FunctionFamily,
     ModuliReport,
     NecessityReport,
+    averaging_curve,
     averaging_modulus,
     build_net_average,
     build_net_dyadic,
@@ -78,6 +79,7 @@ __all__ = [
     "ScalarWeightField",
     "Space",
     "ap_constant",
+    "averaging_curve",
     "averaging_modulus",
     "ball_average",
     "build_net_average",

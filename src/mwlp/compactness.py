@@ -30,7 +30,7 @@ from .grids import Grid
 from .operators import (
     BallScheme,
     DyadicScheme,
-    ball_average,
+    ball_average_ladder,
     ball_average_values,
     dyadic_average,
     dyadic_radii,
@@ -363,25 +363,33 @@ def _ball_density(space: Space) -> MeasureDensity:
     return space.mu if space.mu is not None else MeasureDensity.lebesgue(space.grid)
 
 
-def _averaging_residual(f: SampledVectorField, space: Space, scheme: BallScheme,
+def _averaging_residual(values: np.ndarray, averaged: np.ndarray, space: Space,
                         mask: np.ndarray) -> float:
-    """The size of (S_r f - f) chi_mask, S_r averaging against the scheme's measure."""
-    return space.size_values(_restricted(ball_average(f, scheme).values - f.values, mask))
+    """The size of (S_r f - f) chi_mask from the values of f and of S_r f."""
+    return space.size_values(_restricted(averaged - values, mask))
+
+
+def averaging_curve(family: FunctionFamily, space: Space, scales: list[float]) -> list[float]:
+    """Averaging modulus at every ladder scale r, in the ladder's order: the sup
+    over members of ||(S_r f - f) chi_{B(0, L - r)}||, S_r averaging against
+    the space's measure and B(0, L - r) keeping every ball unclipped.  Each
+    member is averaged at every scale by one S_r call."""
+    grid = family.grid
+    if any(r >= grid.L for r in scales):
+        raise RadiusExceedsBox(f"scale r={max(scales)} leaves no unclipped ball in the box")
+    space.check(family)
+    dens = _ball_density(space)
+    schemes = [BallScheme(grid, r, dens) for r in scales]
+    masks = [grid.inside_ball(grid.L - r) for r in scales]
+    table = [[_averaging_residual(f.values, a, space, mask)
+              for a, mask in zip(ball_average_ladder(f.values, schemes), masks)]
+             for f in family]
+    return [max(column) for column in zip(*table)]
 
 
 def averaging_modulus(family: FunctionFamily, space: Space, r: float) -> float:
-    """sup over members of ||(S_r f - f) chi_{B(0, L - r)}||.
-
-    S_r averages against the space's measure; the evaluation region
-    B(0, L - r) keeps every ball unclipped.
-    """
-    grid = family.grid
-    if r >= grid.L:
-        raise RadiusExceedsBox(f"scale r={r} leaves no unclipped ball in the box")
-    space.check(family)
-    scheme = BallScheme(grid, r, _ball_density(space))
-    mask = grid.inside_ball(grid.L - r)
-    return max(_averaging_residual(f, space, scheme, mask) for f in family)
+    """The averaging modulus at one scale (see averaging_curve)."""
+    return averaging_curve(family, space, [r])[0]
 
 
 def _weight_and_exponent(space: Space, purpose: str) -> tuple[MatrixWeightField, float]:
@@ -420,7 +428,7 @@ def moduli_report(family: FunctionFamily, space: Space,
     elif notion == "twisted":
         equi = list(zip(scales, twisted_curve(family, space, scales)))
     else:
-        equi = [(r, averaging_modulus(family, space, r)) for r in scales]
+        equi = list(zip(scales, averaging_curve(family, space, scales)))
     return ModuliReport(bound=bound, tail_curve=tail, equicontinuity_curve=equi, notion=notion,
                         space=space.label, family=family.metadata)
 
@@ -578,10 +586,10 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
     @functools.lru_cache(maxsize=1)
     def averaged_at(r: float) -> list:
         scheme = BallScheme(grid, r, dens)
-        return [ball_average(f, scheme) for f in family]
+        return [ball_average_values(f.values, scheme) for f in family]
 
     chosen_r, avg_value = _first_under(
-        ((r, max(space.size_values(_restricted(g.values - f.values, inside))
+        ((r, max(_averaging_residual(f.values, g, space, inside)
                  for f, g in zip(family, averaged_at(r))))
          for r in default_scale_ladder(grid)
          if r < chosen_R and chosen_R + r <= grid.L * (1 + 1e-12)),
@@ -592,7 +600,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
     a_const = 3.0 * float(np.sum(op_norms[inside] * dens.values[inside])
                           * grid.h ** grid.n) ** (1.0 / p)
 
-    stacked = np.stack([g.values for g in averaged])[:, inside]
+    stacked = np.stack(averaged)[:, inside]
 
     def dist_uniform(i: int, j: int) -> float:
         diff = stacked[i] - stacked[j]
@@ -600,7 +608,7 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
 
     uniform_radius = epsilon / a_const
     center_idx, assignment, uniform_d = greedy_cover(len(family), dist_uniform, uniform_radius)
-    centers = [SampledVectorField(grid, _restricted(averaged[k].values, inside))
+    centers = [SampledVectorField(grid, _restricted(averaged[k], inside))
                for k in center_idx]
     return _self_certified(family, space, epsilon, centers, assignment, "average", {
         "R": chosen_R,
@@ -721,7 +729,8 @@ def necessity_check(family: FunctionFamily, epsilons: list[float],
 
     @functools.cache
     def residual(i: int, r: float) -> float:
-        return _averaging_residual(family[i], space, *scheme_at(r))
+        (scheme, inside), f = scheme_at(r), family[i].values
+        return _averaging_residual(f, ball_average_values(f, scheme), space, inside)
 
     dist_fn = _pair_memo(lambda i, j: space.dist(family[i], family[j]))
     rows = []

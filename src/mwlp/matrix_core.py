@@ -33,12 +33,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     Works on (..., d, d) stacks; column j of each matrix is one eigenvector.
     """
     mags = np.abs(vectors)
-    # threshold relative to the largest entry of each column
-    thresh = 1e-8 * np.max(mags, axis=-2, keepdims=True)
-    significant = mags > thresh
-    # index of first significant component per column
-    first = np.argmax(significant, axis=-2)
-    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)[..., 0, :]
+    rows = range(vectors.shape[-2])
+    # the first entry of each column above 1e-8 times its largest (row 0 if
+    # none is), taken row by row: numpy reduces a short strided axis slowly
+    thresh = 1e-8 * np.max([mags[..., i, :] for i in rows], axis=0)
+    lead = vectors[..., 0, :]
+    for i in reversed(rows):
+        lead = np.where(mags[..., i, :] > thresh, vectors[..., i, :], lead)
     lead_mag = np.abs(lead)
     phase = np.where(lead_mag > 0, lead / np.where(lead_mag > 0, lead_mag, 1.0), 1.0)
     return vectors * phase.conj()[..., None, :]

@@ -9,7 +9,7 @@ congruent cubes of side 2^t aligned with the cell lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
 
@@ -202,10 +202,8 @@ class BallScheme:
         np.maximum.at(half, rows, self.offsets[:, -1])
         return lead, half
 
-    @cached_property
-    def measures(self) -> np.ndarray:
-        """mu[B(x, r)] at every grid point."""
-        return _window_sum(self.grid, self.mu.values, [self])[0] * self.grid.h ** self.grid.n
+    #: mu[B(x, r)] at every grid point, set by the first S_r at this scheme
+    measures: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _window_sum(grid: Grid, values: np.ndarray, schemes: list[BallScheme]) -> list[np.ndarray]:
@@ -215,39 +213,43 @@ def _window_sum(grid: Grid, values: np.ndarray, schemes: list[BallScheme]) -> li
     The ball is a run along the last axis per leading offset (BallScheme.runs;
     in 1-D a single run).  One power-of-two table along that axis, padded
     with `reach` zeros on both sides, holds T_j[i] = T_{j-1}[i] +
-    T_{j-1}[i + 2^(j-1)]; a run of 2w + 1 cells is the sum of the entries of
-    the binary digits of 2w + 1, formed once per distinct w, and the runs add
-    up shifted along the leading axes.  Only additions, so each sum is a tree
-    sum of its K terms and errs by at most (K - 1) eps times the sum of
-    |values| over the ball.
+    T_{j-1}[i + 2^(j-1)], its levels in one buffer.  A run of 2w + 1 cells
+    sums the entries of the binary digits of 2w + 1 in ascending order in one
+    reused row buffer, once per distinct w of the schemes in ascending w, and
+    is added shifted along the leading axes into the total of every scheme
+    that uses it, in the scheme's order of leading offsets.  Only additions,
+    so each sum is a tree sum of its K terms and errs by at most (K - 1) eps
+    times the sum of |values| over the ball.
     """
-    vals = values.reshape(grid.shape + values.shape[1:])
+    vals = values.reshape(grid.shape + (-1,))
     reach = max(s.reach for s in schemes)
-    lead_axes = (slice(None),) * (grid.n - 1)
-    pad = [(0, 0)] * vals.ndim
-    pad[grid.n - 1] = (reach, reach)
-    table = [np.pad(vals, pad)]
-    while 2 ** len(table) <= 2 * reach + 1:
-        step = 2 ** (len(table) - 1)
-        t = table[-1]
-        table.append(t[lead_axes + (slice(None, -step),)] + t[lead_axes + (slice(step, None),)])
-    out = []
-    for scheme in schemes:
-        lead, half = scheme.runs
-        total = np.zeros_like(vals)
-        for w in np.unique(half[half >= 0]).tolist():
-            # the run of 2w + 1 cells: one table entry per binary digit of 2w + 1
-            row, start = None, reach - w
-            for j, t in enumerate(table):
-                if (2 * w + 1) >> j & 1:
-                    part = t[lead_axes + (slice(start, start + grid.N),)]
-                    row = part if row is None else row + part
-                    start += 2 ** j
+    lengths = [grid.N + 2 * reach + 1 - 2 ** j for j in range((2 * reach + 1).bit_length())]
+    buf = np.empty((sum(lengths), vals.size // grid.N), dtype=vals.dtype)
+    table = [part.reshape(vals.shape[:-2] + (length, -1)) for part, length
+             in zip(np.split(buf, np.cumsum(lengths)[:-1]), lengths)]
+    table[0][..., :reach, :] = table[0][..., reach + grid.N:, :] = 0
+    table[0][..., reach:reach + grid.N, :] = vals
+    for j, length in enumerate(lengths[1:], 1):
+        prev, step = table[j - 1], 2 ** (j - 1)
+        np.add(prev[..., :length, :], prev[..., step:step + length, :], out=table[j])
+    runs = [s.runs for s in schemes]
+    totals = [np.zeros_like(vals) for _ in schemes]
+    row = np.empty_like(vals)
+    for w in sorted({w for _, half in runs for w in half.tolist() if w >= 0}):
+        # the run of 2w + 1 cells: one table entry per binary digit of 2w + 1
+        parts, start = [], reach - w
+        for j, t in enumerate(table):
+            if (2 * w + 1) >> j & 1:
+                parts.append(t[..., start:start + grid.N, :])
+                start += 2 ** j
+        run = parts[0]
+        for part in parts[1:]:
+            run = np.add(run, part, out=row)
+        for (lead, half), total in zip(runs, totals):
             for k in lead[half == w].tolist():
                 dst, src = grid.shift_slices(k + [0])
-                total[dst] += row[src]
-        out.append(total.reshape(values.shape))
-    return out
+                total[dst] += run[src]
+    return [total.reshape(values.shape) for total in totals]
 
 
 def ball_average(f: SampledVectorField, scheme: BallScheme) -> SampledVectorField:
@@ -260,17 +262,37 @@ def ball_average(f: SampledVectorField, scheme: BallScheme) -> SampledVectorFiel
 
 def ball_average_values(values: np.ndarray, scheme: BallScheme) -> np.ndarray:
     """S_r of a value array (M, d) on the scheme's grid."""
-    meas = scheme.measures
-    if np.any(meas <= 0.0):
-        raise EmptyBall(f"a ball of radius {scheme.r} has zero measure")
-    grid = scheme.grid
-    weighted = values * scheme.mu.values[:, None]
-    sums = _window_sum(grid, weighted, [scheme])[0] * grid.h ** grid.n
-    # divide real and imaginary parts separately, so S_r of a constant c is c
-    # up to the window sums' error: each sum adds the K terms of its ball, so
-    # numerator and denominator each err by at most (K - 1) eps relative, and
-    # S_r c is within about 2 K eps |c| of c
-    return sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
+    return ball_average_ladder(values, [scheme])[0]
+
+
+def ball_average_ladder(values: np.ndarray, schemes: list[BallScheme]) -> list[np.ndarray]:
+    """S_r of a value array (M, d) at every scheme of a list, all against one
+    density: one window sum of the density gives the measures the schemes do
+    not hold yet, and one window sum of the weighted values every S_r."""
+    if not schemes:
+        return []
+    grid, mu = schemes[0].grid, schemes[0].mu
+    if any(s.mu is not mu for s in schemes):
+        raise ShapeMismatch("the ball schemes of one S_r call must share their density")
+    cell = grid.h ** grid.n
+    missing = [s for s in schemes if s.measures is None]
+    for s, meas in zip(missing, _window_sum(grid, mu.values, missing) if missing else []):
+        s.measures = np.multiply(meas, cell, out=meas)
+    for s in schemes:
+        if np.any(s.measures <= 0.0):
+            raise EmptyBall(f"a ball of radius {s.r} has zero measure")
+    out = _window_sum(grid, np.multiply(values, mu.values[:, None], dtype=np.complex128), schemes)
+    for s, sums in zip(schemes, out):
+        sums *= cell
+        # divide real and imaginary parts separately, so S_r of a constant c is
+        # c up to the window sums' error: numerator and denominator each err by
+        # at most (K - 1) eps relative, so S_r c is within about 2 K eps |c| of
+        # c.  Zeros take the signs of the complex sum re + 1j im: re + 0 im, im + 0.
+        planes = sums.view(np.float64).reshape(sums.shape + (2,))
+        np.divide(planes, s.measures[:, None, None], out=planes)
+        planes[..., 0] += 0.0 * planes[..., 1]
+        planes[..., 1] += 0.0
+    return out
 
 
 def symdiff_measure(x, y, r: float, mu: MeasureDensity) -> float:
@@ -373,11 +395,8 @@ def cg_domination_constant(f: SampledVectorField, w: MatrixWeightField, p: float
     if not np.any(mask):
         return 0.0
     rho = NormFamily.from_matrix_weight(w, p)
-    worst = 0.0
-    for scheme in _lebesgue_balls(grid)[0]:
-        sr = ball_average(f, scheme)
-        worst = max(worst, float(np.max(rho.evaluate(sr.values)[mask] / maximal[mask])))
-    return worst
+    return max(float(np.max(rho.evaluate(sr)[mask] / maximal[mask]))
+               for sr in ball_average_ladder(f.values, _lebesgue_balls(grid)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +412,12 @@ def differentiation_errors(f: SampledVectorField, mu: MeasureDensity,
     """
     grid = f.grid
     out = []
-    for r in radii:
-        scheme = BallScheme(grid, r, mu)
-        sr = ball_average(f, scheme)
+    schemes = [BallScheme(grid, r, mu) for r in radii]
+    for r, sr in zip(radii, ball_average_ladder(f.values, schemes)):
         interior = grid.inside_ball(grid.L - r)
         if not np.any(interior):
             raise OutOfRange(f"no interior points for radius {r}")
-        err = np.linalg.norm(sr.values - f.values, axis=1)
-        out.append((r, float(np.max(err[interior]))))
+        out.append((r, float(np.max(np.linalg.norm(sr - f.values, axis=1)[interior]))))
     return out
 
 
@@ -411,13 +428,11 @@ def averaging_bound(fields: list[SampledVectorField], w: MatrixWeightField, p: f
     grid = w.grid
     lebesgue = MeasureDensity.lebesgue(grid)
     space = Space.matrix_weight(w, p)
+    schemes = [BallScheme(grid, r, lebesgue) for r in radii]
     worst = 0.0
-    for r in radii:
-        scheme = BallScheme(grid, r, lebesgue)
-        for f in fields:
-            denom = space.norm(f)
-            if denom <= 0:
-                continue
-            num = space.norm(ball_average(f, scheme))
-            worst = max(worst, num / denom)
+    for f in fields:
+        denom = space.norm(f)
+        if denom > 0:
+            worst = max([worst] + [space.norm_values(sr) / denom
+                                   for sr in ball_average_ladder(f.values, schemes)])
     return worst

@@ -76,6 +76,11 @@ MUTANTS = (
      "mc._fix_phases(rot))"),
     ("field rows gathered by a wrong inverse", "fieldio.py",
      "[list(map(index.get, body))]", "[sorted(map(index.get, body))]"),
+    ("window-sum run added to the first scheme that uses it only", "operators.py",
+     "                total[dst] += run[src]\n",
+     "                total[dst] += run[src]\n            if np.any(half == w):\n                break\n"),
+    ("window-sum table level one cell off", "operators.py",
+     "prev[..., step:step + length, :]", "prev[..., step - 1:step - 1 + length, :]"),
 )
 
 #: survivors with a known cause, reported but not counted as a failure

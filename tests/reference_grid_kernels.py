@@ -6,13 +6,17 @@ object they belonged to as their first argument.  The window sums are the
 1-D running sum and the loop over ball offsets (written for any n), as
 `_window_sum` took them before it added runs along the last axis in every
 dimension: the runs must stay within the error of direct summation of the
-offset loop, which the running sum, subtracting two prefix sums, does not."""
+offset loop, which the running sum, subtracting two prefix sums, does not.
+Also the engine of S_r as it was before it wrote into reused buffers and took
+a list of schemes: `window_sum`, `ball_average_values` and the per-scale
+`averaging_modulus`, which the S_r ladder must reproduce bit for bit."""
 
 import numpy as np
 
-from mwlp.errors import EmptyCubeFamily
+from mwlp.compactness import _ball_density, _restricted
+from mwlp.errors import EmptyBall, EmptyCubeFamily, RadiusExceedsBox
 from mwlp.grids import Grid
-from mwlp.operators import _tree_mean
+from mwlp.operators import BallScheme, _tree_mean
 from mwlp.spaces import SampledVectorField
 from mwlp.weight_fields import CubeFamily
 
@@ -103,6 +107,61 @@ def window_sum_direct(grid: Grid, values: np.ndarray, scheme) -> np.ndarray:
         src = tuple(slice(max(0, -ki), grid.N - max(0, ki)) for ki in k)
         out[dst] += vals[src]
     return out.reshape(values.shape)
+
+
+def window_sum(grid: Grid, values: np.ndarray, schemes: list) -> list:
+    vals = values.reshape(grid.shape + values.shape[1:])
+    reach = max(s.reach for s in schemes)
+    lead_axes = (slice(None),) * (grid.n - 1)
+    pad = [(0, 0)] * vals.ndim
+    pad[grid.n - 1] = (reach, reach)
+    table = [np.pad(vals, pad)]
+    while 2 ** len(table) <= 2 * reach + 1:
+        step = 2 ** (len(table) - 1)
+        t = table[-1]
+        table.append(t[lead_axes + (slice(None, -step),)] + t[lead_axes + (slice(step, None),)])
+    out = []
+    for scheme in schemes:
+        lead, half = scheme.runs
+        total = np.zeros_like(vals)
+        for w in np.unique(half[half >= 0]).tolist():
+            # the run of 2w + 1 cells: one table entry per binary digit of 2w + 1
+            row, start = None, reach - w
+            for j, t in enumerate(table):
+                if (2 * w + 1) >> j & 1:
+                    part = t[lead_axes + (slice(start, start + grid.N),)]
+                    row = part if row is None else row + part
+                    start += 2 ** j
+            for k in lead[half == w].tolist():
+                dst, src = grid.shift_slices(k + [0])
+                total[dst] += row[src]
+        out.append(total.reshape(values.shape))
+    return out
+
+
+def measures(scheme) -> np.ndarray:
+    return window_sum(scheme.grid, scheme.mu.values, [scheme])[0] * scheme.grid.h ** scheme.grid.n
+
+
+def ball_average_values(values: np.ndarray, scheme) -> np.ndarray:
+    meas = measures(scheme)
+    if np.any(meas <= 0.0):
+        raise EmptyBall(f"a ball of radius {scheme.r} has zero measure")
+    grid = scheme.grid
+    weighted = values * scheme.mu.values[:, None]
+    sums = window_sum(grid, weighted, [scheme])[0] * grid.h ** grid.n
+    return sums.real / meas[:, None] + 1j * (sums.imag / meas[:, None])
+
+
+def averaging_modulus(family, space, r: float) -> float:
+    grid = family.grid
+    if r >= grid.L:
+        raise RadiusExceedsBox(f"scale r={r} leaves no unclipped ball in the box")
+    space.check(family)
+    scheme = BallScheme(grid, r, _ball_density(space))
+    mask = grid.inside_ball(grid.L - r)
+    return max(space.size_values(_restricted(ball_average_values(f.values, scheme) - f.values, mask))
+               for f in family)
 
 
 # ---------------------------------------------------------------------------

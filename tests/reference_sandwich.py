@@ -6,7 +6,9 @@ multiply-add kernel: the power of a stack from its eigensystem
 (`batched_power_from_eig`) and the rotated power weight R D R^H
 (`make_power_weight`).  The kernel must reproduce both bit for bit.  Also
 the eigensystem a power weight is built from, point by point, which
-`make_power_weight` must hand its field.  Slow and plain."""
+`make_power_weight` must hand its field, and the phase fix of eigenvector
+columns as it reduced over the row axis before it folded over the rows.
+Slow and plain."""
 
 import numpy as np
 
@@ -20,6 +22,20 @@ def sandwich(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """U diag(lam) U^H by einsum, made exactly Hermitian."""
     out = np.einsum("mik,mk,mjk->mij", u, lam, u.conj())
     return 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
+
+
+def fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """`matrix_core._fix_phases` by reductions over the row axis."""
+    mags = np.abs(vectors)
+    # threshold relative to the largest entry of each column
+    thresh = 1e-8 * np.max(mags, axis=-2, keepdims=True)
+    significant = mags > thresh
+    # index of first significant component per column
+    first = np.argmax(significant, axis=-2)
+    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)[..., 0, :]
+    lead_mag = np.abs(lead)
+    phase = np.where(lead_mag > 0, lead / np.where(lead_mag > 0, lead_mag, 1.0), 1.0)
+    return vectors * phase.conj()[..., None, :]
 
 
 def power_from_eig(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:

@@ -2,7 +2,9 @@
 (tests/reference_grid_kernels.py): grid geometry, shifts, dyadic averaging,
 cube cells and the scalar A_p pass agree with `==`; window sums, which add
 runs instead of one shifted copy per ball offset, agree with the offset loop
-within the error of direct summation."""
+within the error of direct summation.  The window sums, the ball measures,
+S_r and the averaging curve keep every bit of the engine that allocated each
+table level and run afresh and took one scale per call."""
 
 import itertools
 
@@ -12,12 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_grid_kernels as ref
-from mwlp.errors import SchemeMismatch
+from mwlp.compactness import averaging_curve
+from mwlp.errors import EmptyBall, SchemeMismatch, ShapeMismatch
+from mwlp.families import gaussian_bumps
 from mwlp.grids import Grid
-from mwlp.operators import (BallScheme, DyadicScheme, _window_sum, dyadic_coefficients,
+from mwlp.operators import (BallScheme, DyadicScheme, _window_sum,
+                            ball_average_ladder, ball_average_values, dyadic_coefficients,
                             field_from_coefficients, shift_values)
-from mwlp.spaces import SampledVectorField
-from mwlp.weight_fields import CubeFamily, MeasureDensity, _box_means, _scalar_ap
+from mwlp.spaces import SampledVectorField, Space
+from mwlp.weight_fields import (CubeFamily, MatrixWeightField, MeasureDensity, _box_means,
+                                _scalar_ap, make_power_weight)
 
 LS = [1.0, 8.0, 0.1, 1.0 / 3.0]
 EPS = np.finfo(float).eps
@@ -118,6 +124,115 @@ def test_many_schemes_in_one_call_equal_separate_calls(n):
     schemes = [BallScheme(grid, r * grid.h, mu) for r in (5.5, 2, 3.0000001, 2.5, 9, 16)]
     for scheme, sums in zip(schemes, _window_sum(grid, vals, schemes), strict=True):
         assert np.array_equal(sums, _window_sum(grid, vals, [scheme])[0])
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+#: ball radii in cells: r and r + h/2 share half-widths, 5 + 1e-7 keeps a rim row
+RADII = (2.0, 2.5, 3.0, 3.5, 5.0000001, 7.3)
+BIT_GRIDS = [Grid(1, 8.0, 64), Grid(1, 0.1, 256), Grid(2, 1.0 / 3.0, 16), Grid(2, 8.0, 32)]
+BIT_IDS = [f"n{g.n}-N{g.N}" for g in BIT_GRIDS]
+
+
+def _bit_values(grid: Grid, d: int, complex_values: bool, seed: int) -> np.ndarray:
+    """Signed values over several decades with a region of +0.0, one of -0.0
+    (complex: -0.0 real parts with imaginary parts of both signs) and one of
+    signed subnormals, whose sums and averages underflow to signed zeros."""
+    rng = np.random.default_rng(seed)
+    m = grid.num_points
+    tiny = slice(m // 2, 3 * m // 4)
+
+    def subnormals():
+        return rng.choice([5e-324, -5e-324, 1e-320, -1e-320, 0.0], (tiny.stop - tiny.start, d))
+
+    vals = np.exp(3 * rng.standard_normal((m, d))) * rng.choice([-1, 1], (m, d))
+    if complex_values:
+        vals = vals + 1j * rng.standard_normal((m, d))
+    vals[: m // 4] = 0.0
+    vals[m // 4: m // 2] = -0.0
+    vals[tiny] = subnormals() + 1j * subnormals() if complex_values else subnormals()
+    if complex_values:
+        vals[m // 4: 3 * m // 8] = complex(-0.0, -0.0)
+        vals[-3:] = complex(0.0, -0.0)
+    return vals
+
+
+def _densities(grid: Grid):
+    """Lebesgue, and a density over several decades that is zero on a strip of
+    two cells along the first axis, narrower than every ball."""
+    dens = np.exp(np.random.default_rng(grid.N).standard_normal(grid.num_points))
+    dens.reshape(grid.shape)[2:4] = 0.0
+    return [MeasureDensity.lebesgue(grid), MeasureDensity(grid, dens)]
+
+
+@pytest.mark.parametrize("grid", BIT_GRIDS, ids=BIT_IDS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_window_sums_and_averages_keep_their_bits(grid, d, complex_values):
+    vals = _bit_values(grid, d, complex_values, seed=grid.N + d)
+    for mu in _densities(grid):
+        schemes = [BallScheme(grid, r * grid.h, mu) for r in RADII]
+        for got, want in zip(_window_sum(grid, vals, schemes), ref.window_sum(grid, vals, schemes),
+                             strict=True):
+            assert_same_bits(got, want)
+        averages = ball_average_ladder(vals, schemes)
+        for scheme, got in zip(schemes, averages, strict=True):
+            assert_same_bits(scheme.measures, ref.measures(scheme))
+            want = ref.ball_average_values(vals, scheme)
+            assert_same_bits(got, want)
+            assert_same_bits(ball_average_values(vals, BallScheme(grid, scheme.r, mu)), want)
+
+
+def test_the_ladder_reuses_held_measures_and_rejects_empty_balls():
+    grid = Grid(2, 1.0, 16)
+    dens = np.ones(grid.num_points)
+    dens.reshape(grid.shape)[:3] = 0.0
+    mu = MeasureDensity(grid, dens)
+    vals = _bit_values(grid, 2, True, seed=3)
+    held = BallScheme(grid, 3.5 * grid.h, mu)
+    ball_average_values(vals, held)
+    measures = held.measures
+    schemes = [held, BallScheme(grid, 5 * grid.h, mu)]
+    ball_average_ladder(vals, schemes)
+    assert schemes[0].measures is measures
+    assert_same_bits(schemes[1].measures, ref.measures(schemes[1]))
+    # the ball of radius 2h at row 1 lies in the three zero rows
+    for average in (ref.ball_average_values, ball_average_values):
+        with pytest.raises(EmptyBall):
+            average(vals, BallScheme(grid, 2 * grid.h, mu))
+    with pytest.raises(EmptyBall):
+        ball_average_ladder(vals, [held, BallScheme(grid, 2 * grid.h, mu)])
+    # the measures of one call come from one density
+    with pytest.raises(ShapeMismatch):
+        ball_average_ladder(vals, [held, BallScheme(grid, 5 * grid.h, MeasureDensity(grid, dens))])
+
+
+def _curve_spaces(grid: Grid):
+    w = make_power_weight(grid, [0.5, -0.25])
+    dens = _densities(grid)[1]
+    yield Space.matrix_weight(w, 2.0)
+    yield Space.matrix_weight(w, 3.0, dens)
+    yield Space.matrix_weight(MatrixWeightField.constant(grid, np.eye(2)), 1.5, dens)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 2.0, 256), Grid(2, 2.0, 32)], ids=["n1", "n2"])
+def test_averaging_curve_equals_the_per_scale_modulus(grid):
+    # narrow bumps on a wide box: exp underflows far from their centers, so
+    # the members hold +0.0 and -0.0 regions
+    fam = gaussian_bumps(grid, 2, 4, np.random.default_rng(17), center_range=(-0.5, 0.5),
+                         width_range=(0.02, 0.05))
+    scales = [r * grid.h for r in RADII] + [grid.L / 4]
+    for space in _curve_spaces(grid):
+        curve = averaging_curve(fam, space, scales)
+        want = [ref.averaging_modulus(fam, space, r) for r in scales]
+        assert_same_bits(np.array(curve), np.array(want))
 
 
 @pytest.mark.parametrize("r", [2.0, 2.5, 3.0 + 1.2e-12, 3.0 + 2e-12, 4.0, 7.3, 16.0])

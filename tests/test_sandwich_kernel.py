@@ -127,6 +127,30 @@ def test_power_weights_equal_einsum(grid, alphas, rotation):
         assert np.all(gap <= 1e-14 * np.linalg.norm(ref, ord=2, axis=(1, 2)))
 
 
+def _phase_stacks():
+    """Eigenvector stacks: a 2-D rotation and its column permutation, eigh's
+    complex d = 3 and real d = 4 eigenvectors, and stacks with zero columns,
+    entries at the 1e-8 threshold and leads of both signs."""
+    rng = np.random.default_rng(31)
+    theta = np.arctan2(*Grid(2, 8.0, 128).points.T)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    yield rot
+    yield rot[:, :, ::-1]
+    yield np.linalg.eigh(hermitian_stack(rng, 200, 3))[1]
+    yield np.linalg.eigh(hermitian_stack(rng, 200, 4).real)[1]
+    edge = rng.choice([0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 2.5, 1e-300], (300, 3, 3))
+    edge[:40, :, 1] = 0.0
+    yield edge
+    yield edge + 1j * rng.choice([0.0, -0.0, 1e-8, 1.0, -1.0], (300, 3, 3))
+
+
+@pytest.mark.parametrize("vectors", list(_phase_stacks()),
+                         ids=["rotation", "permuted", "complex-d3", "real-d4", "edge", "edge-complex"])
+def test_phase_fix_equals_the_reduction_over_rows(vectors):
+    assert_same_bits(mc._fix_phases(vectors), reference_sandwich.fix_phases(vectors))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_real_stacks_give_the_bits_of_their_complex_copies(d):
     """A float64 u runs the real kernel; random, signed-zero, subnormal and
