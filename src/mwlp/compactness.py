@@ -36,7 +36,7 @@ from .operators import (
     dyadic_radii,
     shift_values,
 )
-from .spaces import SampledVectorField, Space, within
+from .spaces import SampledVectorField, Space, rounding_error, within
 from .weight_fields import MatrixWeightField, MeasureDensity
 
 
@@ -178,10 +178,6 @@ def tail_modulus(family: FunctionFamily, R: float, space: Space) -> float:
     return tail_curve(family, [R], space)[0]
 
 
-#: safety factor on the stated FFT screening error bound (see _l2_screen)
-SCREEN_SLACK = 64.0
-
-
 def translation_curve(family: FunctionFamily, scales: list[float], space: Space) -> list[float]:
     """Translation modulus at every scale of a ladder, in the ladder's order.
 
@@ -247,21 +243,20 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
     so d(d+1)/2 + 2d forward FFTs and one inverse FFT per member on a grid
     zero-padded to the smallest 2^a 3^b 5^c >= N + K cells per axis (K the
     largest shift asked for, at most N; the pad is at most 2N) give every
-    shift with |k_i| < N; larger shifts leave no overlap and equal C.  The spectra of Q are shared across members, and each
-    member keeps only the window of shifts asked for.
+    shift with |k_i| < N; larger shifts leave no overlap and equal C.  The
+    spectra of Q are shared across members, and each member keeps only the
+    window of shifts asked for.
 
-    Error bound: an FFT correlation of arrays a, b of M_pad <= (2N)^n entries
-    is exact to c0 eps log2(M_pad) (|a|_2 |b|_1 + |a|_1 |b|_2).  With
-    omega = max_x ||W(x)||_op mu(x), E_f = sum_x |f(x)|^2 and M = N^n grid
-    points, every A and B term is at most 2 M omega E_f, so the screened
-    value and the direct quadrature (whose rounding is smaller still) both
-    lie within
-
-        margin_f = SCREEN_SLACK * eps * d^2 * log2(M_pad) * M * omega * E_f * h^n
-
-    of the exact squared size; SCREEN_SLACK covers c0 and the number of
-    correlation terms, at most 2 d^2 + 4 d.  The scale uses omega rather
-    than W at f's own points, because tau_k f meets W where f does not.
+    Error bound: with omega = max_x ||W(x)||_op mu(x), E_f = sum_x |f(x)|^2
+    and M = N^n, each of the T = d(d + 1)/2 + d correlation terms (weight 1
+    or 2) correlates arrays a, b with |a|_2 |b|_1 + |a|_1 |b|_2 <= 2 M omega
+    E_f, and its two forward FFTs and the shared inverse, on M_pad <= (2N)^n
+    points and each exact to K in the 2-norm (the constant of Higham's
+    Theorem 24.2), make it exact to 2 K times that.  So the screened value
+    and the direct quadrature (M times more accurate) lie within margin_f =
+    8 K T M omega E_f h^n of the exact squared size (`spaces.rounding_error`).
+    The scale uses omega, not W at f's own points: tau_k f meets W where f
+    does not.
     """
     w = space.weight
     if w is None or space.p != 2.0:
@@ -282,8 +277,7 @@ def _l2_screen(members: list, shifts: np.ndarray, space: Space):
     no_overlap = np.any(np.abs(shifts) >= big_n, axis=1)
     cell = grid.h ** n
     omega = float(np.max(w.eig()[0][:, -1] * mu))
-    bound = (SCREEN_SLACK * np.finfo(float).eps * d * d * n * np.log2(2 * big_n)
-             * grid.num_points * omega * cell)
+    bound = rounding_error(space, int(np.prod(pad))) * grid.num_points * omega * cell
 
     def conj_spectrum(values: np.ndarray) -> np.ndarray:
         out = np.fft.fftn(values.reshape(grid.shape), s=pad, axes=axes)
@@ -626,13 +620,6 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
     })
 
 
-#: rounding allowance of the certificate's screen, relative to d(f, 0) + d(g, 0):
-#: it covers twice the relative error of one metric evaluation (the Luxemburg
-#: bisection's LUX_TOL = 1e-8; for constant p, quadrature rounding of order
-#: log2(N) units in the last place) fifty times over
-CERTIFY_MARGIN = 1e-6
-
-
 def certify_net(family: FunctionFamily, centers: list, threshold: float,
                 space: Space) -> Certificate:
     """Exact recomputation of the covering property.
@@ -643,21 +630,23 @@ def certify_net(family: FunctionFamily, centers: list, threshold: float,
 
     The zero function screens the centers: every covering metric satisfies
     |d(f, 0) - d(g, 0)| <= d(f, g), so a center whose lower bound
-    |d(f, 0) - d(g, 0)| - CERTIFY_MARGIN * (d(f, 0) + d(g, 0)) exceeds the
-    nearest distance found so far is farther than it.  Each member visits the
-    centers in the order of their bounds and stops at the first one ruled
-    out; a bound that is not finite (a size that overflows) rules nothing
-    out.  Every distance is one direct `Space.dist`, and each minimum is the
-    brute-force minimum.
+    |d(f, 0) - d(g, 0)| - 2 delta (d(f, 0) + d(g, 0)) exceeds the nearest
+    distance found so far is farther than it, delta (`spaces.rounding_error`)
+    covering the rounding of d(f, 0), d(g, 0) and d(f, g) <= d(f, 0) + d(g, 0).
+    Each member visits the centers in the order of their bounds and stops at
+    the first one ruled out; a bound that is not finite (a size that
+    overflows) rules nothing out.  Every distance is one direct `Space.dist`,
+    and each minimum is the brute-force minimum.
     """
     if not centers:
         raise OutOfRange("a net needs at least one center")
     sizes = np.array([space.dist_to_zero(g) for g in centers])
+    delta = rounding_error(space)
     dists = []
     for f in family:
         s = space.dist_to_zero(f)
         with np.errstate(over="ignore", invalid="ignore"):
-            bounds = np.abs(s - sizes) - CERTIFY_MARGIN * (s + sizes)
+            bounds = np.abs(s - sizes) - 2 * delta * (s + sizes)
         bounds[~np.isfinite(bounds)] = -np.inf
         best = np.inf
         for j in np.argsort(bounds, kind="stable"):
@@ -756,10 +745,9 @@ def necessity_check(family: FunctionFamily, epsilons: list[float],
         for i, f in enumerate(family):
             diff = f.values - family[center_idx[assignment[i]]].values
             denom = space.norm_values(diff)
-            if denom <= 1e-13:
-                continue
-            averaged = _restricted(ball_average_values(diff, scheme), inside)
-            cs = max(cs, space.norm_values(averaged) / denom)
+            if denom > 0:  # S_r is linear: the ratio is defined at every scale
+                averaged = _restricted(ball_average_values(diff, scheme), inside)
+                cs = max(cs, space.norm_values(averaged) / denom)
         avg_val = max(residual(i, r_star) for i in range(len(family)))
         avg_bound = (2.0 + cs) * eps
         passed = within(tail_val, tail_bound) and within(avg_val, avg_bound)

@@ -19,8 +19,6 @@ from .weight_fields import MatrixWeightField, MeasureDensity
 
 #: Luxemburg bisection: relative tolerance of the bracket
 LUX_TOL = 1e-8
-#: doublings of the upper bracket end before the Luxemburg norm gives up
-LUX_MAX_DOUBLINGS = 60
 
 #: ellipsoid fit: duality gap, iteration cap, sphere samples per dimension
 MVEE_GAP = 1e-7
@@ -37,8 +35,39 @@ JOHN_SCALE_MARGIN = 1.01
 
 def within(value: float, bound: float) -> bool:
     """The verdict rule of every measured value against its bound: the value
-    may exceed the bound by a relative 1e-9 and an absolute 1e-15."""
+    may exceed the bound by a relative 1e-9 and an absolute 1e-15, above the
+    rounding of one evaluation (`rounding_error`) in the default scenarios."""
     return value <= bound * (1 + 1e-9) + 1e-15
+
+
+def rounding_error(space: "Space", fft_length: int = 0) -> float:
+    """delta, the relative forward error bound of one `Space.norm_values` or
+    `Space.dist` evaluation: the rounding model every margin reads.  First
+    order in u = eps / 2, gamma_k ~ k u (N. J. Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002):
+      * y = W^{1/p}(x) v (`_column_norms`) sums 2d real products per part:
+        |fl(y) - y| <= sqrt(2) gamma_{2d} |W^{1/p}||v| (sec. 3.5), at most
+        sqrt(2d) gamma_{2d} kappa |y|, kappa = `NormFamily.condition` (inf
+        for a singular weight); |y| from the squares adds gamma_{2d+1};
+      * the p-th power, density and cell volume add u each, and numpy's
+        pairwise `np.sum` (sec. 4.2; 8-way blocks of up to 128 entries)
+        gamma_{ceil(log2 M) + 25}; the p-th root divides these by p, adds u;
+      * a Luxemburg norm: LUX_TOL, plus the modular's error over p_-.
+    A p < 1 distance, the norm to the p, errs by p delta + u.  Per-point
+    norms below about 1e-154 lose digits (their squares are subnormal), and
+    overflow raises NonFinite.  Given `fft_length`, the coefficient 8 K T
+    of `compactness._l2_screen`'s margin instead: K = l eta / (1 - l eta),
+    l = log2(fft_length), eta = u + gamma_4 (sqrt(2) + u), twiddles exact to u.
+    """
+    u, d = np.finfo(float).eps / 2, space.d
+    if fft_length:
+        l_eta = np.log2(fft_length) * (1 + 4 * np.sqrt(2)) * u
+        return 8 * l_eta / (1 - l_eta) * (d * (d + 1) // 2 + d)
+    point = (np.sqrt(2 * d) * 2 * d * space.rho.condition + 2 * d + 1) * u
+    quad = (np.ceil(np.log2(space.grid.num_points)) + 28) * u
+    if space.is_variable:
+        return LUX_TOL + (space.exponent.p_plus * (point + u) + quad) / space.exponent.p_minus + u
+    return point + quad / space.p + u
 
 
 def lq_norm(q: float):
@@ -98,14 +127,17 @@ class NormFamily:
     maps an (M, d) value array to the M per-point norms by `_column_norms`.
     """
 
-    def __init__(self, grid: Grid, d: int, cols: np.ndarray):
+    def __init__(self, grid: Grid, d: int, cols: np.ndarray, condition: float):
         self.grid = grid
         self.d = d
         self._cols = cols
+        self.condition = condition  # largest condition number of W^{1/p}(x); inf if singular
 
     @classmethod
     def from_matrix_weight(cls, w: MatrixWeightField, p: float) -> "NormFamily":
-        return cls(w.grid, w.d, _entry_columns(w.power(1.0 / p)))
+        lam = w.eig()[0]
+        condition = np.max(lam[:, -1] / lam[:, 0]) ** (1 / p) if np.all(lam[:, 0] > 0) else np.inf
+        return cls(w.grid, w.d, _entry_columns(w.power(1.0 / p)), condition)
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Per-point norms rho_x(values[x]), shape (M,)."""
@@ -204,42 +236,26 @@ def _finite(value: float) -> float:
 def _luxemburg(r: np.ndarray, pf: ExponentField, grid: Grid) -> float:
     """inf { lam > 0 : integral of (r(x) / lam)^{p(x)} dx <= 1 } for per-point norms r (M,).
 
-    The modular of f / lam is strictly decreasing in lam for nonzero f, so
-    bisection on the bracket [min, max] of modular^{1/p_-}, modular^{1/p_+}
-    is safe; the upper end is doubled while the modular there still exceeds
-    1, and NonFinite is raised if LUX_MAX_DOUBLINGS doublings do not close
-    the bracket.  The bisection halves the bracket until it is within
-    LUX_TOL of its upper end, however many halvings that takes; NonFinite is
-    raised if its midpoint stops falling strictly inside it first, as it can
-    among subnormal numbers.
+    The modular of f / lam decreases strictly in lam for nonzero f and lies
+    between mu0 lam^{-p_-} and mu0 lam^{-p_+}, mu0 the modular of f: it is
+    at least 1 at min(ends), ends = (mu0^{1/p_-}, mu0^{1/p_+}), and below 1
+    at max(ends) + 1 > max(1, mu0^{1/p_-}), where it is never evaluated.
+    The bisection halves that bracket until it is within LUX_TOL of its
+    upper end, however many halvings that takes; NonFinite is raised if its
+    midpoint stops falling strictly inside it first, as among subnormals.
     """
     mu0 = _finite(_exponent_modular(r, pf, grid))
     if mu0 == 0.0:
         return 0.0
 
-    pv = pf.values
-    hn = grid.h ** grid.n
-
-    def modular_scaled(lam: float) -> float:
-        return float(np.sum(np.power(r / lam, pv)) * hn)
-
-    # the modular of f / lo is at least 1 at every scale of f: lo needs no floor
     ends = (mu0 ** (1.0 / pf.p_minus), mu0 ** (1.0 / pf.p_plus))
-    lo = min(ends)
-    hi = max(ends) + 1.0
-    doublings = 0
-    while modular_scaled(hi) > 1.0:
-        if doublings == LUX_MAX_DOUBLINGS:
-            raise NonFinite(f"Luxemburg bracket did not close: the modular of f / {hi:.3e} "
-                            f"still exceeds 1 after {LUX_MAX_DOUBLINGS} doublings")
-        hi *= 2.0
-        doublings += 1
+    lo, hi = min(ends), max(ends) + 1.0
     while hi - lo > LUX_TOL * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise NonFinite(f"Luxemburg bisection stalled at {hi:.3e}, "
                             f"short of the relative tolerance {LUX_TOL:g}")
-        if modular_scaled(mid) <= 1.0:
+        if _exponent_modular(r / mid, pf, grid) <= 1.0:
             hi = mid
         else:
             lo = mid

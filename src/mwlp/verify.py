@@ -19,6 +19,7 @@ from .operators import (
     differentiation_errors,
 )
 from .spaces import (
+    LUX_TOL,
     ExponentField,
     NormFamily,
     SampledVectorField,
@@ -28,6 +29,7 @@ from .spaces import (
     lq_norm,
     luxemburg_norm,
     modular,
+    within,
 )
 from .weight_fields import (
     CubeFamily,
@@ -109,18 +111,14 @@ def _random_modular_instance(rng):
 def suite_luxemburg(rng, count: int) -> dict:
     """The four modular/norm comparison clauses plus the boundary case."""
     worst = 0.0
-    tol = 2e-8
+    tol = 2 * LUX_TOL
     for k in range(count):
         _grid, rho, pf, f = _random_modular_instance(rng)
         scale = 0.2 + 3.0 * rng.random()
         f = f.scaled(scale)
         mod = modular(f, rho, pf)
         nrm = luxemburg_norm(f, rho, pf)
-        if nrm <= 1.0:
-            worst = max(worst, mod - nrm)
-        else:
-            worst = max(worst, nrm - mod)
-        worst = max(worst, nrm - mod - 1.0)
+        worst = max(worst, mod - nrm if nrm <= 1.0 else nrm - mod, nrm - mod - 1.0)
         lam = 1.0 if k % 5 == 0 else float(rng.uniform(0.05, 1.0))
         target = lam ** pf.p_plus
         # the bisection measures mid * f directly in the instance's space
@@ -191,8 +189,7 @@ def suite_differentiation(rng, count: int) -> dict:
     mu = MeasureDensity.lebesgue(grid)
     radii = [grid.L / 2, grid.L / 4, grid.L / 8, grid.L / 16, 8 * grid.h, 4 * grid.h]
     curve = differentiation_errors(f, mu, radii)
-    vals = [v for _r, v in curve]
-    monotone = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
+    monotone = all(within(b, a) for (_r, a), (_s, b) in zip(curve, curve[1:]))
     return {"name": "lebesgue_differentiation", "instances": 1 if count else 0,
             "curve": curve, "passed": bool(monotone)}
 
@@ -224,12 +221,10 @@ def suite_ball_domination(rng, count: int) -> dict:
     """|W^{1/p}(x) S_r f(x)| <= C * M_w(W^{1/p} f)(x) with C <= 1."""
     grid = Grid(1, 1.0, 128)
     w = make_power_weight(grid, [0.5, -0.25], rotation=lambda p: p[:, 0])
-    worst = 0.0
     fam = bump_combinations(grid, 2, max(min(count, 4), 1), rng)
-    for f in fam:
-        worst = max(worst, cg_domination_constant(f, w, 2.0))
+    worst = max([0.0] + [cg_domination_constant(f, w, 2.0) for f in fam])
     return {"name": "ball_average_domination", "instances": len(fam),
-            "measured_constant": worst, "passed": bool(worst <= 1.0 + 1e-12)}
+            "measured_constant": worst, "passed": bool(within(worst, 1.0))}
 
 
 SUITES = (

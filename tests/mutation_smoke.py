@@ -44,8 +44,11 @@ MUTANTS = (
     ("necessity tail clause -> True", "compactness.py", NECESSITY_VERDICT,
      "passed = True and within(avg_val, avg_bound)"),
     ("John right bound 2.0", "spaces.py", "within(right, 1.05)", "within(right, 2.0)"),
-    ("SCREEN_SLACK 64 -> 16", "compactness.py",
-     "SCREEN_SLACK = 64.0", "SCREEN_SLACK = 16.0"),
+    ("FFT margin x0", "compactness.py",
+     "bound = rounding_error(space, int(np.prod(pad)))", "bound = 0 * rounding_error(space, 1)"),
+    ("delta = 0", "spaces.py",
+     "    return point + quad / space.p + u\n", "    return 0.0\n"),
+    ("necessity floor back to 1e-13", "compactness.py", "if denom > 0:", "if denom > 1e-13:"),
     ("necessity tail bound 4 eps", "compactness.py",
      "tail_bound = 2.0 * eps", "tail_bound = 4.0 * eps"),
     ("weight file of any kind accepted", "verify.py",
@@ -63,7 +66,7 @@ MUTANTS = (
     ("certify screen stops at half the best", "compactness.py",
      "if bounds[j] > best:", "if bounds[j] > 0.5 * best:"),
     ("certify screen margin dropped", "compactness.py",
-     "CERTIFY_MARGIN = 1e-6", "CERTIFY_MARGIN = 0.0"),
+     "- 2 * delta * (s + sizes)", "- 0 * delta * (s + sizes)"),
     ("A_p run start off by one cell", "weight_fields.py",
      "c[:, ::shape[-1]],", "c[:, ::shape[-1]] + 1,"),
     ("A_p last partial panel unmeaned", "weight_fields.py",
@@ -84,11 +87,7 @@ MUTANTS = (
 )
 
 #: survivors with a known cause, reported but not counted as a failure
-KNOWN_SURVIVORS = {
-    # no test family has a maximizer outside a 16x margin; a test of the
-    # screen on an adversarial family is still open
-    "SCREEN_SLACK 64 -> 16",
-}
+KNOWN_SURVIVORS = set()
 
 
 def run_tests(copy: Path) -> tuple[bool, str]:

@@ -484,6 +484,20 @@ class TestNecessity:
             assert row.tail_value <= row.tail_bound
             assert row.averaging_value <= row.averaging_bound
 
+    def test_s_r_constant_independent_of_scale(self, rng):
+        # S_r is linear, so ||S_r(f - c)|| / ||f - c|| is the same for the
+        # family scaled by 1e-14, whose differences are all below 1e-13
+        grid = Grid(1, 2.0, 1024)
+        fam = small_family(grid, rng, count=12)
+        sp = Space.matrix_weight(make_power_weight(grid, [0.5]), 2.0)
+        cs = {}
+        for c in (1.0, 1e-14):
+            scaled = FunctionFamily([f.scaled(c) for f in fam])
+            rows = necessity_check(scaled, [0.8 * c, 0.4 * c], sp).rows
+            cs[c] = [row.measured_s_r_constant for row in rows]
+        assert min(cs[1.0]) > 0.5
+        assert cs[1e-14] == pytest.approx(cs[1.0], rel=1e-12)
+
     def test_requires_p_above_one(self, grid, rng):
         w = make_power_weight(grid, [0.5])
         fam = small_family(grid, rng)

@@ -1,12 +1,15 @@
 """Each rule of the toolkit is decided in one place.
 
 The source text of `src/mwlp/*.py` is read, the way tests/test_spectral_path.py
-reads it, and every site of six rules is located by module and function:
+reads it, and every site of seven rules is located by module and function:
 
 * field-file acceptance: only `fieldio` checks the kind of a loaded field,
   and every other module passes the kind it needs to `fieldio.load_field`;
-* the verdict margin: the literals of `value <= bound * (1 + 1e-9) + 1e-15`
-  appear only in `spaces.within`;
+* the verdict margin: the literals of `value <= bound * (1 + 1e-9) + 1e-15`,
+  and any comparison against `x + c` or `x - c` with a literal 0 < c <= 1e-6
+  (an additive slack), appear only in `spaces.within`;
+* the rounding model: only `spaces.rounding_error` reads the unit roundoff,
+  `np.finfo(float).eps`;
 * the equicontinuity notions: a list of notion names is spelled once, as
   `compactness.NOTIONS`;
 * l^q norms: a row norm written as a lambda over `np.abs` appears only in
@@ -33,6 +36,10 @@ MARGIN_EXEMPT = {
     # the John fit stops refining once no probe exceeds the ellipsoid by more
     # than a relative 1e-9: a stopping rule of the fit, not a verdict
     ("spaces", "john_ellipsoid"),
+    # geometric inclusions, not verdicts: the dyadic cube sides run up to the
+    # box width 2L, and a dyadic scheme's outer box lies inside the grid box
+    ("weight_fields", "CubeFamily.dense_dyadic"),
+    ("operators", "DyadicScheme.__post_init__"),
 }
 
 
@@ -84,15 +91,32 @@ def _number(node, *values) -> bool:
             and isinstance(node.value, (int, float)) and node.value in values)
 
 
+def _additive_slack(node) -> bool:
+    """`x + c` or `x - c` with a literal 0 < c <= 1e-6."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and any(isinstance(side, ast.Constant) and isinstance(side.value, float)
+                    and 0 < side.value <= 1e-6 for side in (node.left, node.right)))
+
+
 def margin_sites(sources=None) -> set:
-    """Sites of the margin literals: `1 +/- 1e-9` and `1e-15`."""
+    """Sites of the margin literals, `1 +/- 1e-9` and `1e-15`, and of a
+    comparison with an additive slack on either side."""
     found = set()
     for module, owner, node in _modules(sources):
         relative = (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
                     and _number(node.left, 1) and _number(node.right, 1e-9))
-        if relative or _number(node, 1e-15):
+        additive = (isinstance(node, ast.Compare)
+                    and any(map(_additive_slack, [node.left, *node.comparators])))
+        if relative or additive or _number(node, 1e-15):
             found.add((module, owner))
     return found
+
+
+def eps_reads(sources=None) -> set:
+    """Sites that read `np.finfo(...).eps`."""
+    return {(module, owner) for module, owner, node in _modules(sources)
+            if isinstance(node, ast.Attribute) and node.attr == "eps"
+            and isinstance(node.value, ast.Call) and _name(node.value.func) == "finfo"}
 
 
 def notion_lists(sources=None) -> list:
@@ -154,6 +178,10 @@ def test_margin_literals_only_in_within():
     assert margin_sites() - MARGIN_EXEMPT == {("spaces", "within")}
 
 
+def test_unit_roundoff_read_only_in_the_rounding_model():
+    assert eps_reads() == {("spaces", "rounding_error")}
+
+
 def test_notions_spelled_once():
     assert notion_lists() == [("compactness", "<module>")]
 
@@ -177,6 +205,9 @@ def test_metric_form_only_in_space_metric():
     (margin_sites, "def f(a, b):\n    return a <= b * (1 + 1e-9)\n"),
     (margin_sites, "def f(a, b):\n    return a >= 1.0 - 1e-9\n"),
     (margin_sites, "def f(a, b):\n    return a <= b + 1e-15\n"),
+    (margin_sites, "def f(worst):\n    return worst <= 1.0 + 1e-12\n"),
+    (margin_sites, "def f(v0, v1):\n    return v1 <= v0 + 1e-12\n"),
+    (eps_reads, "def f(n):\n    return 64 * np.finfo(float).eps * n\n"),
     (notion_lists, "def f(n):\n    return check(n, 'translation', 'twisted')\n"),
     (notion_lists, "def f(n):\n    return n in ('twisted', 'averaging')\n"),
     (lq_lambdas, "def f(q):\n    return lambda v: np.sum(np.abs(v) ** q, axis=1)\n"),
@@ -186,6 +217,7 @@ def test_metric_form_only_in_space_metric():
                    "    else:\n        return nrm ** self.p\n"),
     (metric_forms, "def f(nrm, p):\n    if p < 1:\n        nrm = nrm ** p\n    return nrm\n"),
 ], ids=["kind-check", "load-without-kind", "relative-margin", "left-margin", "absolute-margin",
+        "additive-constant-slack", "additive-slack", "unit-roundoff",
         "notion-arguments", "notion-tuple", "lq-lambda", "pd-threshold", "metric-expression",
         "metric-return", "metric-assignment"])
 def test_each_scan_finds_a_planted_copy(scan, planted):

@@ -165,21 +165,6 @@ class TestLuxemburg:
         assert 2.0 < lam < 4.0
         assert 4 / lam ** 2 + 8 / lam ** 3 == pytest.approx(1.0, abs=1e-7)
 
-    def test_bracket_that_never_closes_raises(self, monkeypatch):
-        # a modular reported far below the true one starts the bracket at
-        # about 2; 60 doublings cannot reach the norm of a field of size 1e25
-        import mwlp.spaces
-
-        monkeypatch.setattr(mwlp.spaces, "_exponent_modular", lambda r, pf, grid: 1.0)
-        g = Grid(1, 1.0, 64)
-        w = MatrixWeightField.constant(g, [[1.0]])
-        rho = NormFamily.from_matrix_weight(w, 2.0)
-        pf = ExponentField(g, np.where(g.points[:, 0] < 0, 2.0, 3.0))
-        f = SampledVectorField(g, np.full(64, 1e25, dtype=complex))
-        with pytest.raises(NonFinite) as exc:
-            luxemburg_norm(f, rho, pf)
-        assert "\n" not in str(exc.value)
-
     def test_norms_evaluated_once(self, rng, monkeypatch):
         g = Grid(1, 1.0, 32)
         rho = NormFamily.from_matrix_weight(random_weight_field(rng, g, 2), 2.0)
@@ -240,6 +225,23 @@ class TestLuxemburg:
         for c in (1e-55, 1e-70):
             assert luxemburg_norm(one.scaled(c), rho, pf) == pytest.approx(
                 2.0 * c, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("exponent", ["1", "1.5", "variable"])
+    def test_homogeneity_up_to_1e200(self, exponent):
+        # the bracket's upper end, max(ends) + 1, bounds the norm at every
+        # scale; at p = 1.5 from c = 1e15 on, the modular computed there
+        # rounds above 1, and the bisection, which never evaluates it there,
+        # still meets LUX_TOL
+        from mwlp.spaces import LUX_TOL, _luxemburg
+
+        g = Grid(1, 1.0, 64)
+        rng = np.random.default_rng(5)
+        r = 0.1 + rng.random(64)  # per-point norms: a field of size 1e200 overflows their squares
+        pf = (ExponentField(g, 1.0 + 0.5 * rng.random(64)) if exponent == "variable"
+              else ExponentField.constant(g, float(exponent)))
+        base = _luxemburg(r, pf, g)
+        for c in (1e15, 1e20, 1e100, 1e200):
+            assert _luxemburg(c * r, pf, g) == pytest.approx(c * base, rel=LUX_TOL, abs=0.0)
 
     def test_bisection_that_cannot_meet_the_tolerance_raises(self):
         # per-point norms of 1e-318 at p = 1: a norm of 4e-318 is subnormal,
