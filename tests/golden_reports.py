@@ -21,12 +21,14 @@ Regenerating leaves the folder as it is.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import platform
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -63,7 +65,20 @@ COMMANDS = {
     "run-ap-d3-complex": ["run", "scenarios/ap-d3-complex.yaml"],
     # a d = 2 weight at p = 0.5, so the matrix A_p pass for p <= 1 runs
     "run-ap-d2-p05": ["run", "scenarios/ap-d2-p05.yaml"],
+    # dyadic nets whose covers assign members to other members' centers: at
+    # p = 2 (10 centers for 24 members), at p = 0.5, where the metric is the
+    # norm to the p (8 for 16), and in a variable-exponent space (11 for 16)
+    "run-net-cover": ["run", "scenarios/net-cover.yaml"],
+    "run-net-p05": ["run", "scenarios/net-p05.yaml"],
+    "run-net-variable": ["run", "scenarios/net-variable.yaml"],
+    # an averaging-route net on a 2-D grid
+    "run-net-average-2d": ["run", "scenarios/net-average-2d.yaml"],
 }
+
+#: entries run with the CLI's constant-exponent gate lifted: `mwlp net`
+#: rejects an exponent file, but the dyadic builder measures in any space,
+#: so its net in a variable-exponent space is pinned through the same report
+VARIABLE_EXPONENT = {"run-net-variable"}
 
 
 def environment() -> dict:
@@ -85,7 +100,9 @@ def run(name: str, out_dir: Path) -> list[Path]:
     command writes into its report then reads the same wherever it runs."""
     if COMMANDS[name][0] == "run":
         shutil.copytree(SCENARIOS, out_dir / SCENARIOS.name, dirs_exist_ok=True)
-    with (contextlib.chdir(out_dir), contextlib.redirect_stdout(io.StringIO()),
+    gate = (mock.patch.object(cli, "_setup", functools.partial(cli._setup, constant_exponent=False))
+            if name in VARIABLE_EXPONENT else contextlib.nullcontext())
+    with (gate, contextlib.chdir(out_dir), contextlib.redirect_stdout(io.StringIO()),
           contextlib.redirect_stderr(io.StringIO())):
         code = cli.main(COMMANDS[name] + ["--out", f"{name}.json"])
     if code != 0:
