@@ -431,24 +431,48 @@ def moduli_report(family: FunctionFamily, space: Space,
 # greedy covering
 
 
-def greedy_cover(count: int, dist_fn, radius: float):
+def greedy_cover(count: int, dist_fn, radius: float, delta: float | None = None):
     """Greedy farthest-point covering with first-index tie-breaking.
 
     dist_fn(i, j) must be a metric between items i and j.  Returns
-    (center_item_indices, assignment, distances) with every item within
-    radius of its assigned center.
+    (center_item_indices, assignment, distances): every item lies within
+    radius of its assigned center, at the measured distances[i].
+
+    Given delta, the relative error bound of one dist_fn evaluation
+    (`spaces.rounding_error`), the earlier centers screen the pairs of each
+    new center j as pivots (LAESA: M. L. Mico, J. Oncina and E. Vidal,
+    Pattern Recognit. Lett. 15 (1994) 9-17): the pair (i, j) is not measured
+    when a center c measured against both gives
+    |d(i, c) - d(j, c)| - 2 delta (d(i, c) + d(j, c)) >= distances[i].  The
+    triangle inequality, with delta covering the rounding of d(i, c), d(j, c)
+    and d(i, j) <= d(i, c) + d(j, c), then puts the measured d(i, j) at or
+    above distances[i], where it would change nothing, so the cover is the
+    unscreened one.  A bound that is not finite rules nothing out.
     """
     centers = [0]
     dists = np.array([dist_fn(i, 0) for i in range(count)])
     assignment = np.zeros(count, dtype=int)
+    # measured[i, k]: d(i, centers[k]) where it was measured, nan where screened out
+    measured = np.full((count, count), np.nan)
+    measured[:, 0] = dists
     while float(np.max(dists)) > radius:
         j = int(np.argmax(dists))
+        k = len(centers)
         centers.append(j)
+        if delta is None:
+            floor = np.full(count, -np.inf)
+        else:
+            to_c, j_to_c = measured[:, :k], measured[j, :k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                bounds = np.abs(to_c - j_to_c) - 2 * delta * (to_c + j_to_c)
+            floor = np.max(bounds, axis=1, initial=-np.inf, where=np.isfinite(bounds))
         for i in range(count):
-            dij = dist_fn(i, j)
+            if floor[i] >= dists[i]:
+                continue
+            dij = measured[i, k] = dist_fn(i, j)
             if dij < dists[i]:
                 dists[i] = dij
-                assignment[i] = len(centers) - 1
+                assignment[i] = k
     return centers, assignment.tolist(), dists.tolist()
 
 
@@ -457,6 +481,25 @@ def _pair_memo(dist):
     with dist(i, i) = 0 never measured."""
     measured = functools.cache(dist)
     return lambda i, j: 0.0 if i == j else measured(min(i, j), max(i, j))
+
+
+def _uniform_metric(values: list, inside: np.ndarray):
+    """dist(i, j) = max over the cells of `inside` of |values[i] - values[j]|,
+    bit for bit np.linalg.norm(diff, axis=1).max(): each component's
+    (conj(z) z).real summed in component order, and the root of the largest
+    sum, which is the largest root.  Each value array is kept on `inside` as
+    one contiguous row per component."""
+    planes = np.stack([np.ascontiguousarray(v[inside].T) for v in values])
+
+    def dist(i: int, j: int) -> float:
+        diff = planes[i] - planes[j]
+        squares = (diff.conj() * diff).real
+        total = squares[0]
+        for row in squares[1:]:
+            total = total + row
+        return float(np.sqrt(np.max(total)))
+
+    return dist
 
 
 def _first_under(measured, budget: float, what: str) -> tuple:
@@ -473,13 +516,26 @@ def _first_under(measured, budget: float, what: str) -> tuple:
 # net builders
 
 
+def _pair_table(family: FunctionFamily, centers: list) -> np.ndarray:
+    """A net's table of measured (member, center) distances, all unmeasured (nan)."""
+    return np.full((len(family), len(centers)), np.nan)
+
+
 def _self_certified(family: FunctionFamily, space: Space, epsilon: float, centers: list,
-                    assignment: list, route: str, params: dict) -> EpsilonNet:
+                    assignment: list, route: str, params: dict,
+                    pairs: np.ndarray) -> EpsilonNet:
     """The net of the given centers, with c_net the max distance of a member
     to its assigned center over epsilon, and the brute-force certificate at
-    c_net * epsilon attached, which a freshly built net must pass."""
-    c_net = max(space.dist(f, centers[a]) for f, a in zip(family, assignment)) / epsilon
-    cert = certify_net(family, centers, c_net * epsilon, space)
+    c_net * epsilon attached, which a freshly built net must pass.
+
+    `pairs` is the builder's table of the (member, center) distances it
+    measured (`_pair_table`); the assigned distances missing from it are
+    measured into it, and the certificate reuses every entry."""
+    for i, a in enumerate(assignment):
+        if np.isnan(pairs[i, a]):
+            pairs[i, a] = space.dist(family[i], centers[a])
+    c_net = float(np.max(pairs[np.arange(len(family)), assignment])) / epsilon
+    cert = certify_net(family, centers, c_net * epsilon, space, pairs)
     if not cert.passed:
         raise SelfCertificationFailed(
             f"freshly built {route} net failed its own certificate: worst distance "
@@ -533,10 +589,14 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
 
     scheme = DyadicScheme(grid, chosen_m, chosen_t)
     projections = [dyadic_average(f, scheme) for f in family]
-    proj_err = max(space.dist(f, g) for f, g in zip(family, projections))
+    proj_d = [space.dist(f, g) for f, g in zip(family, projections)]
     dist_fn = _pair_memo(lambda i, j: space.dist(projections[i], projections[j]))
-    center_idx, assignment, _proj_d = greedy_cover(len(family), dist_fn, epsilon)
+    center_idx, assignment, _ = greedy_cover(len(family), dist_fn, epsilon,
+                                             rounding_error(space))
     centers = [projections[k] for k in center_idx]
+    # a member whose projection is a center was measured against it above
+    pairs = _pair_table(family, centers)
+    pairs[center_idx, range(len(centers))] = [proj_d[k] for k in center_idx]
     return _self_certified(family, space, epsilon, centers, assignment, "dyadic", {
         "m": chosen_m,
         "t": chosen_t,
@@ -544,9 +604,9 @@ def build_net_dyadic(family: FunctionFamily, epsilon: float, space: Space,
         "notion": notion,
         "tail_value": tail_value,
         "equicontinuity_value": equi_value,
-        "projection_error": proj_err,
+        "projection_error": max(proj_d),
         "center_members": [int(k) for k in center_idx],
-    })
+    }, pairs)
 
 
 def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> EpsilonNet:
@@ -594,14 +654,9 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
     a_const = 3.0 * float(np.sum(op_norms[inside] * dens.values[inside])
                           * grid.h ** grid.n) ** (1.0 / p)
 
-    stacked = np.stack(averaged)[:, inside]
-
-    def dist_uniform(i: int, j: int) -> float:
-        diff = stacked[i] - stacked[j]
-        return float(np.max(np.linalg.norm(diff, axis=1)))
-
     uniform_radius = epsilon / a_const
-    center_idx, assignment, uniform_d = greedy_cover(len(family), dist_uniform, uniform_radius)
+    center_idx, assignment, uniform_d = greedy_cover(
+        len(family), _pair_memo(_uniform_metric(averaged, inside)), uniform_radius)
     centers = [SampledVectorField(grid, _restricted(averaged[k], inside))
                for k in center_idx]
     return _self_certified(family, space, epsilon, centers, assignment, "average", {
@@ -617,11 +672,11 @@ def build_net_average(family: FunctionFamily, epsilon: float, space: Space) -> E
         "averaging_value": avg_value,
         "worst_uniform_distance": float(np.max(uniform_d)),
         "center_members": [int(k) for k in center_idx],
-    })
+    }, _pair_table(family, centers))
 
 
 def certify_net(family: FunctionFamily, centers: list, threshold: float,
-                space: Space) -> Certificate:
+                space: Space, pairs: np.ndarray | None = None) -> Certificate:
     """Exact recomputation of the covering property.
 
     For every member, the distance to its nearest center is recomputed and
@@ -637,22 +692,29 @@ def certify_net(family: FunctionFamily, centers: list, threshold: float,
     the first one ruled out; a bound that is not finite (a size that
     overflows) rules nothing out.  Every distance is one direct `Space.dist`,
     and each minimum is the brute-force minimum.
+
+    `pairs`, a net builder's table, holds Space.dist(family[i], centers[k])
+    at [i, k] where the builder measured it and nan elsewhere; a member's
+    entries start its search and are not measured again.
     """
     if not centers:
         raise OutOfRange("a net needs at least one center")
+    if pairs is None:
+        pairs = _pair_table(family, centers)
     sizes = np.array([space.dist_to_zero(g) for g in centers])
     delta = rounding_error(space)
     dists = []
-    for f in family:
+    for f, known in zip(family, pairs):
         s = space.dist_to_zero(f)
         with np.errstate(over="ignore", invalid="ignore"):
             bounds = np.abs(s - sizes) - 2 * delta * (s + sizes)
         bounds[~np.isfinite(bounds)] = -np.inf
-        best = np.inf
+        best = float(np.min(known, initial=np.inf, where=~np.isnan(known)))
         for j in np.argsort(bounds, kind="stable"):
             if bounds[j] > best:
                 break
-            best = min(best, space.dist(f, centers[j]))
+            if np.isnan(known[j]):
+                best = min(best, space.dist(f, centers[j]))
         dists.append(best)
     worst_idx = int(np.argmax(dists))
     worst = float(dists[worst_idx])
@@ -722,9 +784,10 @@ def necessity_check(family: FunctionFamily, epsilons: list[float],
         return _averaging_residual(f, ball_average_values(f, scheme), space, inside)
 
     dist_fn = _pair_memo(lambda i, j: space.dist(family[i], family[j]))
+    delta = rounding_error(space)
     rows = []
     for eps in epsilons:
-        center_idx, assignment, _d = greedy_cover(len(family), dist_fn, eps)
+        center_idx, assignment, cover_d = greedy_cover(len(family), dist_fn, eps, delta)
 
         # tail radius from the centers: R = max over centers of the smallest
         # ladder radius whose center tail is below eps
@@ -739,13 +802,13 @@ def necessity_check(family: FunctionFamily, epsilons: list[float],
                        if r < grid.L / 2 and all(residual(c, r) < eps for c in center_idx)),
                       min(scales))
 
-        # measured boundedness constant of S_r on the member-center differences
+        # measured boundedness constant of S_r on the member-center differences,
+        # whose norms (p > 1: the distances) the cover measured
         scheme, inside = scheme_at(r_star)
         cs = 0.0
-        for i, f in enumerate(family):
-            diff = f.values - family[center_idx[assignment[i]]].values
-            denom = space.norm_values(diff)
+        for i, (f, denom) in enumerate(zip(family, cover_d)):
             if denom > 0:  # S_r is linear: the ratio is defined at every scale
+                diff = f.values - family[center_idx[assignment[i]]].values
                 averaged = _restricted(ball_average_values(diff, scheme), inside)
                 cs = max(cs, space.norm_values(averaged) / denom)
         avg_val = max(residual(i, r_star) for i in range(len(family)))

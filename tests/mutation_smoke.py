@@ -67,6 +67,8 @@ MUTANTS = (
      "if bounds[j] > best:", "if bounds[j] > 0.5 * best:"),
     ("certify screen margin dropped", "compactness.py",
      "- 2 * delta * (s + sizes)", "- 0 * delta * (s + sizes)"),
+    ("pivot margin x0", "compactness.py",
+     "- 2 * delta * (to_c + j_to_c)", "- 0 * delta * (to_c + j_to_c)"),
     ("A_p run start off by one cell", "weight_fields.py",
      "c[:, ::shape[-1]],", "c[:, ::shape[-1]] + 1,"),
     ("A_p last partial panel unmeaned", "weight_fields.py",

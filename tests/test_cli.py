@@ -295,7 +295,7 @@ task: {{name: certify, epsilon: 0.05, c_net: 1.0, centers: ['{zero}']}}
     def test_self_certification_failure_exits_one(self, tmp_path, capsys, monkeypatch, route):
         from mwlp import compactness
 
-        def failing(family, centers, threshold, space):
+        def failing(family, centers, threshold, space, pairs=None):
             return compactness.Certificate(passed=False, worst_member=0, worst_distance=1.0,
                                            threshold=0.5, per_member_distance=[1.0])
 
